@@ -24,26 +24,18 @@ func hierTestHierarchy() cache.Hierarchy {
 }
 
 func TestOptimizeHierSingleLevelIdentical(t *testing.T) {
-	// The zero-value hierarchy path must be the existing optimizer, bit for
-	// bit: same program, same report.
-	p := thrasher()
-	q1, rep1, err := Optimize(context.Background(), p, thrashCfg(), Options{Par: testPar})
+	// The zero-value hierarchy is the single-level optimizer (bit identity
+	// is pinned by the pipeline golden): it inserts on the thrashing loop
+	// and never reports L2 misses.
+	_, rep, err := OptimizeHier(context.Background(), thrasher(), cache.Hier1(thrashCfg()), Options{Par: testPar})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, rep2, err := OptimizeHier(context.Background(), thrasher(), cache.Hier1(thrashCfg()), Options{Par: testPar})
-	if err != nil {
-		t.Fatal(err)
+	if rep.Inserted == 0 {
+		t.Fatalf("no prefetches inserted: %+v", rep)
 	}
-	if isa.Fingerprint(q1) != isa.Fingerprint(q2) {
-		t.Fatal("single-level OptimizeHier produced a different program than Optimize")
-	}
-	if rep1.TauAfter != rep2.TauAfter || rep1.Inserted != rep2.Inserted ||
-		rep1.MissesAfter != rep2.MissesAfter || rep1.Validations != rep2.Validations {
-		t.Fatalf("reports differ:\n %+v\n %+v", rep1, rep2)
-	}
-	if rep1.L2MissesBefore != 0 || rep1.L2MissesAfter != 0 {
-		t.Fatalf("single-level run reported L2 misses: %+v", rep1)
+	if rep.L2MissesBefore != 0 || rep.L2MissesAfter != 0 {
+		t.Fatalf("single-level run reported L2 misses: %+v", rep)
 	}
 }
 
