@@ -605,6 +605,9 @@ type Result struct {
 	Changed []bool
 
 	lambda int
+	// gated marks a level behind the L1 (an AnalyzeL2 result): its rows
+	// carry the L1 classification as the CAC gate.
+	gated bool
 	// ops[xb] is the transfer-function encoding of expanded block xb; the
 	// incremental path diffs it against the previous result to find the
 	// dirty region. Rows of unchanged blocks alias the previous result's.
@@ -625,15 +628,21 @@ type Result struct {
 	interns *internTable
 }
 
-// opRec is one instruction of a transfer function: the memory block the
-// fetch accesses and, for prefetches, the target block and effectiveness.
-// Two blocks with equal opRec rows have identical transfer functions and
-// identical classification behavior for equal in-states.
+// opRec is one instruction of a transfer function at one cache level: the
+// memory block the fetch accesses, the CAC gate deciding whether the fetch
+// reaches this level (see hier.go), and, for prefetches, the target block
+// and the fill effect. Two blocks with equal opRec rows have identical
+// transfer functions and identical classification behavior for equal
+// in-states.
 type opRec struct {
 	acc uint64
 	tgt uint64
-	pft bool
-	eff bool
+	cac cacClass // does the fetch reach this level? Always at the L1
+	pft bool     // a prefetch whose fill passes through this level
+	// fills marks a prefetch that targets this level, the only kind that
+	// may be effective here.
+	fills bool
+	eff   bool // fills, and the fill latency is provably hidden
 }
 
 type analyzer struct {
@@ -657,9 +666,10 @@ type analyzer struct {
 	outChanged []bool
 	// rounds counts cyclic-component convergence rounds, for tracing.
 	rounds int
-	// scrA/scrB ping-pong through multi-predecessor joins; empty is the
-	// cold-cache entry state.
-	scrA, scrB, empty *State
+	// scrA/scrB ping-pong through multi-predecessor joins; tmp/jn serve the
+	// Uncertain join inside one instruction; empty is the cold-cache entry
+	// state.
+	scrA, scrB, tmp, jn, empty *State
 }
 
 // checkInterval is how many fixpoint steps pass between context polls: the
@@ -673,18 +683,37 @@ const checkInterval = 256
 // interrupt error (interrupt.ErrCanceled / interrupt.ErrDeadline) and no
 // Result.
 func Analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Config, lambda int) (*Result, error) {
-	return analyze(ctx, x, lay, cfg, lambda, nil)
+	return analyze(ctx, x, lay, cfg, lambda, nil, nil)
 }
 
 // transferInto pushes src through the instruction sequence of expanded block
-// p into dst, applying the precise (effectiveness-aware) prefetch fill.
+// p into dst.
 func (a *analyzer) transferInto(dst, src *State, p int) {
 	dst.copyFrom(src)
 	for _, op := range a.ops[p] {
-		dst.Access(op.acc)
-		if op.pft {
-			dst.PrefetchFill(op.tgt, op.eff)
-		}
+		a.apply(dst, op)
+	}
+}
+
+// apply pushes one instruction through st: the fetch under its CAC gate —
+// Always is the plain update, Never leaves the state untouched, Uncertain
+// joins the applied and skipped branches — then the prefetch fill, if it
+// passes through this level, with its computed effectiveness. A fill that
+// passes through without targeting this level lands at an unknown time,
+// which the non-effective fill soundly over-approximates (it also covers
+// the fill not happening at all — a redundant prefetch).
+func (a *analyzer) apply(st *State, op opRec) {
+	switch op.cac {
+	case cacAlways:
+		st.Access(op.acc)
+	case cacUncertain:
+		a.tmp.copyFrom(st)
+		a.tmp.Access(op.acc)
+		a.jn.joinInto(st, a.tmp)
+		st.copyFrom(a.jn)
+	}
+	if op.pft {
+		st.PrefetchFill(op.tgt, op.eff)
 	}
 }
 
@@ -862,10 +891,7 @@ func (a *analyzer) classify(id int, in *State, walk *State) {
 			cl = FirstMiss
 		}
 		cls[i] = cl
-		walk.Access(op.acc)
-		if op.pft {
-			walk.PrefetchFill(op.tgt, op.eff)
-		}
+		a.apply(walk, op)
 	}
 	res.Class[id] = cls
 }

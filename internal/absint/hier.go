@@ -4,41 +4,43 @@ import (
 	"context"
 
 	"ucp/internal/cache"
-	"ucp/internal/interrupt"
 	"ucp/internal/isa"
-	"ucp/internal/obs"
 	"ucp/internal/vivu"
 )
 
-// This file implements the L2 half of the multi-level analysis after Hardy &
-// Puaut ("WCET analysis of multi-level set-associative instruction caches"):
-// a must/may/persistence fixpoint over the same VIVU-expanded graph, where
-// every transfer is gated by the cache access classification (CAC) derived
-// from the L1 analysis. A reference that always hits the L1 never reaches
-// the L2 (Never: the L2 state is untouched); one that always misses the L1
-// always accesses the L2 (Always: the plain update applies); anything in
-// between is Uncertain, and the L2 state after it is the join of the
+// This file holds the per-level entry points of the multi-level analysis
+// after Hardy & Puaut ("WCET analysis of multi-level set-associative
+// instruction caches"). Every level runs the same must/may/persistence
+// fixpoint (analyze in incremental.go) over the same VIVU-expanded graph;
+// level n's transfer rows are filtered by the cache access classification
+// (CAC) of level n−1's result. A reference that always hits the L1 never
+// reaches the L2 (Never: the L2 state is untouched); one that always misses
+// the L1 always accesses the L2 (Always: the plain update applies); anything
+// in between is Uncertain, and the L2 state after it is the join of the
 // access-applied and the access-skipped branches — sound whichever way the
-// concrete execution goes.
+// concrete execution goes. The L1 is the level where every access is
+// Always, so the L1 analysis is the degenerate case of the same code.
 //
-// The analyzer reuses the packed-entry domain, the per-policy transfer
-// functions, and the join machinery of the L1 analysis verbatim; only the
-// CAC gate and the per-level block mapping are new. It runs as a full
-// fixpoint per call (no incremental path): the L2 analysis only executes for
-// hierarchy runs, and the graphs are the same small expanded programs the L1
-// fixpoint converges on in microseconds.
+// Prefetches fill the level they target: a Level-2 prefetch fills the L2
+// only and leaves the L1 untouched, any other prefetch fills the L1. The
+// fill of an L1 prefetch passes through the L2 on its way at an unknown
+// time, so at the L2 it is applied as a non-effective (age-only) fill; only
+// Level-2 prefetches may be effective there. Since both levels share the
+// fixpoint, the L2 also shares its incremental re-analysis: AnalyzeL2From
+// diffs the CAC-gated rows against the previous L2 result and re-solves only
+// what a mutation (or a shifted L1 classification) actually changed.
 
 // cacClass is Hardy & Puaut's cache access classification: whether a
-// reference reaches the next cache level.
+// reference reaches the analyzed cache level.
 type cacClass uint8
 
 const (
+	// cacAlways: the reference always reaches this level — every L1
+	// access, and an L2 access whose L1 verdict is a guaranteed miss.
+	cacAlways cacClass = iota
 	// cacNever: the reference is guaranteed to hit the L1, the L2 never
 	// sees it.
-	cacNever cacClass = iota
-	// cacAlways: the reference is guaranteed to miss the L1, the L2 always
-	// sees it.
-	cacAlways
+	cacNever
 	// cacUncertain: the reference may or may not reach the L2; both
 	// branches must be joined.
 	cacUncertain
@@ -57,29 +59,6 @@ func cacOf(c Classification) cacClass {
 	}
 }
 
-// l2op is one instruction of an L2 transfer function: the L2 memory block
-// the fetch maps to, the CAC gate, and the fill effect of prefetches.
-type l2op struct {
-	acc uint64   // L2 memory block of this fetch
-	tgt uint64   // L2 memory block of the prefetch target
-	cac cacClass // does the fetch reach the L2?
-	pft bool     // the instruction is a prefetch (its fill touches the L2)
-	l2  bool     // the prefetch targets the L2 (isa.Instr.Level == 2)
-	eff bool     // fill latency provably hidden at L2 (L2-level prefetches)
-}
-
-type l2analyzer struct {
-	x   *vivu.Prog
-	cfg cache.Config
-	ops [][]l2op
-	sp  statePool
-	chk *interrupt.Checker
-	out []*State
-	// tmp/jn serve the Uncertain join inside one op; scrA/scrB ping-pong
-	// through multi-predecessor joins; empty is the cold entry state.
-	tmp, jn, scrA, scrB, empty *State
-}
-
 // AnalyzeL2 runs the CAC-gated L2 fixpoint for hierarchy h over the expanded
 // program x, consuming the classifications of the completed L1 analysis l1.
 // lambda is the prefetch fill latency in cycles (the same Λ as at L1: both
@@ -87,221 +66,16 @@ type l2analyzer struct {
 // against the L2 — meaningful only for references whose CAC is not Never;
 // the WCET pricing consults the L1 class first, so the others never matter.
 func AnalyzeL2(ctx context.Context, x *vivu.Prog, lay *isa.Layout, h cache.Hierarchy, lambda int, l1 *Result) (*Result, error) {
-	if err := interrupt.Cause(ctx); err != nil {
-		return nil, err
-	}
-	_, span := obs.Start(ctx, "absint.solve_l2")
-	defer span.End()
-	cfg := h.L2
-	n := len(x.Blocks)
-	res := &Result{
-		X:         x,
-		Cfg:       cfg,
-		In:        make([]*State, n),
-		Class:     make([][]Classification, n),
-		Effective: make([][]bool, n),
-		lambda:    lambda,
-		out:       make([]*State, n),
-	}
-
-	// Per-block transfer rows: the L2 block of every fetch, its CAC from the
-	// L1 class, and the prefetch fill targets mapped to L2 granularity. The
-	// parallel opRec rows feed the effectiveness walk, which needs the fetch
-	// sequence at L2 block granularity.
-	ops := make([][]l2op, n)
-	ecOps := make([][]opRec, n)
-	for _, xb := range x.Blocks {
-		instrs := x.Prog.Blocks[xb.Orig].Instrs
-		row := make([]l2op, len(instrs))
-		ecRow := make([]opRec, len(instrs))
-		for i, ins := range instrs {
-			op := l2op{
-				acc: lay.MemBlock(isa.InstrRef{Block: xb.Orig, Index: i}, cfg.BlockBytes),
-				cac: cacOf(l1.Class[xb.ID][i]),
-			}
-			if ins.Kind == isa.KindPrefetch {
-				op.pft = true
-				op.l2 = ins.Level == 2
-				op.tgt = lay.MemBlock(ins.Target, cfg.BlockBytes)
-			}
-			row[i] = op
-			ecRow[i] = opRec{acc: op.acc, pft: op.pft, tgt: op.tgt}
-		}
-		ops[xb.ID] = row
-		ecOps[xb.ID] = ecRow
-	}
-	// Effectiveness at L2 (Definition 10 against the L2 block granularity):
-	// only prefetches that target the L2 enter the must state when hidden;
-	// L1-level prefetch fills pass through the L2 at an unknown time and are
-	// always applied as non-effective (age-only) fills.
-	ec := newEffCalc(x, ecOps, nil)
-	for id, row := range ops {
-		effRow := make([]bool, len(row))
-		for i := range row {
-			if row[i].pft && row[i].l2 {
-				row[i].eff = ec.hidden(id, i, row[i].tgt, lambda)
-			}
-			effRow[i] = row[i].eff
-		}
-		res.Effective[id] = effRow
-	}
-
-	a := &l2analyzer{
-		x: x, cfg: cfg, ops: ops,
-		sp:  statePool{cfg: cfg},
-		chk: interrupt.NewChecker(ctx, checkInterval),
-		out: res.out,
-	}
-	a.tmp, a.jn = a.sp.get(), a.sp.get()
-	a.scrA, a.scrB = a.sp.get(), a.sp.get()
-	a.empty = NewState(cfg)
-
-	// Round-robin fixpoint in topological order: the domain is finite and
-	// every transfer is monotone, so the iteration reaches the least
-	// fixpoint; back edges make extra rounds, which the small expanded
-	// graphs absorb easily.
-	rounds := 0
-	for changed := true; changed; {
-		rounds++
-		changed = false
-		for _, id := range x.Topo {
-			if err := a.chk.Check(); err != nil {
-				return nil, err
-			}
-			in := a.joinPreds(id)
-			if in == nil {
-				continue
-			}
-			next := a.sp.get()
-			a.transferInto(next, in, id)
-			if a.out[id] != nil && a.out[id].Equal(next) {
-				a.sp.put(next)
-				continue
-			}
-			a.sp.put(a.out[id])
-			a.out[id] = next
-			changed = true
-		}
-	}
-	if span != nil {
-		span.Attr("blocks", n)
-		span.Attr("rounds", rounds)
-	}
-
-	// Classification pass: walk every block's converged in-state through its
-	// transfer, classifying each reference before its own update, with the
-	// same first-miss persistence upgrade as at L1.
-	walk := a.sp.get()
-	for _, id := range x.Topo {
-		if err := a.chk.Check(); err != nil {
-			return nil, err
-		}
-		a.classify(res, id, walk)
-	}
-	return res, nil
+	return analyze(ctx, x, lay, h.L2, lambda, l1, nil)
 }
 
-// joinPreds returns the join of the predecessors' exit states of block id
-// (the cold state for the entry; nil when no predecessor has a state yet).
-// The returned state may alias a predecessor's slot or a scratch state and
-// is only valid until the next joinPreds call.
-func (a *l2analyzer) joinPreds(id int) *State {
-	if id == a.x.Entry {
-		return a.empty
+// AnalyzeL2From is the incremental form of AnalyzeL2, seeded from the L2
+// result prev of an earlier analysis of the same expanded program; l1 is the
+// L1 result of the current program. It yields a Result bit-identical to
+// AnalyzeL2 and degrades to it when prev is nil or incompatible.
+func AnalyzeL2From(ctx context.Context, x *vivu.Prog, lay *isa.Layout, h cache.Hierarchy, lambda int, l1, prev *Result) (*Result, error) {
+	if prev == nil || prev.X != x || prev.Cfg != h.L2 || prev.lambda != lambda || !prev.gated {
+		prev = nil
 	}
-	var st *State
-	scr := a.scrA
-	for _, p := range a.x.Blocks[id].Preds {
-		o := a.out[p]
-		if o == nil {
-			continue
-		}
-		if st == nil {
-			st = o
-			continue
-		}
-		scr.joinInto(st, o)
-		st = scr
-		if scr == a.scrA {
-			scr = a.scrB
-		} else {
-			scr = a.scrA
-		}
-	}
-	return st
-}
-
-// transferInto pushes src through block id's CAC-gated transfer into dst.
-func (a *l2analyzer) transferInto(dst, src *State, id int) {
-	dst.copyFrom(src)
-	for _, op := range a.ops[id] {
-		a.applyOp(dst, op)
-	}
-}
-
-// applyOp applies one reference to an L2 state under its CAC gate: Always
-// is the plain update, Never leaves the state untouched, and Uncertain joins
-// the applied and unapplied branches. A prefetch fill targeting the L2
-// applies with its computed effectiveness; an L1-level prefetch's fill
-// passes through the L2 at an unknown time, which the non-effective fill
-// soundly over-approximates (it also covers the fill not happening at all —
-// a redundant prefetch).
-func (a *l2analyzer) applyOp(st *State, op l2op) {
-	switch op.cac {
-	case cacAlways:
-		st.Access(op.acc)
-	case cacUncertain:
-		a.tmp.copyFrom(st)
-		a.tmp.Access(op.acc)
-		a.jn.joinInto(st, a.tmp)
-		st.copyFrom(a.jn)
-	}
-	if op.pft {
-		st.PrefetchFill(op.tgt, op.l2 && op.eff)
-	}
-}
-
-// classify records block id's in-state and per-reference L2 classification.
-func (a *l2analyzer) classify(res *Result, id int, walk *State) {
-	xb := a.x.Blocks[id]
-	in := a.inState(id)
-	res.In[id] = in
-	walk.copyFrom(in)
-	row := a.ops[id]
-	cls := make([]Classification, len(row))
-	inRest := len(xb.Ctx) > 0 && xb.Ctx[len(xb.Ctx)-1] == 'R'
-	for i, op := range row {
-		cl := walk.Classify(op.acc)
-		if cl == NotClassified && inRest && walk.Persistent(op.acc) {
-			cl = FirstMiss
-		}
-		cls[i] = cl
-		a.applyOp(walk, op)
-	}
-	res.Class[id] = cls
-}
-
-// inState materializes the converged in-state of block id for the result:
-// aliased when a single predecessor feeds it, compact-copied for joins.
-func (a *l2analyzer) inState(id int) *State {
-	if id == a.x.Entry {
-		return NewState(a.cfg)
-	}
-	live := 0
-	for _, p := range a.x.Blocks[id].Preds {
-		if a.out[p] != nil {
-			live++
-		}
-	}
-	st := a.joinPreds(id)
-	switch {
-	case st == nil:
-		return NewState(a.cfg)
-	case live == 1:
-		return st
-	default:
-		c := NewState(a.cfg)
-		c.copyCompact(st)
-		return c
-	}
+	return analyze(ctx, x, lay, h.L2, lambda, l1, prev)
 }

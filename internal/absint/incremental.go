@@ -17,8 +17,11 @@ import (
 //
 // Soundness of the incremental restart (see DESIGN.md for the long form):
 // the dirty set D is the set of expanded blocks whose transfer function
-// changed (different opRec row — fetched blocks, prefetch flags, targets,
-// or effectiveness). Every slot is seeded with the previous solution and
+// changed (different opRec row — fetched blocks, CAC gates, prefetch
+// flags, targets, or effectiveness). The rule is the same at every level:
+// an L2 row also changes when the L1 verdict gating one of its fetches
+// moved, so a re-classification at L1 dirties exactly the L2 blocks it
+// reaches. Every slot is seeded with the previous solution and
 // the fixpoint walks the strongly-connected components of the graph in
 // condensation topological order (see solve in absint.go). By induction
 // over that order, when a component is reached its external inputs are
@@ -45,22 +48,28 @@ import (
 // (canceled ctx) returns a typed interrupt error and leaves prev fully
 // usable for a later retry.
 func AnalyzeFrom(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Config, lambda int, prev *Result) (*Result, error) {
-	if prev == nil || prev.X != x || prev.Cfg != cfg || prev.lambda != lambda {
+	if prev == nil || prev.X != x || prev.Cfg != cfg || prev.lambda != lambda || prev.gated {
 		prev = nil
 	}
-	return analyze(ctx, x, lay, cfg, lambda, prev)
+	return analyze(ctx, x, lay, cfg, lambda, nil, prev)
 }
 
-// analyze is the shared implementation behind Analyze (prev == nil) and
-// AnalyzeFrom.
-func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Config, lambda int, prev *Result) (*Result, error) {
+// analyze is the one fixpoint behind every level: Analyze and AnalyzeFrom
+// run it for the L1 (l1 == nil, every access Always), AnalyzeL2 and
+// AnalyzeL2From for the L2 gated by the L1 result l1. prev == nil means a
+// full analysis.
+func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Config, lambda int, l1, prev *Result) (*Result, error) {
 	// The amortized checker only polls every checkInterval steps, which a
 	// small (or fully clean incremental) analysis may never reach; the
 	// upfront check guarantees an already-dead context is always honored.
 	if err := interrupt.Cause(ctx); err != nil {
 		return nil, err
 	}
-	ctx, span := obs.Start(ctx, "absint.solve")
+	spanName := "absint.solve"
+	if l1 != nil {
+		spanName = "absint.solve_l2"
+	}
+	ctx, span := obs.Start(ctx, spanName)
 	defer span.End()
 	n := len(x.Blocks)
 	res := &Result{
@@ -70,6 +79,7 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 		Class:     make([][]Classification, n),
 		Effective: make([][]bool, n),
 		lambda:    lambda,
+		gated:     l1 != nil,
 		out:       make([]*State, n),
 	}
 	full := prev == nil
@@ -99,10 +109,16 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 		rowBuf = rowBuf[:0]
 		for i, ins := range instrs {
 			op := opRec{acc: lay.MemBlock(isa.InstrRef{Block: xb.Orig, Index: i}, cfg.BlockBytes)}
-			// A prefetch targeting level 2 fills the L2 only; at this (L1)
-			// level its fetch is an ordinary reference with no fill effect.
-			if ins.Kind == isa.KindPrefetch && ins.Level < 2 {
-				op.pft = true
+			if l1 != nil {
+				op.cac = cacOf(l1.Class[xb.ID][i])
+			}
+			// A Level-2 prefetch fills the L2 only; any other prefetch fills
+			// the L1 and passes through the L2 on its way.
+			if ins.Kind == isa.KindPrefetch {
+				op.fills = (ins.Level == 2) == (l1 != nil)
+				op.pft = op.fills || l1 != nil
+			}
+			if op.pft {
 				op.tgt = lay.MemBlock(ins.Target, cfg.BlockBytes)
 			}
 			rowBuf = append(rowBuf, op)
@@ -131,7 +147,7 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 		for id := range ops {
 			row := ops[id]
 			for i := range row {
-				if row[i].pft {
+				if row[i].fills {
 					row[i].eff = ec.hidden(id, i, row[i].tgt, lambda)
 				}
 			}
@@ -145,7 +161,7 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 			row := ops[id]
 			if baseDirty[id] {
 				for i := range row {
-					if row[i].pft {
+					if row[i].fills {
 						row[i].eff = ec.hidden(id, i, row[i].tgt, lambda)
 					}
 				}
@@ -155,7 +171,7 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 			// bit actually flips does the block become dirty.
 			var fresh []opRec
 			for i, op := range row {
-				if !op.pft {
+				if !op.fills {
 					continue
 				}
 				if e := ec.hidden(id, i, op.tgt, lambda); e != op.eff {
@@ -220,11 +236,14 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 	if !full {
 		copy(a.out, prev.out)
 	}
-	a.scrA, a.scrB = a.sp.get(), a.sp.get()
+	a.scrA, a.scrB, a.tmp, a.jn = a.sp.get(), a.sp.get(), a.sp.get(), a.sp.get()
+	defer func() {
+		for _, s := range []*State{a.scrA, a.scrB, a.tmp, a.jn} {
+			a.sp.put(s)
+		}
+	}()
 	a.empty = sc.empty
 	if err := a.solve(res.sccs); err != nil {
-		a.sp.put(a.scrA)
-		a.sp.put(a.scrB)
 		return nil, err
 	}
 
@@ -252,8 +271,6 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 	for _, id := range x.Topo {
 		if err := a.chk.Check(); err != nil {
 			a.sp.put(walk)
-			a.sp.put(a.scrA)
-			a.sp.put(a.scrB)
 			return nil, err
 		}
 		if !full && !res.Changed[id] {
@@ -264,8 +281,6 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 		a.classify(id, a.inState(id), walk)
 	}
 	a.sp.put(walk)
-	a.sp.put(a.scrA)
-	a.sp.put(a.scrB)
 	if span != nil {
 		span.Attr("rounds", a.rounds)
 		span.Attr("states_pooled", len(sc.sp.free))
@@ -310,13 +325,15 @@ func (a *analyzer) inState(id int) *State {
 }
 
 // rowBaseEqual compares transfer rows ignoring effectiveness bits (which
-// are derived, not part of the program).
+// are derived, not part of the program or of the lower level's verdicts).
 func rowBaseEqual(a, b []opRec) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].acc != b[i].acc || a[i].pft != b[i].pft || a[i].tgt != b[i].tgt {
+		x, y := a[i], b[i]
+		x.eff, y.eff = false, false
+		if x != y {
 			return false
 		}
 	}

@@ -3,9 +3,7 @@ package wcet
 import (
 	"context"
 
-	"ucp/internal/absint"
 	"ucp/internal/cache"
-	"ucp/internal/isa"
 	"ucp/internal/obs"
 	"ucp/internal/vivu"
 )
@@ -35,125 +33,17 @@ func Stats() AnalysisStats {
 }
 
 // AnalyzeXFrom re-analyzes a mutated program incrementally, seeded from a
-// previous Result for the same expansion and parameters. The abstract
-// interpretation restarts only the region affected by the mutation (see
-// absint.AnalyzeFrom), per-block cost rows are recomputed only for blocks
-// the fixpoint actually revisited, and the structural WCET solve is skipped
-// entirely when the cost and extra vectors came out unchanged — in that
-// case the previous counts are provably identical. The returned Result is
-// bit-identical (classifications, Tw, Nw, τ_w, miss and fetch counts) to
-// what AnalyzeX would compute from scratch; the differential tests pin this
-// down. When prev is nil or was produced under different parameters the
-// call degrades to a full AnalyzeX.
+// previous Result for the same expansion and parameters: the single-level
+// case of AnalyzeXHierFrom. The abstract interpretation restarts only the
+// region affected by the mutation (see absint.AnalyzeFrom), per-block cost
+// rows are recomputed only for blocks the fixpoint actually revisited, and
+// the structural WCET solve is skipped entirely when the cost and extra
+// vectors came out unchanged — in that case the previous counts are
+// provably identical. The returned Result is bit-identical
+// (classifications, Tw, Nw, τ_w, miss and fetch counts) to what AnalyzeX
+// would compute from scratch; the differential tests pin this down. When
+// prev is nil or was produced under different parameters the call degrades
+// to a full AnalyzeX.
 func AnalyzeXFrom(ctx context.Context, x *vivu.Prog, cfg cache.Config, par Params, prev *Result) (*Result, error) {
-	if prev == nil || prev.X != x || prev.Cfg != cfg || prev.Par != par {
-		return AnalyzeX(ctx, x, cfg, par)
-	}
-	if err := par.Valid(); err != nil {
-		return nil, err
-	}
-	statIncremental.Inc()
-	ctx, span := obs.Start(ctx, "wcet.analyze")
-	span.Attr("mode", "incremental")
-	defer span.End()
-	lay := isa.NewLayout(x.Prog)
-	ai, err := absint.AnalyzeFrom(ctx, x, lay, cfg, int(par.Lambda), prev.AI)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(ctx, x, cfg, par, lay, ai, prev)
-}
-
-// assemble turns an abstract-interpretation result into a WCET Result,
-// reusing prev's per-block rows for blocks the analysis did not revisit and
-// prev's solve outputs when the cost vectors are unchanged.
-func assemble(ctx context.Context, x *vivu.Prog, cfg cache.Config, par Params, lay *isa.Layout, ai *absint.Result, prev *Result) (*Result, error) {
-	n := len(x.Blocks)
-	res := &Result{
-		Prog: x.Prog, X: x, Lay: lay, AI: ai, Cfg: cfg, Par: par,
-		Hier: cache.Hier1(cfg),
-		Tw:   make([][]int64, n),
-		Cost: make([]int64, n),
-	}
-	// extra[xb] carries the one-time first-miss charges of the block's
-	// persistence-classified references: each pays one miss penalty per
-	// entry of its loop region, not per execution.
-	extra := make([]int64, n)
-	changed := ai.Changed
-	costSame := prev != nil
-	for _, xb := range x.Blocks {
-		id := xb.ID
-		if prev != nil && changed != nil && !changed[id] {
-			res.Tw[id] = prev.Tw[id]
-			res.Cost[id] = prev.Cost[id]
-			extra[id] = prev.Extra[id]
-			continue
-		}
-		instrs := x.Prog.Blocks[xb.Orig].Instrs
-		row := make([]int64, len(instrs))
-		total := int64(0)
-		for i := range instrs {
-			t := par.MissCycles()
-			switch ai.Class[id][i] {
-			case absint.AlwaysHit:
-				t = par.HitCycles
-			case absint.FirstMiss:
-				t = par.HitCycles
-				extra[id] += par.MissPenalty
-			}
-			row[i] = t
-			total += t
-		}
-		res.Tw[id] = row
-		res.Cost[id] = total
-		if prev != nil && (total != prev.Cost[id] || extra[id] != prev.Extra[id]) {
-			costSame = false
-		}
-	}
-	res.Extra = extra
-
-	// Unchanged cost and extra vectors determine the solve completely, and
-	// (since every fetch costs at least one cycle) force the per-block
-	// class-category counts to be unchanged too — so counts, τ_w, misses,
-	// and fetches are all exactly prev's.
-	if costSame {
-		res.Nw = prev.Nw
-		res.TauW = prev.TauW
-		res.Misses = prev.Misses
-		res.Fetches = prev.Fetches
-		if _, sp := obs.Start(ctx, "wcet.solve"); sp != nil {
-			sp.Attr("skipped", true)
-			sp.Attr("tau_w", res.TauW)
-			sp.End()
-		}
-		return res, nil
-	}
-
-	_, sp := obs.Start(ctx, "wcet.solve")
-	nw, tau, err := solveStructuralExtra(x, res.Cost, extra)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	sp.Attr("tau_w", tau)
-	sp.End()
-	res.Nw = nw
-	res.TauW = tau
-	for _, xb := range x.Blocks {
-		cnt := nw[xb.ID]
-		if cnt == 0 {
-			continue
-		}
-		res.Fetches += cnt * int64(len(x.Prog.Blocks[xb.Orig].Instrs))
-		for i := range x.Prog.Blocks[xb.Orig].Instrs {
-			switch ai.Class[xb.ID][i] {
-			case absint.AlwaysHit:
-			case absint.FirstMiss:
-				res.Misses++ // at most one miss regardless of n_w
-			default:
-				res.Misses += cnt
-			}
-		}
-	}
-	return res, nil
+	return AnalyzeXHierFrom(ctx, x, cache.Hier1(cfg), par, prev)
 }

@@ -13,7 +13,6 @@ import (
 	"ucp/internal/absint"
 	"ucp/internal/cache"
 	"ucp/internal/isa"
-	"ucp/internal/obs"
 	"ucp/internal/vivu"
 )
 
@@ -104,24 +103,10 @@ func Analyze(ctx context.Context, p *isa.Program, cfg cache.Config, par Params) 
 
 // AnalyzeX analyzes a pre-expanded program. The expansion depends only on
 // the control-flow structure, not on the instruction sequences, so the
-// optimizer reuses one expansion across its insertion iterations.
+// optimizer reuses one expansion across its insertion iterations. It is the
+// single-level case of AnalyzeXHier.
 func AnalyzeX(ctx context.Context, x *vivu.Prog, cfg cache.Config, par Params) (*Result, error) {
-	if err := par.Valid(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Valid(); err != nil {
-		return nil, err
-	}
-	statFull.Inc()
-	ctx, span := obs.Start(ctx, "wcet.analyze")
-	span.Attr("mode", "full")
-	defer span.End()
-	lay := isa.NewLayout(x.Prog)
-	ai, err := absint.Analyze(ctx, x, lay, cfg, int(par.Lambda))
-	if err != nil {
-		return nil, err
-	}
-	return assemble(ctx, x, cfg, par, lay, ai, nil)
+	return AnalyzeXHier(ctx, x, cache.Hier1(cfg), par)
 }
 
 // SolveCounts runs the structural WCET-scenario solver for externally
