@@ -27,18 +27,18 @@ import (
 // Algorithm 2. Residual loop back edges are followed (the other-iterations
 // context sees the next iteration's needs), with a bounded fixpoint.
 
-// backward returns the per-block backward exit states for the current
-// analysis result, recomputing them only when o.res changed since the last
-// computation. Keying the cache on the result pointer makes invalidation
-// exact: refresh() swaps the pointer (stale states can never be read), and
-// a rollback that restores the previous result revives its still-valid
-// states for free.
-func (o *optimizer) backward() []*cache.State {
-	if o.bwRes != o.res {
-		o.bwOut = o.backwardOut()
-		o.bwRes = o.res
+// backward returns level lv's per-block backward exit states for the
+// current analysis result, recomputing them only when o.res changed since
+// the last computation. Keying the cache on the result pointer makes
+// invalidation exact: refresh() swaps the pointer (stale states can never be
+// read), and a rollback that restores the previous result revives its
+// still-valid states for free.
+func (o *optimizer) backward(lv *level) []*cache.State {
+	if lv.bwRes != o.res {
+		lv.bwOut = o.backwardOut(lv)
+		lv.bwRes = o.res
 	}
-	return o.bwOut
+	return lv.bwOut
 }
 
 // backwardOut computes, for every expanded block, the backward cache state
@@ -48,7 +48,7 @@ func (o *optimizer) backward() []*cache.State {
 // states once instead of cloning per block per round. (bwOut must not alias
 // bwIn of the successor: a single-block residual loop is its own WCET
 // successor, and its exit state must be the pre-update value.)
-func (o *optimizer) backwardOut() []*cache.State {
+func (o *optimizer) backwardOut(lv *level) []*cache.State {
 	res := o.res
 	x := res.X
 	n := len(x.Blocks)
@@ -56,8 +56,8 @@ func (o *optimizer) backwardOut() []*cache.State {
 	bwOut := make([]*cache.State, n)
 	valid := make([]bool, n)
 	for id := range bwIn {
-		bwIn[id] = cache.NewState(o.bwCfg)
-		bwOut[id] = cache.NewState(o.bwCfg)
+		bwIn[id] = cache.NewState(lv.bwCfg)
+		bwOut[id] = cache.NewState(lv.bwCfg)
 	}
 
 	// Residual back edges make the other-iterations context depend on its
@@ -73,7 +73,7 @@ func (o *optimizer) backwardOut() []*cache.State {
 				bwOut[id].CopyFrom(bwIn[succ])
 			}
 			bwIn[id].CopyFrom(bwOut[id])
-			o.applyBackward(bwIn[id], id, 0)
+			o.applyBackward(lv, bwIn[id], id)
 			valid[id] = true
 		}
 	}
@@ -105,29 +105,29 @@ func (o *optimizer) wcetSuccBlock(id int) int {
 }
 
 // applyBackward pushes the references of expanded block id through a
-// backward state, in reverse order, down to (and excluding) instruction
-// index stop. A prefetch's own fetch is a reference like any other; its
-// fill satisfies the future use of the target block, so the target is
-// dropped from the window (upstream code no longer needs to preserve it).
-func (o *optimizer) applyBackward(st *cache.State, id int, stop int) {
-	res := o.res
-	xb := res.X.Blocks[id]
-	instrs := res.Prog.Blocks[xb.Orig].Instrs
-	for i := len(instrs) - 1; i >= stop; i-- {
-		if instrs[i].Kind == isa.KindPrefetch && res.AI.Effective[id][i] {
-			st.Remove(res.Lay.MemBlock(instrs[i].Target, o.cfg.BlockBytes))
-		}
-		st.Access(o.memBlockOf(vivu.Ref{XB: id, Index: i}))
+// backward state of level lv, in reverse order.
+func (o *optimizer) applyBackward(lv *level, st *cache.State, id int) {
+	for i := len(o.res.Prog.Blocks[o.res.X.Blocks[id].Orig].Instrs) - 1; i >= 0; i-- {
+		o.stepBackward(lv, st, vivu.Ref{XB: id, Index: i})
 	}
 }
 
-// backwardStateBefore returns the backward state at the program point just
-// behind reference r — the state Û_e(ĉ, r_i) is applied to. The per-block
-// exit states are cached per analysis refresh.
-func (o *optimizer) backwardStateBefore(r vivu.Ref) *cache.State {
-	st := o.backward()[r.XB].Clone()
-	o.applyBackward(st, r.XB, r.Index+1)
-	return st
+// stepBackward pushes reference r through a backward state of level lv and
+// returns the block the access replaced (cache.InvalidBlock if none). A
+// prefetch's own fetch is a reference like any other; when its fill is
+// effective at this level it satisfies the future use of the target block,
+// so the target is dropped from the window (upstream code no longer needs to
+// preserve it). A prefetch filling another level — an L1 prefetch seen from
+// the L2, whose fill passes through at an unknown time — cannot be relied on
+// and has no Effective bit here.
+func (o *optimizer) stepBackward(lv *level, st *cache.State, r vivu.Ref) uint64 {
+	res := o.res
+	ref := res.X.InstrRef(r)
+	if in := res.Prog.Instr(ref); in.Kind == isa.KindPrefetch && lv.ai(res).Effective[r.XB][r.Index] {
+		st.Remove(res.Lay.MemBlock(in.Target, lv.bwCfg.BlockBytes))
+	}
+	_, evicted := st.Access(res.Lay.MemBlock(ref, lv.bwCfg.BlockBytes))
+	return evicted
 }
 
 // pathStep is one reference on the WCET-path walk towards the next use,
@@ -142,9 +142,8 @@ type pathStep struct {
 // findNextUse walks the WCET path forward from the reference following r and
 // returns the first reference to memory block target, the WCET-scenario
 // time spent strictly between r and that use (Equation 5), and the walked
-// path (for downstream placement sliding). The l2 flag selects the block
-// granularity the target is matched at (the prefetch-into-L2 phase walks in
-// L2 blocks).
+// path (for downstream placement sliding). The target is matched at block
+// size bb, the granularity of the level the candidate fills.
 //
 // The walk follows the WCET successors of the expanded graph. A residual
 // back edge may be traversed once per loop instance — emulating the exit of
@@ -152,13 +151,9 @@ type pathStep struct {
 // which the already-walked blocks are not re-entered.
 // The returned path aliases the optimizer's reusable buffer and is only
 // valid until the next findNextUse call.
-func (o *optimizer) findNextUse(r vivu.Ref, target uint64, l2 bool) (use vivu.Ref, gap int64, path []pathStep, found bool) {
+func (o *optimizer) findNextUse(r vivu.Ref, target uint64, bb int) (use vivu.Ref, gap int64, path []pathStep, found bool) {
 	res := o.res
 	x := res.X
-	blockOf := o.memBlockOf
-	if l2 {
-		blockOf = o.memBlock2Of
-	}
 	o.beginVisits()
 	o.addVisit(r.XB)
 	cur := r
@@ -174,7 +169,7 @@ func (o *optimizer) findNextUse(r vivu.Ref, target uint64, l2 bool) (use vivu.Re
 		if next.Index == 0 {
 			o.addVisit(next.XB)
 		}
-		if blockOf(next) == target {
+		if o.memBlockOf(next, bb) == target {
 			// Backfill the remaining time after every path position.
 			acc := int64(0)
 			for i := len(path) - 1; i >= 0; i-- {

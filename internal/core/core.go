@@ -34,6 +34,7 @@ import (
 	"os"
 	"sort"
 
+	"ucp/internal/absint"
 	"ucp/internal/cache"
 	"ucp/internal/interrupt"
 	"ucp/internal/isa"
@@ -220,6 +221,9 @@ func OptimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Op
 	// contexts here pays once and shrinks the retained set for the entire
 	// run. The intern table travels down the result chain.
 	res.AI.Intern()
+	if res.AI2 != nil {
+		res.AI2.Intern()
+	}
 	rep := &Report{
 		TauBefore:      res.TauW,
 		MissesBefore:   res.Misses,
@@ -227,16 +231,11 @@ func OptimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Op
 		FetchesBefore:  res.Fetches,
 	}
 
-	bwCfg := cfg
-	bwCfg.Policy = cache.LRU
 	o := &optimizer{
-		x: x, cfg: cfg, h: h, bwCfg: bwCfg, opt: opt, rep: rep, res: res,
+		x: x, cfg: cfg, h: h, opt: opt, rep: rep, res: res,
+		levels:   levelsFor(h, opt.Par),
 		rejected: map[candidateKey]bool{},
 		ctx:      ctx, chk: interrupt.NewChecker(ctx, 64),
-	}
-	if h.HasL2() {
-		o.bwCfg2 = h.L2
-		o.bwCfg2.Policy = cache.LRU
 	}
 	if opt.Explain {
 		o.dec = newDecisionLog()
@@ -250,41 +249,13 @@ func OptimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Op
 		o.budget = 700
 	}
 
-	for rep.Inserted < maxIns && rep.Validations < o.budget {
-		rep.Passes++
-		cands, err := o.collect()
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(cands) == 0 {
-			break
-		}
-		if len(cands) > maxIns-rep.Inserted {
-			cands = cands[:maxIns-rep.Inserted]
-		}
-		n, err := o.bisect(cands)
-		if err != nil {
-			return nil, nil, err
-		}
-		if debugEnabled {
-			fmt.Printf("pass %d: cands=%d accepted=%d validations=%d\n", rep.Passes, len(cands), n, rep.Validations)
-		}
-		rep.Inserted += n
-		if n == 0 {
-			break
-		}
-	}
-
-	// Prefetch-into-L2 phase: with the L1 candidates settled, a second
-	// reverse walk at L2 block granularity proposes Level-2 prefetches for
-	// blocks that provably cannot survive in the L2 until their next use.
-	// Converting those L2 misses into L2 hits shaves the full MissPenalty
-	// off every remaining L1-miss fetch of the block, at the price of one
-	// extra fetched instruction — Equation 9 with the L2 terms.
-	if h.HasL2() {
+	// One candidate phase per level, L1 first: with the L1 candidates
+	// settled, the L2 phase proposes Level-2 prefetches for blocks that
+	// provably cannot survive in the L2 until their next use.
+	for _, lv := range o.levels {
 		for rep.Inserted < maxIns && rep.Validations < o.budget {
 			rep.Passes++
-			cands, err := o.collectL2()
+			cands, err := o.collect(lv)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -299,7 +270,7 @@ func OptimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Op
 				return nil, nil, err
 			}
 			if debugEnabled {
-				fmt.Printf("l2 pass %d: cands=%d accepted=%d validations=%d\n", rep.Passes, len(cands), n, rep.Validations)
+				fmt.Printf("level %d pass %d: cands=%d accepted=%d validations=%d\n", lv.n, rep.Passes, len(cands), n, rep.Validations)
 			}
 			rep.Inserted += n
 			if n == 0 {
@@ -381,32 +352,12 @@ type optimizer struct {
 	// passes ctx down to the fixpoint.
 	ctx context.Context
 	chk *interrupt.Checker
-	// bwCfg is cfg with the policy forced to LRU: the reverse walk's states
-	// encode next-use order *as* LRU order (Property 3 reads an eviction in
-	// them as "at least `associativity` distinct same-set blocks before the
-	// next use"), which holds whatever policy the analyzed cache runs. The
-	// walk is only the proposal heuristic — validation (refresh) analyzes
-	// under the real policy.
-	bwCfg cache.Config
-	opt   Options
-	rep   *Report
-	res   *wcet.Result
+	opt Options
+	rep *Report
+	res *wcet.Result
 
-	// bwOut caches the backward cache state at every expanded block's exit,
-	// and bwRes records which analysis result it was computed for. backward()
-	// revalidates the pair against o.res by pointer identity, so a refresh
-	// invalidates it and a rollback (which restores the previous result
-	// pointer) revives it — invalidation is structural, not by convention.
-	bwOut []*cache.State
-	bwRes *wcet.Result
-	// bwScratch is the reusable walking state of collect's reverse sweep.
-	bwScratch *cache.State
-	// bwCfg2/bwOut2/bwRes2/bwScratch2 are the L2-granularity counterparts
-	// used by the prefetch-into-L2 phase (see hier.go); unused without an L2.
-	bwCfg2     cache.Config
-	bwOut2     []*cache.State
-	bwRes2     *wcet.Result
-	bwScratch2 *cache.State
+	// levels holds one candidate phase per cache level, L1 first.
+	levels []*level
 	// topoPos[id] is the position of expanded block id in x.Topo (the
 	// expansion, and hence this order, is stable across insertions).
 	topoPos []int
@@ -443,19 +394,93 @@ type insertion struct {
 	block, pos, grown int
 }
 
-// collect runs one reverse-execution-order sweep (Algorithm 3) and returns
-// the prefetch candidates that pass every local check, most-downstream
-// first. The sweep polls the cancellation checker once per expanded block.
-func (o *optimizer) collect() ([]candidate, error) {
+// level is the optimizer's view of one cache level: the candidate phase
+// that proposes prefetches filling it. The proposal mechanism is the same
+// reverse-execution-order walk at every level, run at the level's block
+// granularity against an LRU image of it: a replacement event identifies a
+// block that cannot survive in that cache until its next use — a guaranteed
+// future miss there — and the point right behind the replacing reference is
+// the latest insertion point from which a fill of that level still survives.
+//
+// The levels differ only in the Equation 9 accounting of what the prefetch
+// can save. An L1 prefetch removes the whole fetch time of the targeted
+// miss. A Level-2 prefetch leaves the L1 untouched, so the targeted fetch
+// still pays HitCycles + L2HitCycles and only the MissPenalty term is
+// removable; its already-hit screen passes only when the use pays more than
+// an L2 hit. Every level commits through the same validate-or-rollback
+// analysis, with the joint L1+L2 miss count as Condition 2.
+type level struct {
+	// n is the Level of the prefetches the phase proposes: 0 (L1) or 2.
+	n uint8
+	// bwCfg is the level's geometry with the policy forced to LRU: the
+	// reverse walk's states encode next-use order *as* LRU order (Property
+	// 3 reads an eviction in them as "at least `associativity` distinct
+	// same-set blocks before the next use"), which holds whatever policy
+	// the analyzed cache runs. The walk is only the proposal heuristic —
+	// validation (refresh) analyzes under the real policy.
+	bwCfg cache.Config
+	// hitCost is the already-hit threshold: a use whose WCET-scenario fetch
+	// time is at most this leaves nothing for the prefetch to remove.
+	hitCost int64
+	// penalty is the per-execution cost a prefetch removes from its use; 0
+	// means the use's whole fetch time.
+	penalty int64
+
+	// bwOut caches the backward cache state at every expanded block's exit,
+	// and bwRes records which analysis result it was computed for.
+	// backward() revalidates the pair against o.res by pointer identity, so
+	// a refresh invalidates it and a rollback (which restores the previous
+	// result pointer) revives it — invalidation is structural, not by
+	// convention.
+	bwOut []*cache.State
+	bwRes *wcet.Result
+	// bwScratch is the reusable walking state of collect's reverse sweep.
+	bwScratch *cache.State
+}
+
+// levelsFor returns the candidate phases for hierarchy h, L1 first.
+func levelsFor(h cache.Hierarchy, par wcet.Params) []*level {
+	l1 := &level{bwCfg: h.L1, hitCost: par.HitCycles}
+	l1.bwCfg.Policy = cache.LRU
+	if !h.HasL2() {
+		return []*level{l1}
+	}
+	l2 := &level{n: 2, bwCfg: h.L2, hitCost: par.HitCycles + par.L2HitCycles, penalty: par.MissPenalty}
+	l2.bwCfg.Policy = cache.LRU
+	return []*level{l1, l2}
+}
+
+// ai returns the level's abstract interpretation within res.
+func (lv *level) ai(res *wcet.Result) *absint.Result {
+	if lv.n == 2 {
+		return res.AI2
+	}
+	return res.AI
+}
+
+// mcost is the τ_w contribution a prefetch at this level removes from the
+// targeted use (Equation 2 for r_j, restricted to the removable term).
+func (lv *level) mcost(res *wcet.Result, use vivu.Ref) int64 {
+	if lv.penalty == 0 {
+		return res.Contribution(use)
+	}
+	return lv.penalty * res.RefCount(use)
+}
+
+// collect runs one reverse-execution-order sweep (Algorithm 3) at level lv
+// and returns the prefetch candidates that pass every local check,
+// most-downstream first. The sweep polls the cancellation checker once per
+// expanded block.
+func (o *optimizer) collect(lv *level) ([]candidate, error) {
 	res := o.res
 	order := res.X.Topo
 	seen := map[candidateKey]bool{}
 	var out []candidate
-	bw := o.backward()
-	if o.bwScratch == nil {
-		o.bwScratch = cache.NewState(o.bwCfg)
+	bw := o.backward(lv)
+	if lv.bwScratch == nil {
+		lv.bwScratch = cache.NewState(lv.bwCfg)
 	}
-	st := o.bwScratch
+	st := lv.bwScratch
 	for ti := len(order) - 1; ti >= 0; ti-- {
 		if err := o.chk.Check(); err != nil {
 			return nil, err
@@ -464,19 +489,14 @@ func (o *optimizer) collect() ([]candidate, error) {
 		if !res.OnWCETPath(xbID) {
 			continue
 		}
-		xb := res.X.Blocks[xbID]
-		instrs := res.Prog.Blocks[xb.Orig].Instrs
 		st.CopyFrom(bw[xbID])
-		for i := len(instrs) - 1; i >= 0; i-- {
+		for i := len(res.Prog.Blocks[res.X.Blocks[xbID].Orig].Instrs) - 1; i >= 0; i-- {
 			r := vivu.Ref{XB: xbID, Index: i}
-			if instrs[i].Kind == isa.KindPrefetch && res.AI.Effective[xbID][i] {
-				st.Remove(res.Lay.MemBlock(instrs[i].Target, o.cfg.BlockBytes))
-			}
-			_, evicted := st.Access(o.memBlockOf(r))
+			evicted := o.stepBackward(lv, st, r)
 			if evicted == cache.InvalidBlock {
 				continue
 			}
-			if c, ok := o.screen(r, evicted); ok && !seen[c.key] {
+			if c, ok := o.screen(lv, r, evicted); ok && !seen[c.key] {
 				seen[c.key] = true
 				out = append(out, c)
 			}
@@ -486,17 +506,18 @@ func (o *optimizer) collect() ([]candidate, error) {
 }
 
 // screen applies the cheap parts of the joint improvement criterion
-// (Section 4.3) to one replacement event and builds the candidate.
-func (o *optimizer) screen(r vivu.Ref, evicted uint64) (candidate, bool) {
+// (Section 4.3) to one replacement event at level lv and builds the
+// candidate.
+func (o *optimizer) screen(lv *level, r vivu.Ref, evicted uint64) (candidate, bool) {
 	res := o.res
 	o.rep.Candidates++
 	origRef := res.X.InstrRef(r)
 
-	key := candidateKey{origRef.Block, origRef.Index, evicted, 1}
+	key := candidateKey{origRef.Block, origRef.Index, evicted, lv.n}
 	if o.rejected[key] {
 		return candidate{}, false
 	}
-	use, gap, path, found := o.findNextUse(r, evicted, false)
+	use, gap, path, found := o.findNextUse(r, evicted, lv.bwCfg.BlockBytes)
 	if !found {
 		o.rep.RejectedNoUse++
 		if o.dec != nil {
@@ -506,11 +527,12 @@ func (o *optimizer) screen(r vivu.Ref, evicted uint64) (candidate, bool) {
 	}
 	anchor := o.slidePlacement(path, use)
 	at, before, ok := o.insertionPoint(anchor, res.X.InstrRef(anchor))
+	mcost := lv.mcost(res, use)
 	if !ok {
 		o.rep.RejectedTerminator++
 		if o.dec != nil {
 			o.explainReject(key, "terminator", Decision{
-				Use: res.X.InstrRef(use), MCost: res.Contribution(use), Gap: gap,
+				Use: res.X.InstrRef(use), MCost: mcost, Gap: gap,
 			})
 		}
 		return candidate{}, false
@@ -528,14 +550,14 @@ func (o *optimizer) screen(r vivu.Ref, evicted uint64) (candidate, bool) {
 		}
 		return candidate{}, false
 	}
-	if !o.opt.DisableMissCheck && res.RefTime(use) <= o.opt.Par.HitCycles {
+	if !o.opt.DisableMissCheck && res.RefTime(use) <= lv.hitCost {
 		o.rep.RejectedAlreadyHit++
 		if o.dec != nil {
 			l1c, l2c := o.classOf(use)
 			o.explainReject(key, "already-hit", Decision{
 				At: at, Before: before, Use: useRef,
 				L1Class: l1c, L2Class: l2c,
-				MCost: res.Contribution(use), PCost: o.explainPCost(at.Block), Gap: gap,
+				MCost: mcost, PCost: o.explainPCost(at.Block), Gap: gap,
 				Effective: gap >= o.opt.Par.Lambda,
 			})
 		}
@@ -548,18 +570,18 @@ func (o *optimizer) screen(r vivu.Ref, evicted uint64) (candidate, bool) {
 		if o.dec != nil {
 			o.explainReject(key, "ineffective", Decision{
 				At: at, Before: before, Use: useRef,
-				MCost: res.Contribution(use), PCost: o.explainPCost(at.Block), Gap: gap,
-				Profitable: res.Contribution(use) > o.explainPCost(at.Block),
+				MCost: mcost, PCost: o.explainPCost(at.Block), Gap: gap,
+				Profitable: mcost > o.explainPCost(at.Block),
 			})
 		}
 		return candidate{}, false
 	}
-	if o.duplicateAt(at, evicted, 0) {
+	if o.duplicateAt(at, evicted, lv) {
 		o.rep.RejectedDuplicate++
 		if o.dec != nil {
 			o.explainReject(key, "duplicate", Decision{
 				At: at, Before: before, Use: useRef,
-				MCost: res.Contribution(use), PCost: o.explainPCost(at.Block), Gap: gap,
+				MCost: mcost, PCost: o.explainPCost(at.Block), Gap: gap,
 				Effective: true,
 			})
 		}
@@ -567,7 +589,7 @@ func (o *optimizer) screen(r vivu.Ref, evicted uint64) (candidate, bool) {
 	}
 	c := candidate{
 		at: at, before: before, use: useRef, key: key,
-		value: res.Contribution(use), gap: gap,
+		value: mcost, gap: gap, level: lv.n,
 	}
 	if o.dec != nil {
 		c.l1c, c.l2c = o.classOf(use)
@@ -789,32 +811,24 @@ func (o *optimizer) insertionPoint(r vivu.Ref, origRef isa.InstrRef) (isa.InstrR
 
 // duplicateAt reports whether an equivalent prefetch (same target block at
 // the same cache level) already sits adjacent to the insertion point.
-func (o *optimizer) duplicateAt(origRef isa.InstrRef, target uint64, level uint8) bool {
+func (o *optimizer) duplicateAt(origRef isa.InstrRef, target uint64, lv *level) bool {
 	b := o.res.Prog.Blocks[origRef.Block]
-	bb := o.cfg.BlockBytes
-	if level == 2 {
-		bb = o.h.L2.BlockBytes
-	}
 	for _, idx := range []int{origRef.Index, origRef.Index + 1, origRef.Index + 2} {
 		if idx < 0 || idx >= len(b.Instrs) {
 			continue
 		}
 		in := b.Instrs[idx]
-		if in.Kind != isa.KindPrefetch || (in.Level == 2) != (level == 2) {
+		if in.Kind != isa.KindPrefetch || (in.Level == 2) != (lv.n == 2) {
 			continue
 		}
-		if o.res.Lay.MemBlock(in.Target, bb) == target {
+		if o.res.Lay.MemBlock(in.Target, lv.bwCfg.BlockBytes) == target {
 			return true
 		}
 	}
 	return false
 }
 
-func (o *optimizer) memBlockOf(r vivu.Ref) uint64 {
-	return o.res.Lay.MemBlock(o.res.X.InstrRef(r), o.cfg.BlockBytes)
-}
-
-// memBlock2Of maps a reference to its L2 memory block.
-func (o *optimizer) memBlock2Of(r vivu.Ref) uint64 {
-	return o.res.Lay.MemBlock(o.res.X.InstrRef(r), o.h.L2.BlockBytes)
+// memBlockOf maps a reference to its memory block at block size bb.
+func (o *optimizer) memBlockOf(r vivu.Ref, bb int) uint64 {
+	return o.res.Lay.MemBlock(o.res.X.InstrRef(r), bb)
 }

@@ -14,7 +14,8 @@ import (
 // report's accounting invariants: decisions still marked inserted are 1:1
 // with the prefetch instructions present in the optimized program — even
 // though candidate keys drift across passes and the cleanup pass removes
-// committed parasites — and every decision carries a verdict.
+// committed parasites — every decision carries a verdict, and every decision
+// of these single-level runs names the L1 (level 0), rejected ones included.
 func TestExplainDecisionsMatchProgram(t *testing.T) {
 	par := wcet.Params{HitCycles: 1, MissPenalty: 16, Lambda: 16}
 	configs := cache.Table2()
@@ -40,6 +41,9 @@ func TestExplainDecisionsMatchProgram(t *testing.T) {
 		for _, d := range rep.Decisions {
 			if d.Reason == "" {
 				t.Errorf("%s: decision for target %#x has no reason", tc.prog, d.Target)
+			}
+			if d.Level != 0 {
+				t.Errorf("%s: single-level decision (%s) reports level %d, want 0 (L1)", tc.prog, d.Reason, d.Level)
 			}
 			if d.Inserted {
 				inserted++

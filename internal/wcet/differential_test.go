@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ucp/internal/absint"
 	"ucp/internal/cache"
 	"ucp/internal/isa"
 	"ucp/internal/malardalen"
@@ -12,22 +13,50 @@ import (
 	"ucp/internal/wcet"
 )
 
-// These tests pin the core claim of the incremental path: AnalyzeXFrom must
-// be bit-identical — classifications, effectiveness, Tw, Cost, Extra, Nw,
-// τ_w, misses, fetches — to a from-scratch AnalyzeX after every mutation,
-// across a chain of mutations (each incremental result seeds the next).
+// These tests pin the core claim of the incremental path: AnalyzeXHierFrom
+// must be bit-identical — per-level classifications, effectiveness and
+// in-states, Tw, Cost, Extra, Nw, τ_w, L1 and L2 misses, fetches — to a
+// from-scratch AnalyzeXHier after every mutation, across a chain of
+// mutations (each incremental result seeds the next), for single-level
+// configurations and for L1+L2 hierarchies alike.
 
 var diffPrograms = []string{"adpcm", "compress", "crc", "fdct", "statemate"}
 var diffConfigs = []int{0, 4, 8, 13, 26, 32}
+
+// diffHierarchies are the legs every differential runs on: the Table 2
+// configuration alone, and behind an L2 twice its size with 64 B blocks.
+// The L2 leg rotates the replacement policy (both levels share it), so the
+// non-LRU transfers are covered at both levels too.
+func diffHierarchies(k int, cfg cache.Config) []cache.Hierarchy {
+	pol := cache.Policies()[k%len(cache.Policies())]
+	h := cache.Hierarchy{
+		L1: cfg,
+		L2: cache.Config{Assoc: 4, BlockBytes: 64, CapacityBytes: 2 * cfg.CapacityBytes, Policy: pol},
+	}
+	h.L1.Policy = pol
+	return []cache.Hierarchy{cache.Hier1(cfg), h}
+}
+
+// diffParams returns the timing parameters for hierarchy h.
+func diffParams(h cache.Hierarchy) wcet.Params {
+	par := wcet.Params{HitCycles: 1, MissPenalty: 10, Lambda: 10}
+	if h.HasL2() {
+		par.L2HitCycles = 3
+	}
+	return par
+}
 
 func compareResults(t *testing.T, where string, inc, full *wcet.Result) {
 	t.Helper()
 	if inc.TauW != full.TauW {
 		t.Fatalf("%s: τ_w incremental %d != full %d", where, inc.TauW, full.TauW)
 	}
-	if inc.Misses != full.Misses || inc.Fetches != full.Fetches {
-		t.Fatalf("%s: misses/fetches incremental %d/%d != full %d/%d",
-			where, inc.Misses, inc.Fetches, full.Misses, full.Fetches)
+	if inc.Misses != full.Misses || inc.L2Misses != full.L2Misses || inc.Fetches != full.Fetches {
+		t.Fatalf("%s: misses/L2 misses/fetches incremental %d/%d/%d != full %d/%d/%d",
+			where, inc.Misses, inc.L2Misses, inc.Fetches, full.Misses, full.L2Misses, full.Fetches)
+	}
+	if (inc.AI2 == nil) != (full.AI2 == nil) {
+		t.Fatalf("%s: L2 analysis present in only one result", where)
 	}
 	for id := range full.Nw {
 		if inc.Nw[id] != full.Nw[id] {
@@ -45,20 +74,30 @@ func compareResults(t *testing.T, where string, inc, full *wcet.Result) {
 					where, id, i, inc.Tw[id][i], full.Tw[id][i])
 			}
 		}
-		for i := range full.AI.Class[id] {
-			if inc.AI.Class[id][i] != full.AI.Class[id][i] {
-				t.Fatalf("%s: class[%d][%d] incremental %v != full %v",
-					where, id, i, inc.AI.Class[id][i], full.AI.Class[id][i])
-			}
+		compareLevel(t, where+" L1", id, inc.AI, full.AI)
+		if full.AI2 != nil {
+			compareLevel(t, where+" L2", id, inc.AI2, full.AI2)
 		}
-		for i := range full.AI.Effective[id] {
-			if inc.AI.Effective[id][i] != full.AI.Effective[id][i] {
-				t.Fatalf("%s: effectiveness[%d][%d] diverges", where, id, i)
-			}
+	}
+}
+
+// compareLevel checks one level's classification, effectiveness and
+// in-state of expanded block id.
+func compareLevel(t *testing.T, where string, id int, inc, full *absint.Result) {
+	t.Helper()
+	for i := range full.Class[id] {
+		if inc.Class[id][i] != full.Class[id][i] {
+			t.Fatalf("%s: class[%d][%d] incremental %v != full %v",
+				where, id, i, inc.Class[id][i], full.Class[id][i])
 		}
-		if !inc.AI.In[id].Equal(full.AI.In[id]) {
-			t.Fatalf("%s: abstract in-state of block %d diverges", where, id)
+	}
+	for i := range full.Effective[id] {
+		if inc.Effective[id][i] != full.Effective[id][i] {
+			t.Fatalf("%s: effectiveness[%d][%d] diverges", where, id, i)
 		}
+	}
+	if !inc.In[id].Equal(full.In[id]) {
+		t.Fatalf("%s: abstract in-state of block %d diverges", where, id)
 	}
 }
 
@@ -83,8 +122,8 @@ func insertAt(rng *rand.Rand, p *isa.Program) (isa.InstrRef, bool) {
 }
 
 // mutate applies one random program edit of the kinds the optimizer
-// performs (prefetch insertion/removal) plus pad insertion, which shifts
-// addresses and exercises wide dirty regions.
+// performs (prefetch insertion/removal, at either cache level) plus pad
+// insertion, which shifts addresses and exercises wide dirty regions.
 func mutate(rng *rand.Rand, p *isa.Program) bool {
 	switch rng.Intn(4) {
 	case 0: // remove a random prefetch, if any
@@ -106,7 +145,11 @@ func mutate(rng *rand.Rand, p *isa.Program) bool {
 		if !ok {
 			return false
 		}
-		p.InsertInstr(at, isa.Instr{Kind: isa.KindPrefetch, Target: randomRef(rng, p)})
+		var lvl uint8
+		if rng.Intn(3) == 0 {
+			lvl = 2
+		}
+		p.InsertInstr(at, isa.Instr{Kind: isa.KindPrefetch, Level: lvl, Target: randomRef(rng, p)})
 		return true
 	default: // insert a pad (pure layout shift)
 		at, ok := insertAt(rng, p)
@@ -121,7 +164,6 @@ func mutate(rng *rand.Rand, p *isa.Program) bool {
 func TestDifferentialIncrementalVsFull(t *testing.T) {
 	t.Parallel()
 	configs := cache.Table2()
-	par := wcet.Params{HitCycles: 1, MissPenalty: 10, Lambda: 10}
 	steps := 8
 	if testing.Short() {
 		steps = 3
@@ -131,32 +173,35 @@ func TestDifferentialIncrementalVsFull(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown program %s", name)
 		}
-		for _, ci := range diffConfigs {
-			cfg := configs[ci]
-			p := bm.Prog.Clone()
-			x, err := vivu.Expand(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prev, err := wcet.AnalyzeX(context.Background(), x, cfg, par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(int64(ci)*1009 + int64(len(name))))
-			for step := 0; step < steps; step++ {
-				if !mutate(rng, p) {
-					continue
-				}
-				inc, err := wcet.AnalyzeXFrom(context.Background(), x, cfg, par, prev)
+		for k, ci := range diffConfigs {
+			for _, h := range diffHierarchies(k, configs[ci]) {
+				par := diffParams(h)
+				where := name + "/" + cache.ConfigID(ci) + "/" + h.String()
+				p := bm.Prog.Clone()
+				x, err := vivu.Expand(p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				full, err := wcet.AnalyzeX(context.Background(), x, cfg, par)
+				prev, err := wcet.AnalyzeXHier(context.Background(), x, h, par)
 				if err != nil {
 					t.Fatal(err)
 				}
-				compareResults(t, name+"/"+cache.ConfigID(ci), inc, full)
-				prev = inc // chain: the next round seeds from the incremental result
+				rng := rand.New(rand.NewSource(int64(ci)*1009 + int64(len(name))))
+				for step := 0; step < steps; step++ {
+					if !mutate(rng, p) {
+						continue
+					}
+					inc, err := wcet.AnalyzeXHierFrom(context.Background(), x, h, par, prev)
+					if err != nil {
+						t.Fatal(err)
+					}
+					full, err := wcet.AnalyzeXHier(context.Background(), x, h, par)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareResults(t, where, inc, full)
+					prev = inc // chain: the next round seeds from the incremental result
+				}
 			}
 		}
 	}
@@ -165,41 +210,42 @@ func TestDifferentialIncrementalVsFull(t *testing.T) {
 // TestDifferentialDirtyPropagationFuzz hammers one program×config with many
 // random mutations per round (so dirty regions overlap and interact) and
 // checks the propagated fixpoint still matches a from-scratch analysis
-// exactly.
+// exactly, with and without an L2.
 func TestDifferentialDirtyPropagationFuzz(t *testing.T) {
 	t.Parallel()
-	cfg := cache.Table2()[8]
-	par := wcet.Params{HitCycles: 1, MissPenalty: 10, Lambda: 10}
 	rounds := 20
 	if testing.Short() {
 		rounds = 5
 	}
 	for _, name := range []string{"crc", "statemate"} {
-		bm, _ := malardalen.ByName(name)
-		p := bm.Prog.Clone()
-		x, err := vivu.Expand(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev, err := wcet.AnalyzeX(context.Background(), x, cfg, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(42))
-		for round := 0; round < rounds; round++ {
-			for k := 0; k < 1+rng.Intn(4); k++ {
-				mutate(rng, p)
-			}
-			inc, err := wcet.AnalyzeXFrom(context.Background(), x, cfg, par, prev)
+		for _, h := range diffHierarchies(0, cache.Table2()[8]) {
+			par := diffParams(h)
+			bm, _ := malardalen.ByName(name)
+			p := bm.Prog.Clone()
+			x, err := vivu.Expand(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := wcet.AnalyzeX(context.Background(), x, cfg, par)
+			prev, err := wcet.AnalyzeXHier(context.Background(), x, h, par)
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareResults(t, name, inc, full)
-			prev = inc
+			rng := rand.New(rand.NewSource(42))
+			for round := 0; round < rounds; round++ {
+				for k := 0; k < 1+rng.Intn(4); k++ {
+					mutate(rng, p)
+				}
+				inc, err := wcet.AnalyzeXHierFrom(context.Background(), x, h, par, prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				full, err := wcet.AnalyzeXHier(context.Background(), x, h, par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareResults(t, name+"/"+h.String(), inc, full)
+				prev = inc
+			}
 		}
 	}
 }
