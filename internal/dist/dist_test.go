@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"ucp/internal/energy"
 	"ucp/internal/experiment"
 	"ucp/internal/service"
 )
@@ -209,9 +210,11 @@ func TestPermanent4xxIsNotRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One tech node, so the sweep is exactly one cell and one request.
 	_, err = experiment.Sweep(context.Background(), experiment.Options{
 		Programs: []string{"fibcall"},
 		Configs:  []int{0},
+		Techs:    []energy.Tech{energy.Tech45},
 		Runs:     1,
 		Exec:     coord.Exec,
 	})

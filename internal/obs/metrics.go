@@ -179,15 +179,15 @@ const histWindow = 1024
 // available programmatically via Snapshot.
 //
 // Observe is designed for hot paths (per-phase and per-dispatch latency):
-// the bucket counters, count, and sum are atomics, and only the quantile
-// ring takes a mutex — one that Snapshot shares, so a concurrent
-// Observe/Snapshot pair can never tear the window (the ring's position
-// and fill counters move only under ringMu).
+// the bucket counters and sum are atomics, and only the quantile ring takes
+// a mutex — one that Snapshot shares, so a concurrent Observe/Snapshot pair
+// can never tear the window (the ring's position and fill counters move
+// only under ringMu). There is no separate count: Snapshot derives it from
+// the buckets it loaded, so count and buckets always agree.
 type Histogram struct {
 	bounds  []float64      // bucket upper bounds, ascending; immutable
 	buckets []atomic.Int64 // buckets[i] counts observations <= bounds[i]; last = +Inf
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 sum, CAS-updated via math.Float64bits
+	sumBits atomic.Uint64  // float64 sum, CAS-updated via math.Float64bits
 
 	quantiles []float64 // immutable after registration
 
@@ -206,7 +206,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	h.buckets[idx].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -243,8 +242,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
-	s.Count = h.count.Load()
 	s.Sum = math.Float64frombits(h.sumBits.Load())
 	h.ringMu.Lock()
 	window := make([]float64, h.n)
