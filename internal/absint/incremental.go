@@ -236,11 +236,15 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 	if !full {
 		copy(a.out, prev.out)
 	}
-	a.scrA, a.scrB, a.tmp, a.jn = a.sp.get(), a.sp.get(), a.sp.get(), a.sp.get()
+	a.scrA, a.scrB = a.sp.get(), a.sp.get()
+	if l1 != nil { // only a gated level has Uncertain fetches
+		a.tmp, a.jn = a.sp.get(), a.sp.get()
+	}
 	defer func() {
-		for _, s := range []*State{a.scrA, a.scrB, a.tmp, a.jn} {
-			a.sp.put(s)
-		}
+		a.sp.put(a.scrA)
+		a.sp.put(a.scrB)
+		a.sp.put(a.tmp)
+		a.sp.put(a.jn)
 	}()
 	a.empty = sc.empty
 	if err := a.solve(res.sccs); err != nil {

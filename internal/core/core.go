@@ -333,10 +333,9 @@ type candidate struct {
 	at     isa.InstrRef // insertion anchor (original program coordinates)
 	before bool         // insert before `at` instead of after it
 	use    isa.InstrRef // the targeted reference r_j
-	key    candidateKey
-	value  int64 // τ_w contribution of the targeted miss (ranking key)
-	gap    int64 // WCET-scenario time between insertion point and use
-	level  uint8 // cache level the prefetch fills (0 = L1, 2 = L2)
+	key    candidateKey // identity, including the level the prefetch fills
+	value  int64        // τ_w contribution of the targeted miss (ranking key)
+	gap    int64        // WCET-scenario time between insertion point and use
 	// l1c/l2c are the per-level verdicts of the use at screen time, for the
 	// explain report (empty when Explain is off).
 	l1c, l2c string
@@ -490,9 +489,11 @@ func (o *optimizer) collect(lv *level) ([]candidate, error) {
 			continue
 		}
 		st.CopyFrom(bw[xbID])
-		for i := len(res.Prog.Blocks[res.X.Blocks[xbID].Orig].Instrs) - 1; i >= 0; i-- {
+		eff := lv.ai(res).Effective[xbID]
+		orig := res.X.Blocks[xbID].Orig
+		for i := len(eff) - 1; i >= 0; i-- {
 			r := vivu.Ref{XB: xbID, Index: i}
-			evicted := o.stepBackward(lv, st, r)
+			evicted := o.stepBackward(lv, st, eff, isa.InstrRef{Block: orig, Index: i})
 			if evicted == cache.InvalidBlock {
 				continue
 			}
@@ -589,7 +590,7 @@ func (o *optimizer) screen(lv *level, r vivu.Ref, evicted uint64) (candidate, bo
 	}
 	c := candidate{
 		at: at, before: before, use: useRef, key: key,
-		value: mcost, gap: gap, level: lv.n,
+		value: mcost, gap: gap,
 	}
 	if o.dec != nil {
 		c.l1c, c.l2c = o.classOf(use)
@@ -698,7 +699,7 @@ func (o *optimizer) trySubset(cands []candidate) (bool, error) {
 		poss = make([]isa.InstrRef, len(sorted))
 	}
 	for ci, c := range sorted {
-		ins := isa.Instr{Kind: isa.KindPrefetch, Level: c.level, Target: c.use}
+		ins := isa.Instr{Kind: isa.KindPrefetch, Level: c.key.level, Target: c.use}
 		var pos isa.InstrRef
 		if c.before {
 			pos = prog.InsertInstrBefore(c.at, ins)

@@ -117,7 +117,7 @@ func (o *optimizer) explainInsert(c candidate, pos isa.InstrRef, grown int) {
 	}
 	idx := o.dec.record(c.key, Decision{
 		Block: c.key.block, Index: c.key.index, Target: c.key.target,
-		Level: c.level, At: c.at, Before: c.before, Use: c.use,
+		Level: c.key.level, At: c.at, Before: c.before, Use: c.use,
 		L1Class: c.l1c, L2Class: c.l2c,
 		MCost: c.value, PCost: o.insertionFetchCost(c.at.Block),
 		Gap: c.gap, Lambda: o.opt.Par.Lambda,
@@ -138,7 +138,7 @@ func (o *optimizer) explainValidationReject(c candidate, rcost int64) {
 	}
 	o.dec.record(c.key, Decision{
 		Block: c.key.block, Index: c.key.index, Target: c.key.target,
-		Level: c.level, At: c.at, Before: c.before, Use: c.use,
+		Level: c.key.level, At: c.at, Before: c.before, Use: c.use,
 		L1Class: c.l1c, L2Class: c.l2c,
 		MCost: c.value, PCost: o.insertionFetchCost(c.at.Block), RCost: rcost,
 		Gap: c.gap, Lambda: o.opt.Par.Lambda,

@@ -70,7 +70,9 @@ func AnalyzeXHierFrom(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par 
 		mode = "hier-" + mode
 	}
 	ctx, span := obs.Start(ctx, "wcet.analyze")
-	span.Attr("mode", mode)
+	if span != nil {
+		span.Attr("mode", mode)
+	}
 	defer span.End()
 	lay := isa.NewLayout(x.Prog)
 	var prevAI, prevAI2 *absint.Result
