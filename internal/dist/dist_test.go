@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"log/slog"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -21,12 +22,18 @@ import (
 // newWorker spins up one worker replica of the analysis service.
 func newWorker(t *testing.T) *httptest.Server {
 	t.Helper()
+	return newWrappedWorker(t, func(h http.Handler) http.Handler { return h })
+}
+
+// newWrappedWorker is newWorker with wrap around the replica's handler.
+func newWrappedWorker(t *testing.T, wrap func(http.Handler) http.Handler) *httptest.Server {
+	t.Helper()
 	svc := service.New(service.Config{
 		EnableWorker: true,
 		Workers:      2,
 		Logger:       slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
-	ts := httptest.NewServer(svc.Handler())
+	ts := httptest.NewServer(wrap(svc.Handler()))
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Close()
@@ -88,9 +95,11 @@ func TestDistributedSweepMatchesLocal(t *testing.T) {
 	}
 }
 
-// flakyWorker fronts a real worker but dies after serving okBudget
-// requests: later connections are reset at the TCP level, exactly what a
-// coordinator sees when a replica is SIGKILLed mid-sweep.
+// flakyWorker fronts a real worker but dies when asked for more than
+// budget requests: from then on every connection is reset at the TCP
+// level, including requests accepted before the death that are still
+// running — exactly what a coordinator sees when a replica is SIGKILLed
+// mid-sweep.
 type flakyWorker struct {
 	ts     *httptest.Server
 	served atomic.Int64
@@ -107,23 +116,29 @@ func newFlakyWorker(t *testing.T, budget int64) *flakyWorker {
 	f := &flakyWorker{budget: budget}
 	inner := svc.Handler()
 	f.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if f.served.Add(1) > f.budget {
-			// Dead replica: reset the connection without an HTTP response.
-			hj, ok := w.(http.Hijacker)
-			if !ok {
-				panic("test writer cannot hijack")
+		if f.served.Add(1) <= f.budget {
+			rec := httptest.NewRecorder()
+			inner.ServeHTTP(rec, r)
+			if f.served.Load() <= f.budget {
+				maps.Copy(w.Header(), rec.Header())
+				w.WriteHeader(rec.Code)
+				w.Write(rec.Body.Bytes())
+				return
 			}
-			conn, _, err := hj.Hijack()
-			if err != nil {
-				panic(err)
-			}
-			if tc, ok := conn.(*net.TCPConn); ok {
-				tc.SetLinger(0)
-			}
-			conn.Close()
-			return
 		}
-		inner.ServeHTTP(w, r)
+		// Dead replica: reset the connection without an HTTP response.
+		hj, ok := w.(http.Hijacker)
+		if !ok {
+			panic("test writer cannot hijack")
+		}
+		conn, _, err := hj.Hijack()
+		if err != nil {
+			panic(err)
+		}
+		if tc, ok := conn.(*net.TCPConn); ok {
+			tc.SetLinger(0)
+		}
+		conn.Close()
 	}))
 	t.Cleanup(func() {
 		f.ts.Close()
@@ -142,8 +157,22 @@ func TestWorkerLossMidSweepRetriesAndCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	healthy := newWorker(t)
 	dying := newFlakyWorker(t, 2) // serves two cells, then "crashes"
+	// The survivor holds each cell answer until the dying worker has been
+	// asked past its budget (bounded, so a broken scenario fails below
+	// instead of hanging). Least-loaded routing then must send the dying
+	// worker a cell it cannot serve; a survivor free to answer at once can
+	// absorb the whole remainder, and the failure path would never fire.
+	healthy := newWrappedWorker(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/worker/cell" {
+				for deadline := time.Now().Add(10 * time.Second); dying.served.Load() <= dying.budget && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
 	retriesBefore := distRetries.Value()
 
 	coord, err := New(Options{

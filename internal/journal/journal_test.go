@@ -304,3 +304,79 @@ func TestJournalAppendFaultSite(t *testing.T) {
 		t.Fatalf("want 1 cell, got %+v", j.Cells)
 	}
 }
+
+// FuzzReplay feeds arbitrary bytes to Replay as one job's journal file.
+// Replay must never panic, a replayed job must stay within the bounds its
+// submit record sets, and the skip count must be exact: appending one
+// garbage line adds one to Skipped and changes nothing else.
+func FuzzReplay(f *testing.F) {
+	const submit = `{"v":1,"type":"submit","id":"job-000001","created":"2026-01-01T00:00:00Z","total":3,"sweep":{"programs":["fibcall"]}}`
+	f.Add([]byte(submit + "\n"))
+	f.Add([]byte(submit + "\n" +
+		`{"type":"cell","index":0,"dur_ms":1500,"result":{"program":"fibcall","wcet_orig":42}}` + "\n" +
+		`{"type":"cellfail","index":1,"error":"boom"}` + "\n" +
+		`{"type":"resume"}` + "\n" +
+		`{"type":"cell","index":2,"cached":true,"result":{"program":"fac"}}` + "\n" +
+		`{"type":"finish","state":"done","finished":"2026-01-01T00:00:01Z"}` + "\n"))
+	f.Add([]byte(submit + "\n" + `{"type":"cell","index":2,"resu`))
+	f.Add([]byte(submit + "\nNOT JSON AT ALL\n" + `{"type":"cell","index":1,"result":{"a":2}}` + "\n"))
+	f.Add([]byte(`{"type":"cell","index":0,"result":{}}` + "\n" + submit + "\n"))
+	f.Add([]byte("not a journal\n"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= maxLine {
+			t.Skip("over-long lines truncate replay by design")
+		}
+		replay := func(data []byte) (Job, bool) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "job-000001.ndjson"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs, err := l.Replay()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(jobs) > 1 {
+				t.Fatalf("one file replayed as %d jobs", len(jobs))
+			}
+			if len(jobs) == 0 {
+				return Job{}, false
+			}
+			return jobs[0], true
+		}
+
+		j, ok := replay(data)
+		if ok {
+			if j.ID != "job-000001" || j.Total <= 0 {
+				t.Fatalf("replayed job without a valid submit record: %+v", j)
+			}
+			for i := range j.Cells {
+				if i < 0 || i >= j.Total {
+					t.Fatalf("cell index %d outside [0,%d)", i, j.Total)
+				}
+			}
+			for i := range j.Failures {
+				if i < 0 || i >= j.Total {
+					t.Fatalf("failure index %d outside [0,%d)", i, j.Total)
+				}
+			}
+			if j.State != "" && j.State != "done" && j.State != "failed" {
+				t.Fatalf("replayed state %q", j.State)
+			}
+		}
+
+		j2, ok2 := replay(append(append([]byte(nil), data...), "\n\x00garbage\n"...))
+		if ok2 != ok {
+			t.Fatalf("a trailing garbage line changed whether the job replays (%v -> %v)", ok, ok2)
+		}
+		if ok && (j2.Skipped != j.Skipped+1 || len(j2.Cells) != len(j.Cells) || j2.State != j.State) {
+			t.Fatalf("trailing garbage line: skipped %d -> %d, cells %d -> %d, state %q -> %q",
+				j.Skipped, j2.Skipped, len(j.Cells), len(j2.Cells), j.State, j2.State)
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -225,4 +226,45 @@ func TestSamplerEdges(t *testing.T) {
 			t.Fatal("rate 1 must always fire")
 		}
 	}
+}
+
+// FuzzReadSink feeds arbitrary bytes to ReadSink as the active segment.
+// ReadSink must never panic, and every non-empty line must be accounted
+// for exactly once: returned as a trace or event record, or skipped.
+func FuzzReadSink(f *testing.F) {
+	f.Add([]byte(`{"kind":"trace","request_id":"req-000001","trace_id":"0123456789abcdef0123456789abcdef","trace":{"name":"request"}}` + "\n" +
+		`{"kind":"event","event":"job_finished","request_id":"req-000002","attrs":{"cells":4}}` + "\n"))
+	f.Add([]byte(`{"kind":"event","event":"cell_finished","attrs":{"index":0}}` + "\n" +
+		"{\"kind\":\"event\",\"ev%%corrupt%%\n" +
+		`{"kind":"event","event":"torn`))
+	f.Add([]byte("{\"kind\":\"mystery\"}\n"))
+	f.Add([]byte("\r\n\n{}\r\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= sinkMaxLine {
+			t.Skip("over-long lines truncate a segment by design")
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, sinkActive), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, skipped, err := ReadSink(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := 0
+		for _, l := range bytes.Split(data, []byte("\n")) {
+			if len(bytes.TrimSuffix(l, []byte("\r"))) > 0 {
+				lines++
+			}
+		}
+		if len(recs)+skipped != lines {
+			t.Fatalf("%d records + %d skipped != %d non-empty lines", len(recs), skipped, lines)
+		}
+		for _, r := range recs {
+			if r.Kind != "trace" && r.Kind != "event" {
+				t.Fatalf("returned a record of kind %q", r.Kind)
+			}
+		}
+	})
 }

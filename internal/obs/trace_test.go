@@ -132,3 +132,32 @@ func TestChildRecorderFallsBackOnBadHeader(t *testing.T) {
 		t.Fatal("fallback must not invent a remote parent")
 	}
 }
+
+// FuzzParseTraceparent: any header either parses into IDs that
+// re-serialize to a header parsing back to the same IDs, or is rejected —
+// never a panic, never a half-valid identity.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("00-0123456789abcdef0123456789abcdef-0123456789abcdef-01")
+	f.Add(" 00-0123456789abcdef0123456789abcdef-0123456789abcdef-00 ")
+	f.Add("00-00000000000000000000000000000000-0123456789abcdef-01")
+	f.Add("00-0123456789abcdef0123456789abcdeZ-0123456789abcdef-01")
+	f.Add("00-0123456789abcdef0123456789abcdef-0123456789abcdef")
+	f.Add("00-abc-def-01")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, sid, ok := ParseTraceparent(h)
+		if !ok {
+			if tid != "" || sid != "" {
+				t.Fatalf("rejected %q but returned ids %q/%q", h, tid, sid)
+			}
+			return
+		}
+		if len(tid) != 32 || len(sid) != 16 || !isHex(tid) || !isHex(sid) || allZero(tid) || allZero(sid) {
+			t.Fatalf("accepted %q with malformed ids %q/%q", h, tid, sid)
+		}
+		tid2, sid2, ok2 := ParseTraceparent("00-" + tid + "-" + sid + "-01")
+		if !ok2 || tid2 != tid || sid2 != sid {
+			t.Fatalf("ids %q/%q from %q do not round-trip", tid, sid, h)
+		}
+	})
+}

@@ -1,17 +1,11 @@
 package service
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
-	"ucp/internal/cache"
-	"ucp/internal/interrupt"
-	"ucp/internal/obs"
 	"ucp/internal/pool"
 )
 
@@ -105,23 +99,18 @@ func statusOf(err error) int {
 	return http.StatusInternalServerError
 }
 
-// handleBatch streams cell results back as NDJSON. Failure isolation is
-// per cell, reusing the sweep-job policy: an erroring or panicking cell
-// becomes one error line and its siblings continue; an interruption (the
-// client disconnecting, the job timeout, server drain) stops the whole
-// batch and is reported in the summary line.
+// handleBatch streams cell results back as NDJSON. A batch is an ordinary
+// job run by startSweep: it takes one job slot (refused with the same 429
+// + Retry-After as /v1/sweep when none is free) and inherits the sweep's
+// per-cell failure isolation and its timeout and drain handling. It is not
+// journaled — the stream is its only delivery and dies with the process —
+// and it lives no longer than its request: a client that goes away
+// cancels it, and the finished job leaves the store. The handler renders
+// the job's event log in the batch wire format: one line per finished or
+// failed cell, then a summary that reports an interruption.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
 		s.unavailable(w, "server is draining")
-		return
-	}
-	// Batch admission mirrors /readyz's saturation signal: a server with a
-	// full job backlog refuses new multi-cell work with the same 429 +
-	// Retry-After contract as /v1/sweep (a batch is sweep-sized; letting it
-	// through while sweeps bounce would make the bound meaningless).
-	if s.jobs.activeJobs() >= s.cfg.MaxQueuedJobs {
-		s.metrics.countBatchRejected()
-		s.tooMany(w, "server saturated (%d unfinished jobs); retry later", s.cfg.MaxQueuedJobs)
 		return
 	}
 	var req BatchRequest
@@ -133,98 +122,65 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.resolveErr(w, err)
 		return
 	}
-
-	// The batch is bounded like a sweep job: the per-job timeout applies,
-	// and a server drain cancels it even though it rides a live request
-	// context (the listener keeps request contexts alive during Shutdown).
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.JobTimeout)
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	// One encoder, one mutex: lines are written whole, in completion
-	// order, flushed eagerly so clients see progress while cells run.
-	var (
-		wmu       sync.Mutex
-		ok        int
-		failed    int
-		cacheHits int
-	)
-	writeLine := func(line any) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		if err := json.NewEncoder(w).Encode(line); err != nil {
-			s.log.Error("encode batch line", "err", err)
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+	j, pruned, err := s.jobs.tryAdd(SweepRequest{}, cases, s.cfg.MaxQueuedJobs)
+	if err != nil {
+		s.metrics.countBatchRejected()
+		s.tooMany(w, "server saturated (%d unfinished jobs); retry later", s.cfg.MaxQueuedJobs)
+		return
 	}
-
+	s.removeJournals(pruned)
 	start := time.Now()
-	batchErr := s.pool.ForEach(ctx, len(cases), func(ctx context.Context, i int) error {
-		uc := cases[i]
-		ctx, span := obs.Start(ctx, "service.batchcell")
-		defer span.End()
-		var (
-			res    Result
-			cached bool
-		)
-		aerr := pool.Recover(func() error {
-			var e error
-			res, cached, e = s.analyze(ctx, uc)
-			return e
-		})
-		line := batchCellLine{
-			Index:   i,
-			Program: uc.bench.Name,
-			Config:  cache.ConfigID(uc.cfgIdx),
-			Tech:    uc.tech.String(),
-			Policy:  uc.cfg.Policy.String(),
-		}
-		if aerr != nil {
-			if interrupt.Is(aerr) {
-				s.metrics.countCellCanceled()
-				return interrupt.Wrap(aerr)
+	s.startSweep(j)
+	// Once the stream ends the job has no reader left: stop it, and when
+	// its in-flight cells have wound down drop it from the store, so
+	// finished batches never count toward the bound that evicts finished
+	// sweeps.
+	defer func() {
+		j.cancel()
+		j.wait()
+		s.jobs.remove(j.id)
+	}()
+
+	var ok, failed, cacheHits int
+	streamJob(w, r, j, func(ev jobEvent) any {
+		switch ev.Event {
+		case "cell_finished", "cell_failed":
+			i := *ev.Cell
+			line := batchCellLine{
+				Index:   i,
+				Program: ev.Program,
+				Config:  ev.Config,
+				Tech:    ev.Tech,
+				Policy:  j.cases[i].cfg.Policy.String(),
+				Error:   ev.Error,
 			}
-			s.metrics.countBatchCell(true)
-			line.Error = sanitizeCellError(aerr)
-			wmu.Lock()
-			failed++
-			wmu.Unlock()
-			writeLine(line)
-			return nil
+			isFailed := ev.Event == "cell_failed"
+			s.metrics.countBatchCell(isFailed)
+			if isFailed {
+				failed++
+				return line
+			}
+			ok++
+			if ev.Cached {
+				cacheHits++
+			}
+			line.Cached = ev.Cached
+			// Stored before the event was published; never written again.
+			line.Result = &j.results[i]
+			return line
+		case "job_finished":
+			return batchSummaryLine{
+				Done:      true,
+				Total:     len(j.cases),
+				OK:        ok,
+				Failed:    failed,
+				CacheHits: cacheHits,
+				ElapsedMS: time.Since(start).Milliseconds(),
+				Error:     ev.Error,
+			}
 		}
-		s.metrics.countBatchCell(false)
-		line.Cached = cached
-		line.Result = &res
-		wmu.Lock()
-		ok++
-		if cached {
-			cacheHits++
-		}
-		wmu.Unlock()
-		writeLine(line)
 		return nil
 	})
-
-	summary := batchSummaryLine{
-		Done:      true,
-		Total:     len(cases),
-		OK:        ok,
-		Failed:    failed,
-		CacheHits: cacheHits,
-		ElapsedMS: time.Since(start).Milliseconds(),
-	}
-	if batchErr != nil {
-		summary.Error = interrupt.Wrap(batchErr).Error()
-	}
-	writeLine(summary)
 }
 
 // sanitizeCellError renders a cell failure for the stream: panics keep

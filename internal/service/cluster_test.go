@@ -265,6 +265,68 @@ func TestJobEventsStreamOneEventPerCell(t *testing.T) {
 	}
 }
 
+// TestJobEventsLosslessForSlowReader: the event stream is a cursor over
+// the job's complete log, so a reader that reads nothing while many more
+// events than any per-reader buffer are published still gets every event,
+// in order, ending with job_finished.
+func TestJobEventsLosslessForSlowReader(t *testing.T) {
+	ts, svc := testServer(t, Config{})
+	const cells = 1000
+	j, _, err := svc.jobs.tryAdd(SweepRequest{}, make([]useCase, cells), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.mu.Lock()
+	j.state = jobRunning
+	j.mu.Unlock()
+
+	res, err := http.Get(ts.URL + "/v1/jobs/" + j.id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("events: status %d", res.StatusCode)
+	}
+
+	// The reader holds its stream open and reads nothing while every cell
+	// reports and the job finishes.
+	for i := 0; i < cells; i++ {
+		j.mu.Lock()
+		j.done++
+		j.publishProgressLocked(jobEvent{Event: "cell_finished", Cell: &i})
+		j.mu.Unlock()
+	}
+	j.mu.Lock()
+	j.state = jobDone
+	j.publishProgressLocked(jobEvent{Event: "job_finished", State: string(jobDone)})
+	j.mu.Unlock()
+
+	var events []jobEvent
+	sc := bufio.NewScanner(res.Body)
+	for sc.Scan() {
+		var ev jobEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("event line %q: %v", sc.Text(), err)
+		}
+		events = append(events, ev)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != cells+1 {
+		t.Fatalf("got %d events, want %d", len(events), cells+1)
+	}
+	for i, ev := range events[:cells] {
+		if ev.Event != "cell_finished" || ev.Cell == nil || *ev.Cell != i || ev.Done != i+1 {
+			t.Fatalf("event %d = %+v, want cell_finished for cell %d", i, ev, i)
+		}
+	}
+	if last := events[cells]; last.Event != "job_finished" || last.State != "done" || last.Done != cells {
+		t.Fatalf("last event = %+v, want job_finished/done with %d done", last, cells)
+	}
+}
+
 // TestTraceSinkPersistenceRules pins which requests land durably: ?trace=1
 // always, head-sampled successes at the configured rate, failures always,
 // and nothing else.

@@ -470,79 +470,64 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+// lookupJob resolves the {id} path value to a job, answering the 404
+// itself when there is none. An ID that was real once but whose job has
+// been pruned from the bounded store is "expired" rather than "unknown";
+// the body shapes are pinned by tests — clients distinguish "expired,
+// results gone" from a typo'd ID.
+func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*job, bool) {
 	id := r.PathValue("id")
 	j, ok, expired := s.jobs.get(id)
-	if !ok {
-		if expired {
-			// The ID was real once; its job has been pruned from the
-			// bounded store. The body shape is pinned by tests — clients
-			// distinguish "expired, results gone" from a typo'd ID.
-			s.writeError(w, http.StatusNotFound, "job %q expired", id)
-			return
-		}
+	switch {
+	case ok:
+		return j, true
+	case expired:
+		s.writeError(w, http.StatusNotFound, "job %q expired", id)
+	default:
 		s.writeError(w, http.StatusNotFound, "unknown job %q", id)
-		return
 	}
-	s.writeJSON(w, http.StatusOK, j.status())
+	return nil, false
 }
 
-// handleJobEvents streams one job's progress as NDJSON: the buffered event
-// history first (a late subscriber sees the whole story so far), then live
-// events as cells start and finish, closed by the terminal job_finished
-// line. The stream ends when the job reaches a terminal state or the
-// client disconnects; polling /v1/jobs/{id} stays the cheap alternative.
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	if j, ok := s.lookupJob(w, r); ok {
+		s.writeJSON(w, http.StatusOK, j.status())
+	}
+}
+
+// handleJobEvents streams one job's progress as NDJSON: the event history
+// first (a late subscriber sees the whole story so far), then live events
+// as cells start and finish, closed by the terminal job_finished line. The
+// stream ends when the job reaches a terminal state or the client
+// disconnects; polling /v1/jobs/{id} stays the cheap alternative.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j, ok, expired := s.jobs.get(id)
-	if !ok {
-		if expired {
-			s.writeError(w, http.StatusNotFound, "job %q expired", id)
-			return
-		}
-		s.writeError(w, http.StatusNotFound, "unknown job %q", id)
-		return
+	if j, ok := s.lookupJob(w, r); ok {
+		streamJob(w, r, j, func(ev jobEvent) any { return ev })
 	}
+}
 
-	// Subscribe before writing anything so no event can fall between the
-	// history snapshot and the live channel.
-	past, ch := j.subscribe()
-	if ch != nil {
-		defer j.unsubscribe(ch)
-	}
-
+// streamJob writes j's event log to w as NDJSON from its first event,
+// following it live until the job is terminal or the client goes away.
+// The log is complete, so a slow reader falls behind but loses nothing.
+// render maps each event to its line; a nil line is skipped.
+func streamJob(w http.ResponseWriter, r *http.Request, j *job, render func(jobEvent) any) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
-	write := func(ev jobEvent) bool {
-		if err := enc.Encode(ev); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-	for _, ev := range past {
-		if !write(ev) {
-			return
-		}
-	}
-	if ch == nil {
-		// Already terminal: the history replay ended with job_finished.
-		return
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, open := <-ch:
-			if !open {
-				return
-			}
-			if !write(ev) {
-				return
+	for cursor, more := 0, true; more; {
+		// Flushing before each wait sends the headers at once and every
+		// written line before the stream goes quiet; a writer that cannot
+		// flush still gets the whole stream, only later.
+		_ = rc.Flush()
+		var evs []jobEvent
+		evs, more = j.next(r.Context(), cursor)
+		cursor += len(evs)
+		for _, ev := range evs {
+			if line := render(ev); line != nil {
+				if err := enc.Encode(line); err != nil {
+					return
+				}
 			}
 		}
 	}

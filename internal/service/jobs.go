@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -76,13 +77,18 @@ type JobStatus struct {
 const maxCellErrors = 16
 
 // job is one asynchronous sweep: a list of resolved use cases worked
-// through the server's shared pool.
+// through the server's shared pool. A /v1/batch request is a job too, one
+// that is never journaled and lives no longer than its request.
 type job struct {
 	id    string
 	cases []useCase
 	// req is the original sweep request, kept so the journal's submit
-	// record can re-resolve the exact same cell list on resume.
+	// record can re-resolve the exact same cell list on resume (zero for a
+	// batch, which is never journaled).
 	req SweepRequest
+	// cancel stops the job's run; startSweep sets it before the run
+	// starts.
+	cancel context.CancelFunc
 
 	mu         sync.Mutex
 	state      jobState
@@ -94,7 +100,9 @@ type job struct {
 	errMsg     string
 	created    time.Time
 	finished   time.Time
-	results    []Result
+	// results holds one entry per cell; a cell's entry is stored before
+	// its cell_finished event is published.
+	results []Result
 	// jw journals this job's progress; nil when the server runs without a
 	// journal (the historical, memory-only behavior).
 	jw *journal.Writer
@@ -107,12 +115,11 @@ type job struct {
 	// recorder and the finished tree lands in trace (and the trace sink).
 	traced bool
 	trace  *obs.SpanTree
-	// events is the job's bounded progress log, replayed to every
-	// /v1/jobs/{id}/events subscriber on connect; subs holds the live
-	// subscriber channels, closed when the job reaches a terminal state.
-	events        []jobEvent
-	eventsDropped int
-	subs          map[chan jobEvent]struct{}
+	// events is the job's complete progress log; readers follow it by
+	// cursor (next). wake, when non-nil, is closed by the next publish to
+	// wake every waiting reader.
+	events []jobEvent
+	wake   chan struct{}
 	// durSumMS/durCount estimate the mean cell duration for the ETA in
 	// progress events; resume pre-seeds them from the journal's recorded
 	// per-cell durations, so a restarted job's first ETA is already sane.
@@ -143,67 +150,71 @@ type jobEvent struct {
 	State     string    `json:"state,omitempty"`
 }
 
-// maxJobEvents bounds the per-job event buffer: two events per cell of the
-// largest admissible sweep plus lifecycle lines. Beyond it, new events
-// still reach live subscribers but are dropped from the replay buffer.
-const maxJobEvents = 2*maxSweepCells + 16
-
-// eventChanBuffer is each subscriber's buffer; a consumer that falls this
-// far behind loses events (the connect-time replay and the terminal event
-// keep it coherent) rather than blocking the sweep.
-const eventChanBuffer = 256
-
-// publishLocked timestamps ev, appends it to the bounded event buffer, and
-// offers it to every live subscriber without blocking. Callers hold j.mu.
+// publishLocked timestamps ev, appends it to the event log, and wakes
+// every waiting reader. The log needs no cap: a job has at most
+// maxSweepCells cells and emits two events per cell plus lifecycle lines.
+// Callers hold j.mu.
 func (j *job) publishLocked(ev jobEvent) {
 	ev.Time = time.Now().UTC()
-	if len(j.events) < maxJobEvents {
-		j.events = append(j.events, ev)
-	} else {
-		j.eventsDropped++
+	j.events = append(j.events, ev)
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
 	}
-	for ch := range j.subs {
+}
+
+// publishProgressLocked stamps ev with the job's progress snapshot and
+// publishes it. A terminal event carries no ETA. Callers hold j.mu.
+func (j *job) publishProgressLocked(ev jobEvent) {
+	ev.Done, ev.Failed, ev.Remaining, ev.EtaMS = j.progressLocked()
+	if ev.State != "" {
+		ev.EtaMS = 0
+	}
+	j.publishLocked(ev)
+}
+
+// cellEvent starts a progress event of the given kind for cell i.
+func (j *job) cellEvent(kind string, i int) jobEvent {
+	uc := j.cases[i]
+	return jobEvent{
+		Event: kind, Cell: &i,
+		Program: uc.bench.Name, Config: cache.ConfigID(uc.cfgIdx), Tech: uc.tech.String(),
+	}
+}
+
+// next returns the events logged after the first cursor ones, waiting for
+// a publish while there are none and the job is live. more is false once
+// the returned events end a terminal job's log, or when ctx ends first.
+// The returned events are never mutated afterwards.
+func (j *job) next(ctx context.Context, cursor int) (evs []jobEvent, more bool) {
+	for {
+		j.mu.Lock()
+		evs = j.events[cursor:]
+		terminal := j.state == jobDone || j.state == jobFailed
+		if len(evs) > 0 || terminal {
+			j.mu.Unlock()
+			return evs, !terminal
+		}
+		if j.wake == nil {
+			j.wake = make(chan struct{})
+		}
+		wake := j.wake
+		j.mu.Unlock()
 		select {
-		case ch <- ev:
-		default:
+		case <-wake:
+		case <-ctx.Done():
+			return nil, false
 		}
 	}
 }
 
-// closeSubsLocked ends every live event stream; called once, with the
-// terminal event already published. Callers hold j.mu.
-func (j *job) closeSubsLocked() {
-	for ch := range j.subs {
-		close(ch)
+// wait blocks until the job is terminal.
+func (j *job) wait() {
+	for cursor, more := 0, true; more; {
+		var evs []jobEvent
+		evs, more = j.next(context.Background(), cursor)
+		cursor += len(evs)
 	}
-	j.subs = nil
-}
-
-// subscribe returns a snapshot of the job's event history and, while the
-// job is live, a channel carrying subsequent events. The channel is closed
-// when the job reaches a terminal state; it is nil when the job is already
-// terminal (the snapshot then ends with the job_finished event).
-func (j *job) subscribe() (past []jobEvent, ch chan jobEvent) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	past = append([]jobEvent(nil), j.events...)
-	if j.state == jobDone || j.state == jobFailed {
-		return past, nil
-	}
-	ch = make(chan jobEvent, eventChanBuffer)
-	if j.subs == nil {
-		j.subs = map[chan jobEvent]struct{}{}
-	}
-	j.subs[ch] = struct{}{}
-	return past, ch
-}
-
-// unsubscribe detaches one event stream (client disconnect). The channel
-// is not closed here — closeSubsLocked owns that — only forgotten.
-func (j *job) unsubscribe(ch chan jobEvent) {
-	j.mu.Lock()
-	delete(j.subs, ch)
-	j.mu.Unlock()
 }
 
 // progressLocked snapshots done/failed/remaining and the ETA for an event.
@@ -247,10 +258,9 @@ func (j *job) status() JobStatus {
 	return st
 }
 
-// failCell records one cell's failure without failing the job.
-func (j *job) failCell(uc useCase, err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// failCellLocked records one cell's failure without failing the job.
+// Callers hold j.mu.
+func (j *job) failCellLocked(uc useCase, err error) {
 	j.failed++
 	if len(j.cellErrors) < maxCellErrors {
 		j.cellErrors = append(j.cellErrors,
@@ -290,15 +300,7 @@ var errJobQueueFull = fmt.Errorf("job queue full")
 func (s *jobStore) tryAdd(req SweepRequest, cases []useCase, maxActive int) (j *job, pruned []string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	active := 0
-	for _, id := range s.order {
-		if j := s.jobs[id]; j != nil {
-			if st := j.currentState(); st == jobQueued || st == jobRunning {
-				active++
-			}
-		}
-	}
-	if active >= maxActive {
+	if s.activeLocked() >= maxActive {
 		return nil, nil, errJobQueueFull
 	}
 	s.seq++
@@ -335,6 +337,11 @@ func (s *jobStore) adopt(j *job) (pruned []string) {
 func (s *jobStore) activeJobs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.activeLocked()
+}
+
+// activeLocked counts unfinished jobs. Caller holds s.mu.
+func (s *jobStore) activeLocked() int {
 	active := 0
 	for _, id := range s.order {
 		if j := s.jobs[id]; j != nil {
@@ -371,6 +378,15 @@ func (s *jobStore) prune() (pruned []string) {
 	}
 	s.order = keep
 	return pruned
+}
+
+// remove drops a job from the store without touching its journal. The
+// ID then reads as expired.
+func (s *jobStore) remove(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.jobs, id)
+	s.order = slices.DeleteFunc(s.order, func(o string) bool { return o == id })
 }
 
 func (j *job) currentState() jobState {
@@ -418,7 +434,8 @@ func (s *jobStore) counts() map[jobState]int {
 
 // startSweep launches an admitted job on the shared worker pool. The job's
 // context inherits the server's base context (cancelled on shutdown) and
-// the configured per-job timeout.
+// the configured per-job timeout. This is the service's only fan-out loop
+// over cells: /v1/sweep and /v1/batch jobs both run here.
 //
 // Failure isolation is per cell: a cell whose analysis errors or panics is
 // recorded as failed (with a bounded error log) and its siblings continue —
@@ -427,6 +444,7 @@ func (s *jobStore) counts() map[jobState]int {
 // job, so typed interrupt errors propagate and fail the job with the cause.
 func (s *Server) startSweep(j *job) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.JobTimeout)
+	j.cancel = cancel
 
 	s.wg.Add(1)
 	go func() {
@@ -445,22 +463,18 @@ func (s *Server) startSweep(j *job) {
 			ctx = rec.Install(ctx)
 		}
 		j.state = jobRunning
-		results := make([]Result, len(j.cases))
+		j.results = make([]Result, len(j.cases))
 		// Cells the journal already answered (resume): copy their results
 		// in and never touch the pipeline for them again.
 		replayedCells := 0
 		for i, ok := range j.have {
 			if ok {
-				results[i] = j.pre[i]
+				j.results[i] = j.pre[i]
 				replayedCells++
 			}
 		}
 		if replayedCells > 0 {
-			_, _, remaining, eta := j.progressLocked()
-			j.publishLocked(jobEvent{
-				Event: "cells_resumed", Done: j.done, Failed: j.failed,
-				Remaining: remaining, EtaMS: eta,
-			})
+			j.publishProgressLocked(jobEvent{Event: "cells_resumed"})
 		}
 		j.mu.Unlock()
 		s.sinkJobEvent(rec, "job_started", j.id, map[string]any{
@@ -468,22 +482,13 @@ func (s *Server) startSweep(j *job) {
 		})
 
 		err := s.pool.ForEach(ctx, len(j.cases), func(ctx context.Context, i int) error {
-			j.mu.Lock()
-			replayed := i < len(j.have) && j.have[i]
-			if !replayed {
-				uc := j.cases[i]
-				done, failed, remaining, eta := j.progressLocked()
-				j.publishLocked(jobEvent{
-					Event: "cell_started", Cell: &i,
-					Program: uc.bench.Name, Config: cache.ConfigID(uc.cfgIdx), Tech: uc.tech.String(),
-					Done: done, Failed: failed, Remaining: remaining, EtaMS: eta,
-				})
-			}
-			j.mu.Unlock()
-			if replayed {
+			if i < len(j.have) && j.have[i] {
 				return nil
 			}
 			uc := j.cases[i]
+			j.mu.Lock()
+			j.publishProgressLocked(j.cellEvent("cell_started", i))
+			j.mu.Unlock()
 			ctx, span := obs.Start(ctx, "sweep.cell")
 			span.Attr("cell", i)
 			span.Attr("program", uc.bench.Name)
@@ -506,40 +511,34 @@ func (s *Server) startSweep(j *job) {
 					s.metrics.countCellCanceled()
 					return interrupt.Wrap(aerr)
 				}
-				span.Attr("error", sanitizeCellError(aerr))
-				j.failCell(uc, aerr)
+				msg := sanitizeCellError(aerr)
+				span.Attr("error", msg)
 				j.mu.Lock()
-				done, failed, remaining, eta := j.progressLocked()
-				j.publishLocked(jobEvent{
-					Event: "cell_failed", Cell: &i,
-					Program: uc.bench.Name, Config: cache.ConfigID(uc.cfgIdx), Tech: uc.tech.String(),
-					DurMS: dur.Milliseconds(), Error: sanitizeCellError(aerr),
-					Done: done, Failed: failed, Remaining: remaining, EtaMS: eta,
-				})
+				j.failCellLocked(uc, aerr)
+				ev := j.cellEvent("cell_failed", i)
+				ev.DurMS, ev.Error = dur.Milliseconds(), msg
+				j.publishProgressLocked(ev)
 				j.mu.Unlock()
 				s.journalCellFailed(ctx, j, i, aerr)
 				return nil
 			}
 			span.Attr("cached", cached)
-			results[i] = res
 			j.mu.Lock()
+			j.results[i] = res
 			j.done++
 			if cached {
 				j.cacheHits++
 			}
 			j.durSumMS += dur.Milliseconds()
 			j.durCount++
-			done, failed, remaining, eta := j.progressLocked()
-			j.publishLocked(jobEvent{
-				Event: "cell_finished", Cell: &i,
-				Program: uc.bench.Name, Config: cache.ConfigID(uc.cfgIdx), Tech: uc.tech.String(),
-				Cached: cached, DurMS: dur.Milliseconds(),
-				Done: done, Failed: failed, Remaining: remaining, EtaMS: eta,
-			})
+			ev := j.cellEvent("cell_finished", i)
+			ev.Cached, ev.DurMS = cached, dur.Milliseconds()
+			j.publishProgressLocked(ev)
 			j.mu.Unlock()
 			s.journalCell(ctx, j, i, cached, dur, res)
 			return nil
 		})
+		err = interrupt.Wrap(err)
 
 		// The recorder closes before the terminal state is published so a
 		// client that sees state=done also sees the finished trace.
@@ -549,22 +548,25 @@ func (s *Server) startSweep(j *job) {
 			tree = rec.Tree()
 		}
 
+		state := jobDone
+		if err != nil {
+			state = jobFailed
+		}
 		j.mu.Lock()
 		j.finished = time.Now().UTC()
 		j.trace = tree
-		jw := j.jw
+		j.state = state
+		fin := jobEvent{Event: "job_finished", State: string(state)}
 		if err != nil {
-			j.state = jobFailed
 			j.errMsg = err.Error()
-			done, failed, remaining, _ := j.progressLocked()
-			j.publishLocked(jobEvent{
-				Event: "job_finished", State: string(jobFailed), Error: j.errMsg,
-				Done: done, Failed: failed, Remaining: remaining,
-			})
-			j.closeSubsLocked()
-			j.mu.Unlock()
-			s.persistTrace(j.id, tree, true)
-			s.sinkJobEvent(rec, "job_finished", j.id, map[string]any{"state": string(jobFailed), "error": err.Error()})
+			fin.Error = j.errMsg
+		}
+		j.publishProgressLocked(fin)
+		done, failed, jw := j.done, j.failed, j.jw
+		j.mu.Unlock()
+		s.persistTrace(j.id, tree, true)
+		if err != nil {
+			s.sinkJobEvent(rec, "job_finished", j.id, map[string]any{"state": string(state), "error": err.Error()})
 			// An interrupted job (drain, shutdown, job timeout) closes its
 			// journal WITHOUT a terminal record: the unfinished journal is
 			// exactly the signal the next process resumes from.
@@ -573,18 +575,8 @@ func (s *Server) startSweep(j *job) {
 			}
 			return
 		}
-		j.state = jobDone
-		j.results = results
-		done, failed, remaining, _ := j.progressLocked()
-		j.publishLocked(jobEvent{
-			Event: "job_finished", State: string(jobDone),
-			Done: done, Failed: failed, Remaining: remaining,
-		})
-		j.closeSubsLocked()
-		j.mu.Unlock()
-		s.persistTrace(j.id, tree, true)
 		s.sinkJobEvent(rec, "job_finished", j.id, map[string]any{
-			"state": string(jobDone), "done": done, "failed": failed,
+			"state": string(state), "done": done, "failed": failed,
 		})
 		if jw != nil {
 			// The terminal record makes the completion durable; from here a

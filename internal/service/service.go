@@ -12,6 +12,7 @@
 //
 //	POST /v1/analyze    one use case, synchronous
 //	POST /v1/sweep      a use-case matrix, asynchronous (returns a job ID)
+//	POST /v1/batch      a use-case list or matrix as one job, streamed back
 //	GET  /v1/jobs/{id}  job status and, when done, the ordered results
 //	GET  /v1/jobs/{id}/events  live NDJSON progress stream for one job
 //	GET  /v1/benchmarks the Mälardalen suite
@@ -65,9 +66,10 @@ type Config struct {
 	// request gets 504 (0 = 2 minutes). Clients may lower — never raise —
 	// the bound per request with ?timeout=30s.
 	AnalyzeTimeout time.Duration
-	// MaxQueuedJobs bounds sweep jobs admitted but not yet finished
-	// (queued + running). Beyond it, POST /v1/sweep gets 429 with a
-	// Retry-After header instead of growing the backlog (0 = 32).
+	// MaxQueuedJobs bounds sweep and batch jobs admitted but not yet
+	// finished (queued + running). Beyond it, POST /v1/sweep and
+	// POST /v1/batch get 429 with a Retry-After header instead of growing
+	// the backlog (0 = 32).
 	MaxQueuedJobs int
 	// Store, when non-nil, adds a persistent second tier beneath the
 	// in-memory result cache: results survive restarts and are shared with
@@ -234,6 +236,10 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
 	r.ResponseWriter.WriteHeader(code)
 }
+
+// Unwrap exposes the underlying writer to http.ResponseController, so
+// streaming handlers can flush through the recorder.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 func (r *statusRecorder) Write(p []byte) (int, error) {
 	if r.status == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -295,4 +296,48 @@ func TestConcurrentPutGet(t *testing.T) {
 	if st := s.Stats(); st.Entries != 5 {
 		t.Fatalf("entries = %d, want 5", st.Entries)
 	}
+}
+
+// FuzzGet plants arbitrary bytes as an entry file and reads it back. Get
+// must never panic and never return a payload whose SHA-256 differs from
+// the digest its envelope records; a rejected file is evicted from disk.
+func FuzzGet(f *testing.F) {
+	valid := func(k string, payload string) []byte {
+		sum := sha256.Sum256([]byte(payload))
+		return []byte(fmt.Sprintf(`{"v":1,"key":%q,"sha256":%q,"payload":%s}`, k, hex.EncodeToString(sum[:]), payload))
+	}
+	good := valid(key(1), `{"value":12345}`)
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(bytes.Replace(good, []byte("12345"), []byte("12945"), 1))
+	f.Add(valid(key(2), `{"v":1}`))
+	f.Add([]byte(`{"v":2,"key":"` + key(1) + `","sha256":"","payload":null}`))
+	f.Add([]byte("{}"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		s := mustOpen(t, dir, 0)
+		path := s.path(key(1))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		payload, ok := s.Get(key(1))
+		if !ok {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("rejected entry left on disk: %v", err)
+			}
+			return
+		}
+		var env struct {
+			Sum string `json:"sha256"`
+		}
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatalf("served a payload from an undecodable envelope: %v", err)
+		}
+		want, err := hex.DecodeString(env.Sum)
+		got := sha256.Sum256(payload)
+		if err != nil || !bytes.Equal(got[:], want) {
+			t.Fatalf("served payload %q whose sha256 %x does not match the envelope's %q", payload, got, env.Sum)
+		}
+	})
 }
