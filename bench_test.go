@@ -18,7 +18,6 @@ import (
 	"ucp/internal/energy"
 	"ucp/internal/experiment"
 	"ucp/internal/hwpref"
-	"ucp/internal/ilp"
 	"ucp/internal/ipet"
 	"ucp/internal/isa"
 	"ucp/internal/locking"
@@ -436,32 +435,7 @@ func BenchmarkIPETILP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := ipet.BuildExtra(res.X, res.Cost, res.Extra)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := f.Solve(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSimplexLP(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p := ilp.NewProblem(40)
-		for v := 0; v < 40; v++ {
-			p.Objective[v] = float64(1 + v%7)
-			p.Le(map[int]float64{v: 1}, 10, "box")
-		}
-		for r := 0; r < 20; r++ {
-			co := map[int]float64{}
-			for v := r; v < 40; v += 5 {
-				co[v] = float64(1 + (r+v)%3)
-			}
-			p.Le(co, float64(25+r), "row")
-		}
-		if _, err := p.SolveLP(); err != nil {
+		if _, err := ipet.Solve(res.X, res.Cost, res.Extra); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -471,13 +471,9 @@ func shrink(cfg cache.Config, factor int) (cache.Config, bool) {
 	return s, true
 }
 
-// OptimizedProgram exposes the per-cell optimization for the CLI tools.
-func OptimizedProgram(ctx context.Context, b malardalen.Benchmark, cfgIdx int, tech energy.Tech, budget int, policy cache.Policy) (*isa.Program, *core.Report, error) {
-	return OptimizedProgramHier(ctx, b, cfgIdx, tech, budget, policy, cache.Config{})
-}
-
-// OptimizedProgramHier is OptimizedProgram with an optional L2 behind the
-// swept Table 2 configuration (zero value = single-level).
+// OptimizedProgramHier exposes the per-cell optimization for the CLI tools:
+// it optimizes b for Table 2 configuration cfgIdx under policy, with an
+// optional L2 behind it (zero value = single-level).
 func OptimizedProgramHier(ctx context.Context, b malardalen.Benchmark, cfgIdx int, tech energy.Tech, budget int, policy cache.Policy, l2 cache.Config) (*isa.Program, *core.Report, error) {
 	cfg := cache.Table2()[cfgIdx]
 	cfg.Policy = policy

@@ -26,11 +26,7 @@ func unitCosts(x *vivu.Prog) []int64 {
 
 func solve(t *testing.T, x *vivu.Prog, cost []int64) *Result {
 	t.Helper()
-	f, err := Build(x, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := f.Solve()
+	r, err := Solve(x, cost, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +119,7 @@ func TestFlowConservation(t *testing.T) {
 func TestBuildRejectsBadCostVector(t *testing.T) {
 	p := isa.Build("bad", isa.Code(3))
 	x := expand(t, p)
-	if _, err := Build(x, []int64{1, 2, 3, 4, 5, 6, 7}); err == nil {
+	if _, err := Solve(x, []int64{1, 2, 3, 4, 5, 6, 7}, nil); err == nil {
 		t.Fatal("expected cost-length error")
 	}
 }

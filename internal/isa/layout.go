@@ -1,8 +1,8 @@
 package isa
 
 // DefaultBaseAddr is the address at which program text starts when a
-// program does not override it via EndAddr-compatible settings. The value
-// is block-aligned for every cache block size in the evaluation.
+// program does not override it. The value is block-aligned for every cache
+// block size in the evaluation.
 const DefaultBaseAddr = 1 << 16
 
 // DefaultLoopAlign is the alignment, in bytes, applied to loop headers by
@@ -74,9 +74,6 @@ func (l *Layout) StartAddr() uint64 {
 	return l.end
 }
 
-// EndAddr returns the address one past the last instruction.
-func (l *Layout) EndAddr() uint64 { return l.end }
-
 // NInstr returns the total number of instructions covered by the layout.
 func (l *Layout) NInstr() int { return l.total }
 
@@ -88,12 +85,6 @@ func (l *Layout) TextBytes() uint64 { return l.end - l.StartAddr() }
 // share this index; the index is also what a prefetch instruction loads.
 func (l *Layout) MemBlock(ref InstrRef, blockBytes int) uint64 {
 	return l.Addr(ref) / uint64(blockBytes)
-}
-
-// BlockSpan returns the first and one-past-last memory block indexes covered
-// by the program text for the given cache block size.
-func (l *Layout) BlockSpan(blockBytes int) (lo, hi uint64) {
-	return l.StartAddr() / uint64(blockBytes), (l.end + uint64(blockBytes) - 1) / uint64(blockBytes)
 }
 
 // PrefetchTargetBlock resolves the memory block loaded by the prefetch

@@ -354,19 +354,11 @@ func NewCounterVec(name, help, labelKey string) *CounterVec {
 	return global.CounterVec(name, help, labelKey)
 }
 
-// NewGaugeFunc registers a pulled gauge in the Global registry.
-func NewGaugeFunc(name, help string, fn func() float64) { global.GaugeFunc(name, help, fn) }
-
 // NewGaugeVecFunc registers a labeled pulled gauge in the Global registry.
 // Re-registering rebinds the pull to fn, so the latest owner of a shared
 // name (e.g. the newest Coordinator) is the one rendered.
 func NewGaugeVecFunc(name, help, labelKey string, fn func() []Sample) {
 	global.GaugeVecFunc(name, help, labelKey, fn)
-}
-
-// NewHistogram registers a histogram in the Global registry.
-func NewHistogram(name, help string, buckets, quantiles []float64) *Histogram {
-	return global.Histogram(name, help, buckets, quantiles)
 }
 
 // NewHistogramVec registers a labeled histogram in the Global registry.

@@ -1,6 +1,6 @@
 // Package wcet orchestrates the classical cache-aware WCET analysis the
 // paper builds on: VIVU expansion, must/may abstract interpretation, and the
-// determination of the WCET scenario (Section 3.3). Besides the IPET/ILP
+// determination of the WCET scenario (Section 3.3). Besides the IPET
 // reference path (internal/ipet), it implements a fast structural solver
 // for the reducible graphs our builder produces; the two are cross-checked
 // in tests.

@@ -8,6 +8,7 @@ import (
 	"ucp/internal/cache"
 	"ucp/internal/ipet"
 	"ucp/internal/isa"
+	"ucp/internal/malardalen"
 	"ucp/internal/vivu"
 )
 
@@ -158,7 +159,7 @@ func randomProgram(rng *rand.Rand, name string) *isa.Program {
 
 // The load-bearing cross-check: the fast structural solver must agree with
 // the IPET integer linear program on τ_w for a corpus of random structured
-// programs and several cache configurations.
+// programs and several cache configurations, and for the Mälardalen suite.
 func TestStructuralMatchesIPET(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cfgs := []cache.Config{
@@ -173,17 +174,37 @@ func TestStructuralMatchesIPET(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
 			}
-			form, err := ipet.BuildExtra(res.X, res.Cost, res.Extra)
-			if err != nil {
-				t.Fatalf("ipet.Build: %v", err)
-			}
-			ref, err := form.Solve()
+			ref, err := ipet.Solve(res.X, res.Cost, res.Extra)
 			if err != nil {
 				t.Fatalf("ipet.Solve: %v", err)
 			}
 			if ref.TauW != res.TauW {
 				t.Fatalf("program %d cfg %v: structural τ=%d, IPET τ=%d", i, cfg, res.TauW, ref.TauW)
 			}
+		}
+	}
+
+	// Every suite program once at Table 2 k1, rotating the replacement
+	// policy, with an 8 KiB L2 behind every seventh program.
+	pols := cache.Policies()
+	for i, b := range malardalen.All() {
+		h := cache.Hier1(cache.Table2()[0])
+		h.L1.Policy = pols[i%len(pols)]
+		par := testPar
+		if i%7 == 0 {
+			h.L2 = cache.Config{Assoc: 4, BlockBytes: 32, CapacityBytes: 8192, Policy: h.L1.Policy}
+			par.L2HitCycles = 3
+		}
+		res, err := AnalyzeHier(context.Background(), b.Prog, h, par)
+		if err != nil {
+			t.Fatalf("%s: AnalyzeHier: %v", b.Name, err)
+		}
+		ref, err := ipet.Solve(res.X, res.Cost, res.Extra)
+		if err != nil {
+			t.Fatalf("%s: ipet.Solve: %v", b.Name, err)
+		}
+		if ref.TauW != res.TauW {
+			t.Fatalf("%s %v: structural τ=%d, IPET τ=%d", b.Name, h, res.TauW, ref.TauW)
 		}
 	}
 }
