@@ -1,10 +1,11 @@
 package ucp
 
-// The benchmark suite regenerates every table and figure of the paper's
-// evaluation (run `go test -bench=. -benchmem`), plus the ablation studies
-// DESIGN.md lists and micro-benchmarks of the analysis stack. The figure
-// benches default to a representative sub-sweep so the whole suite finishes
-// in minutes on one core; `cmd/ucp-bench -all` runs the full 37×36×2 sweep.
+// These benches regenerate every table and figure of the paper's evaluation
+// (run `go test -bench=. -benchmem`) and the ablation studies DESIGN.md
+// lists. They are regenerators, not the performance benchmark: that is
+// perfbench (BENCHMARK.json). The figure benches default to a representative
+// sub-sweep so the whole suite finishes in minutes on one core;
+// `cmd/ucp-bench -all` runs the full 37×36×2 sweep.
 
 import (
 	"context"
@@ -12,19 +13,14 @@ import (
 	"io"
 	"testing"
 
-	"ucp/internal/absint"
 	"ucp/internal/cache"
 	"ucp/internal/core"
 	"ucp/internal/energy"
 	"ucp/internal/experiment"
 	"ucp/internal/hwpref"
-	"ucp/internal/ipet"
-	"ucp/internal/isa"
 	"ucp/internal/locking"
 	"ucp/internal/malardalen"
 	"ucp/internal/sim"
-	"ucp/internal/vivu"
-	"ucp/internal/wcet"
 )
 
 // benchPrograms is the representative program subset used by the figure
@@ -82,38 +78,8 @@ func BenchmarkFigure3(b *testing.B) {
 	suite.Figure3(benchOut(b))
 }
 
-// BenchmarkFigure3Policy regenerates the Figure 3 sub-sweep once per cache
-// replacement policy, so the cost of the policy-generic analysis seam is
-// tracked per policy (BENCH_PR3.json): LRU runs the exact classical
-// transfers, FIFO and PLRU the conservative ones of DESIGN.md §9.
-func BenchmarkFigure3Policy(b *testing.B) {
-	for _, pol := range cache.Policies() {
-		b.Run(pol.String(), func(b *testing.B) {
-			var suite *experiment.Suite
-			for i := 0; i < b.N; i++ {
-				var err error
-				suite, err = experiment.Run(experiment.Options{
-					Programs:         benchPrograms,
-					Configs:          benchConfigs,
-					Techs:            []energy.Tech{energy.Tech45},
-					Policy:           pol,
-					Runs:             1,
-					ValidationBudget: 80,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			suite.Figure3(benchOut(b))
-		})
-	}
-}
-
 // BenchmarkHierarchyFrontier regenerates the hierarchy frontier: the
-// Figure 3 sub-sweep with an 8KB L2 behind every L1 (BENCH_PR8.json), so
-// the cost of the two-level analysis stack — per-level abstract
-// interpretation, three-outcome pricing, the L2 candidate phase — is
-// tracked next to the single-level sweep it extends.
+// Figure 3 sub-sweep with an 8KB L2 behind every L1.
 func BenchmarkHierarchyFrontier(b *testing.B) {
 	var suite *experiment.Suite
 	for i := 0; i < b.N; i++ {
@@ -255,222 +221,4 @@ type testingWriter struct{ b *testing.B }
 func (w testingWriter) Write(p []byte) (int, error) {
 	w.b.Log(string(p))
 	return len(p), nil
-}
-
-// --- micro-benchmarks of the analysis stack ---
-
-func BenchmarkVIVUExpand(b *testing.B) {
-	p, _ := malardalen.ByName("statemate")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := vivu.Expand(p.Prog); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAbstractInterpretation(b *testing.B) {
-	p, _ := malardalen.ByName("statemate")
-	x, err := vivu.Expand(p.Prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lay := isa.NewLayout(p.Prog)
-	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 1024}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		absint.Analyze(context.Background(), x, lay, cfg, 16)
-	}
-}
-
-// BenchmarkAnalyzeXFull measures one from-scratch analysis of the mutated
-// program — the cost every validation paid before incremental re-validation.
-func BenchmarkAnalyzeXFull(b *testing.B) {
-	p, _ := malardalen.ByName("statemate")
-	prog := p.Prog.Clone()
-	x, err := vivu.Expand(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 1024}
-	par := wcet.Params{HitCycles: 1, MissPenalty: 16, Lambda: 16}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wcet.AnalyzeX(context.Background(), x, cfg, par); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchIncrementalAnchor picks the insertion anchor the incremental
-// benchmark toggles a prefetch at: the middle block of the program, so
-// roughly half the layout shifts per mutation — the average case for the
-// optimizer's trial insertions.
-func benchIncrementalAnchor(prog *isa.Program) isa.InstrRef {
-	b := prog.Blocks[len(prog.Blocks)/2]
-	for len(b.Instrs) < 2 {
-		b = prog.Blocks[(b.ID+1)%len(prog.Blocks)]
-	}
-	return isa.InstrRef{Block: b.ID, Index: len(b.Instrs) - 2}
-}
-
-// BenchmarkAnalyzeXIncremental measures the optimizer's steady state: each
-// iteration mutates the program (toggling a prefetch at a mid-program
-// anchor, shifting half the layout) and re-validates with AnalyzeXFrom
-// seeded from the previous result.
-func BenchmarkAnalyzeXIncremental(b *testing.B) {
-	p, _ := malardalen.ByName("statemate")
-	prog := p.Prog.Clone()
-	x, err := vivu.Expand(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 1024}
-	par := wcet.Params{HitCycles: 1, MissPenalty: 16, Lambda: 16}
-	anchor := benchIncrementalAnchor(prog)
-	target := isa.InstrRef{Block: prog.Blocks[0].ID, Index: 0}
-	prev, err := wcet.AnalyzeX(context.Background(), x, cfg, par)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			prog.InsertInstr(anchor, isa.Instr{Kind: isa.KindPrefetch, Target: target})
-		} else {
-			prog.RemoveInstr(anchor)
-		}
-		prev, err = wcet.AnalyzeXFrom(context.Background(), x, cfg, par, prev)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// densestState returns the converged in-state with the most entries — the
-// worst case for Clone and Join.
-func densestState(res *absint.Result) *absint.State {
-	var best *absint.State
-	bestN := -1
-	for _, st := range res.In {
-		if st == nil {
-			continue
-		}
-		if n := st.Entries(); n > bestN {
-			best, bestN = st, n
-		}
-	}
-	return best
-}
-
-func BenchmarkStateClone(b *testing.B) {
-	p, _ := malardalen.ByName("statemate")
-	x, err := vivu.Expand(p.Prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lay := isa.NewLayout(p.Prog)
-	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 1024}
-	res, err := absint.Analyze(context.Background(), x, lay, cfg, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	st := densestState(res)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Clone()
-	}
-}
-
-func BenchmarkStateJoin(b *testing.B) {
-	p, _ := malardalen.ByName("statemate")
-	x, err := vivu.Expand(p.Prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lay := isa.NewLayout(p.Prog)
-	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 1024}
-	res, err := absint.Analyze(context.Background(), x, lay, cfg, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := densestState(res)
-	c := res.In[x.Entry]
-	for _, st := range res.In {
-		if st != nil && st != a {
-			c = st
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		absint.Join(a, c)
-	}
-}
-
-func BenchmarkWCETStructural(b *testing.B) {
-	p, _ := malardalen.ByName("statemate")
-	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 1024}
-	par := wcet.Params{HitCycles: 1, MissPenalty: 16, Lambda: 16}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := wcet.Analyze(context.Background(), p.Prog, cfg, par); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkIPETILP(b *testing.B) {
-	p, _ := malardalen.ByName("ludcmp")
-	par := wcet.Params{HitCycles: 1, MissPenalty: 16, Lambda: 16}
-	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 512}
-	res, err := wcet.Analyze(context.Background(), p.Prog, cfg, par)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ipet.Solve(res.X, res.Cost, res.Extra); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkOptimizeMid(b *testing.B) {
-	p, _ := malardalen.ByName("fdct")
-	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 512}
-	par := energy.NewModel(cfg, energy.Tech45).WCETParams()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Optimize(context.Background(), p.Prog, cfg, core.Options{Par: par, ValidationBudget: 120}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSimulator(b *testing.B) {
-	p, _ := malardalen.ByName("adpcm")
-	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 1024}
-	par := wcet.Params{HitCycles: 1, MissPenalty: 16, Lambda: 16}
-	b.ReportAllocs()
-	var fetches int64
-	for i := 0; i < b.N; i++ {
-		s := sim.Run(p.Prog, cfg, sim.Options{Par: par, Runs: 1, Seed: int64(i)})
-		fetches += s.Fetches
-	}
-	b.ReportMetric(float64(fetches)/float64(b.N), "fetches/run")
-}
-
-func BenchmarkConcreteCache(b *testing.B) {
-	st := cache.NewState(cache.Config{Assoc: 4, BlockBytes: 16, CapacityBytes: 4096})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Access(uint64(i*7) % 1024)
-	}
 }

@@ -298,10 +298,6 @@ func (s *State) Equal(o *State) bool {
 	return true
 }
 
-// Entries returns the total number of tracked entries across the must, may,
-// and persistence components (a size measure for benchmarks and diagnostics).
-func (s *State) Entries() int { return int(s.nMust + s.nMay + s.nPers) }
-
 // MustContains reports whether blk is guaranteed resident.
 func (s *State) MustContains(blk uint64) bool {
 	return s.must[s.cfg.SetOf(blk)].find(blk) >= 0
@@ -533,13 +529,6 @@ func (s *State) joinInto(a, b *State) {
 	}
 	s.nMust, s.nMay, s.nPers = nm, ny, np
 	s.hashOK = false
-}
-
-// Join merges two abstract states flowing into a common program point.
-func Join(a, b *State) *State {
-	out := NewState(a.cfg)
-	out.joinInto(a, b)
-	return out
 }
 
 func joinMustInto(dst, a, b setState) setState {

@@ -35,15 +35,6 @@ func (c Config) NumSets() int {
 	return c.CapacityBytes / setBytes
 }
 
-// NumBlocks returns the total number of cache blocks, or 0 for a degenerate
-// block size.
-func (c Config) NumBlocks() int {
-	if c.BlockBytes <= 0 {
-		return 0
-	}
-	return c.CapacityBytes / c.BlockBytes
-}
-
 // SetOf maps a memory block index to its cache set. On a degenerate
 // configuration (NumSets() == 0) it returns 0 instead of dividing by zero.
 func (c Config) SetOf(block uint64) int {

@@ -36,9 +36,6 @@ func TestNumSets(t *testing.T) {
 	if c.NumSets() != 16 {
 		t.Fatalf("sets = %d, want 16", c.NumSets())
 	}
-	if c.NumBlocks() != 32 {
-		t.Fatalf("blocks = %d", c.NumBlocks())
-	}
 	if c.SetOf(33) != 1 {
 		t.Fatalf("SetOf(33) = %d", c.SetOf(33))
 	}

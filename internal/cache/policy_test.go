@@ -88,9 +88,6 @@ func TestPolicyDegenerateGeometry(t *testing.T) {
 			t.Errorf("SetOf(%+v) = %d, want 0", c, n)
 		}
 	}
-	if n := (Config{Assoc: 1, CapacityBytes: 64}).NumBlocks(); n != 0 {
-		t.Errorf("NumBlocks without a block size = %d, want 0", n)
-	}
 }
 
 // Property: the FIFO implementation agrees with a straightforward reference

@@ -1,14 +1,10 @@
-// Package cfg provides the control-flow graph algorithms the analysis
-// pipeline is built on: reverse postorder, topological sorting, dominator
-// trees, and natural-loop discovery. The algorithms are generic over an
-// adjacency-list representation so they serve both the original program CFG
-// and the VIVU-expanded graph.
+// Package cfg provides control-flow graph algorithms: reverse postorder,
+// topological sorting and dominator trees. The algorithms are generic over
+// an adjacency-list representation so they serve both the original program
+// CFG and the VIVU-expanded graph.
 package cfg
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Graph is a directed graph in adjacency-list form: Succs[v] lists the
 // successors of vertex v. Vertices are 0..N-1 and Entry is the unique start
@@ -161,77 +157,4 @@ func Dominates(idom []int, a, b int) bool {
 		}
 		b = idom[b]
 	}
-}
-
-// NaturalLoop describes one natural loop discovered by FindLoops.
-type NaturalLoop struct {
-	Head    int
-	Latches []int // sources of back edges into Head
-	Blocks  []int // loop members, Head included, ascending
-}
-
-// FindLoops discovers the natural loops of g: for every back edge t→h (where
-// h dominates t), the loop is h plus every vertex that can reach t without
-// passing through h. Loops sharing a header are merged, matching the usual
-// compiler convention.
-func FindLoops(g Graph) []NaturalLoop {
-	idom := Dominators(g)
-	preds := g.Preds()
-	byHead := map[int]*NaturalLoop{}
-	var heads []int
-
-	for t, ss := range g.Succs {
-		if idom[t] == -1 && t != g.Entry {
-			continue // unreachable
-		}
-		for _, h := range ss {
-			if !Dominates(idom, h, t) {
-				continue
-			}
-			nl := byHead[h]
-			if nl == nil {
-				nl = &NaturalLoop{Head: h}
-				byHead[h] = nl
-				heads = append(heads, h)
-			}
-			nl.Latches = append(nl.Latches, t)
-			inLoop := map[int]bool{h: true}
-			stack := []int{t}
-			inLoop[t] = true
-			for len(stack) > 0 {
-				v := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				for _, p := range preds[v] {
-					if !inLoop[p] {
-						inLoop[p] = true
-						stack = append(stack, p)
-					}
-				}
-			}
-			for v := range inLoop {
-				nl.Blocks = appendUnique(nl.Blocks, v)
-			}
-		}
-	}
-	loops := make([]NaturalLoop, 0, len(heads))
-	for _, h := range heads {
-		nl := byHead[h]
-		sort.Ints(nl.Blocks)
-		loops = append(loops, *nl)
-	}
-	sort.Slice(loops, func(i, j int) bool { return loops[i].Head < loops[j].Head })
-	return loops
-}
-
-// IsBackEdge reports whether the edge from → to is a back edge with respect
-// to the dominator array idom (i.e. its target dominates its source).
-func IsBackEdge(idom []int, from, to int) bool { return Dominates(idom, to, from) }
-
-func appendUnique(s []int, v int) []int {
-	for _, x := range s {
-		if x == v {
-			return s
-		}
-	}
-	return append(s, v)
 }

@@ -63,50 +63,8 @@ func TestDominatorsLoop(t *testing.T) {
 	if idom[1] != 0 || idom[2] != 1 || idom[3] != 1 {
 		t.Fatalf("idom = %v", idom)
 	}
-	if !IsBackEdge(idom, 2, 1) {
-		t.Fatal("2->1 should be a back edge")
-	}
-	if IsBackEdge(idom, 1, 2) {
-		t.Fatal("1->2 should not be a back edge")
-	}
-}
-
-func TestFindLoopsSimple(t *testing.T) {
-	loops := FindLoops(loopGraph())
-	if len(loops) != 1 {
-		t.Fatalf("loops = %v", loops)
-	}
-	l := loops[0]
-	if l.Head != 1 {
-		t.Fatalf("head = %d", l.Head)
-	}
-	if len(l.Blocks) != 2 || l.Blocks[0] != 1 || l.Blocks[1] != 2 {
-		t.Fatalf("blocks = %v", l.Blocks)
-	}
-	if len(l.Latches) != 1 || l.Latches[0] != 2 {
-		t.Fatalf("latches = %v", l.Latches)
-	}
-}
-
-func TestFindLoopsNested(t *testing.T) {
-	// 0 -> 1(outer head) -> 2(inner head) -> 3(inner body) -> 2; 2 -> 4 -> 1; 1 -> 5
-	g := Graph{Succs: [][]int{{1}, {2, 5}, {3, 4}, {2}, {1}, {}}, Entry: 0}
-	loops := FindLoops(g)
-	if len(loops) != 2 {
-		t.Fatalf("loops = %+v", loops)
-	}
-	if loops[0].Head != 1 || loops[1].Head != 2 {
-		t.Fatalf("heads = %d,%d", loops[0].Head, loops[1].Head)
-	}
-	// Inner loop {2,3} must be a subset of outer loop {1,2,3,4}.
-	outer := map[int]bool{}
-	for _, b := range loops[0].Blocks {
-		outer[b] = true
-	}
-	for _, b := range loops[1].Blocks {
-		if !outer[b] {
-			t.Fatalf("inner block %d outside outer loop %v", b, loops[0].Blocks)
-		}
+	if !Dominates(idom, 1, 2) || Dominates(idom, 2, 1) {
+		t.Fatal("the loop header must dominate its body, not the reverse")
 	}
 }
 
@@ -239,18 +197,6 @@ func TestTopologicalIgnoresUnreachable(t *testing.T) {
 	}
 	if len(order) != 3 {
 		t.Fatalf("order = %v, want 3 reachable vertices", order)
-	}
-}
-
-func TestFindLoopsSharedHeaderMerges(t *testing.T) {
-	// Two back edges into the same header: one merged loop.
-	g := Graph{Succs: [][]int{{1}, {2, 3}, {1}, {1, 4}, {}}, Entry: 0}
-	loops := FindLoops(g)
-	if len(loops) != 1 {
-		t.Fatalf("loops = %+v, want one merged loop", loops)
-	}
-	if len(loops[0].Latches) != 2 {
-		t.Fatalf("latches = %v, want 2", loops[0].Latches)
 	}
 }
 

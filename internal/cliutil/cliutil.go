@@ -31,22 +31,6 @@ func Policy(s string) (cache.Policy, error) {
 	return cache.ParsePolicy(strings.ToLower(strings.TrimSpace(s)))
 }
 
-// PolicyList parses a comma-separated policy list, or "all".
-func PolicyList(s string) ([]cache.Policy, error) {
-	if s == "" || s == "all" {
-		return nil, nil
-	}
-	var out []cache.Policy
-	for _, part := range strings.Split(s, ",") {
-		p, err := Policy(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // L2Flags registers the -l2-assoc, -l2-block-bytes, -l2-capacity-bytes and
 // -l2-policy flags on fs (the default command-line set when nil) and returns
 // a resolver to call after flag parsing. Leaving every flag at its default

@@ -87,15 +87,4 @@ func TestPolicy(t *testing.T) {
 	if _, err := Policy("mru"); err == nil {
 		t.Fatal("unknown policy must be rejected")
 	}
-
-	ps, err := PolicyList("lru,fifo,plru")
-	if err != nil || len(ps) != 3 || ps[1] != cache.FIFO {
-		t.Fatalf("PolicyList = %v, %v", ps, err)
-	}
-	if ps, err := PolicyList("all"); err != nil || ps != nil {
-		t.Fatalf(`PolicyList("all") = %v, %v; want nil (full axis)`, ps, err)
-	}
-	if _, err := PolicyList("lru,bogus"); err == nil {
-		t.Fatal("bad policy entry must be rejected")
-	}
 }

@@ -470,18 +470,3 @@ func shrink(cfg cache.Config, factor int) (cache.Config, bool) {
 	}
 	return s, true
 }
-
-// OptimizedProgramHier exposes the per-cell optimization for the CLI tools:
-// it optimizes b for Table 2 configuration cfgIdx under policy, with an
-// optional L2 behind it (zero value = single-level).
-func OptimizedProgramHier(ctx context.Context, b malardalen.Benchmark, cfgIdx int, tech energy.Tech, budget int, policy cache.Policy, l2 cache.Config) (*isa.Program, *core.Report, error) {
-	cfg := cache.Table2()[cfgIdx]
-	cfg.Policy = policy
-	h := cache.Hier1(cfg)
-	h.L2 = l2
-	if err := h.Valid(); err != nil {
-		return nil, nil, err
-	}
-	mdl := energy.NewModelHier(h, tech)
-	return core.OptimizeHier(ctx, b.Prog, h, core.Options{Par: mdl.WCETParams(), ValidationBudget: budget})
-}

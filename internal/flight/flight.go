@@ -80,7 +80,11 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func(ctx context.Conte
 		// Remove the call before publishing: a caller arriving after the
 		// flight completed must start a fresh one (the result may have
 		// been cache-published by fn, but that is the caller's concern).
-		delete(g.calls, key)
+		// A flight abandoned by its last waiter was already removed, and
+		// the key may now map to a fresh flight that is not ours to drop.
+		if g.calls[key] == c {
+			delete(g.calls, key)
+		}
 		g.mu.Unlock()
 		c.val, c.err = val, ferr
 		close(c.done)
@@ -99,10 +103,15 @@ func (g *Group[V]) wait(ctx context.Context, key string, c *call[V], joined bool
 		g.mu.Lock()
 		c.waiters--
 		if c.waiters == 0 {
-			// Last interested caller is gone: stop the execution. The
-			// flight goroutine still runs to completion (fn returns its
-			// cancellation error) and unregisters itself.
+			// Last interested caller is gone: stop the execution and
+			// unregister it now, so that a caller arriving while fn is
+			// still unwinding starts a fresh flight instead of joining one
+			// that can only fail with the cancellation. The key may
+			// already map to a fresh flight if this one completed meanwhile.
 			c.cancel()
+			if g.calls[key] == c {
+				delete(g.calls, key)
+			}
 		}
 		g.mu.Unlock()
 		var zero V
@@ -110,8 +119,9 @@ func (g *Group[V]) wait(ctx context.Context, key string, c *call[V], joined bool
 	}
 }
 
-// InFlight reports how many executions are currently running (for tests
-// and introspection).
+// InFlight reports how many executions a caller can currently join (for
+// tests and introspection). An execution cancelled by its last waiter
+// leaves the count at once, even while fn is still unwinding.
 func (g *Group[V]) InFlight() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()

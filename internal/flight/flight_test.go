@@ -142,6 +142,57 @@ func TestLastWaiterCancelStopsFlight(t *testing.T) {
 	}
 }
 
+// TestCallerAfterAbandonedFlightStartsFresh: once the last waiter has
+// detached, a caller arriving while the cancelled execution is still
+// unwinding must start its own flight, not join one that can only fail
+// with the cancellation.
+func TestCallerAfterAbandonedFlightStartsFresh(t *testing.T) {
+	g := New[string](nil)
+	started := make(chan struct{})
+	unwind := make(chan struct{})
+	defer close(unwind)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := g.Do(ctx, "k", func(fctx context.Context) (string, error) {
+			close(started)
+			<-fctx.Done()
+			<-unwind // held open: the cancelled execution is still unwinding
+			return "", fctx.Err()
+		})
+		leader <- err
+	}()
+	<-started
+	cancel()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader got %v, want context.Canceled", err)
+	}
+
+	type outcome struct {
+		v      string
+		joined bool
+		err    error
+	}
+	second := make(chan outcome, 1)
+	go func() {
+		v, joined, err := g.Do(context.Background(), "k", func(context.Context) (string, error) {
+			return "fresh", nil
+		})
+		second <- outcome{v, joined, err}
+	}()
+	select {
+	case o := <-second:
+		if o.joined || o.err != nil || o.v != "fresh" {
+			t.Fatalf("second caller: v=%q joined=%v err=%v, want a fresh flight returning \"fresh\"", o.v, o.joined, o.err)
+		}
+	case <-time.After(5 * time.Second):
+		// Only reached when the second caller joined the abandoned flight,
+		// which cannot finish until unwind is closed.
+		t.Fatal("second caller joined the abandoned flight")
+	}
+}
+
 // TestSequentialCallsReexecute: flights do not memoize — a caller arriving
 // after completion starts a new execution (memoization is the result
 // cache's job).

@@ -111,9 +111,8 @@ func (b *Block) Terminator() Instr {
 	return b.Instrs[len(b.Instrs)-1]
 }
 
-// Loop describes one natural loop of the program. Loops are annotated by the
-// builder (or by cfg.FindLoops) and carry the flow bound required by WCET
-// analysis.
+// LoopInfo describes one natural loop of the program. Loops are annotated by
+// the builder and carry the flow bound required by WCET analysis.
 type LoopInfo struct {
 	// Head is the block ID of the loop header. The header's terminator is
 	// a KindBranch whose taken edge (Succs[0]) enters the body and whose

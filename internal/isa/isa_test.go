@@ -119,9 +119,6 @@ func TestLayoutAlignsLoopHeaders(t *testing.T) {
 	if addr := lay.Addr(InstrRef{Block: head, Index: 0}); addr%DefaultLoopAlign != 0 {
 		t.Fatalf("loop header at %#x not %d-byte aligned", addr, DefaultLoopAlign)
 	}
-	if lay.TextBytes() < uint64(p.NInstr()*InstrBytes) {
-		t.Fatal("text smaller than its instructions")
-	}
 }
 
 // The relocation property the optimizer relies on: inserting an instruction

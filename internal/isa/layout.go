@@ -77,9 +77,6 @@ func (l *Layout) StartAddr() uint64 {
 // NInstr returns the total number of instructions covered by the layout.
 func (l *Layout) NInstr() int { return l.total }
 
-// TextBytes returns the total text size including alignment padding.
-func (l *Layout) TextBytes() uint64 { return l.end - l.StartAddr() }
-
 // MemBlock returns the memory block index of ref for the given cache block
 // size in bytes. Two instructions share a memory block exactly when they
 // share this index; the index is also what a prefetch instruction loads.

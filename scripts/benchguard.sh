@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
-# Same-machine A/B guard on BenchmarkFigure3. Builds the root package's
-# test binary at a base revision and at the working tree, runs the two
-# interleaved for five pairs with -benchtime 1x (alternating which side
-# runs first), and fails when the head minimum exceeds the base minimum by
-# more than 5 percent. Interleaving and min-of-N keep runner drift out of
-# the comparison.
+# Same-machine A/B guard on the repository benchmark's fig3-sweep workload
+# (perfbench/, declared in BENCHMARK.json). Builds perfbench at a base
+# revision and at the working tree, runs the two interleaved for five pairs
+# (alternating which side runs first), and fails when
+#   - a run reports an incorrect result or a failed op;
+#   - wcet_gain_pct, energy_gain_pct or acet_gain_pct differs between the
+#     two runs of a pair by more than its relative bound in BENCHMARK.json;
+#   - head's median ops_per_s is more than 5 percent below base's.
+# perfbench divides its timings by an interleaved reference kernel, so
+# ops_per_s stays comparable while the machine's speed drifts.
 #
 #   BASE=origin/main ./scripts/benchguard.sh
 set -euo pipefail
@@ -21,31 +25,46 @@ trap 'rm -rf "$work"' EXIT
 git cat-file -e "$BASE^{commit}" 2>/dev/null || git fetch --quiet --depth=1 origin "$BASE"
 mkdir "$work/base"
 git archive "$BASE" | tar -x -C "$work/base"
-(cd "$work/base" && go test -c -o "$work/base.test" .)
-go test -c -o "$work/head.test" .
+# Each copy builds through its own perfbench/go.mod (replace ucp => ../).
+(cd "$work/base/perfbench" && go build -o "$work/base.bin" .)
+(cd perfbench && go build -o "$work/head.bin" .)
 
-# run DIR BIN prints BenchmarkFigure3's ns/op for one run of BIN in DIR.
+# run SIDE runs SIDE's perfbench once and appends the last line of its
+# output, the result JSON, to $work/SIDE.jsonl.
 run() {
-  (cd "$1" && "$2" -test.run '^$' -test.bench '^BenchmarkFigure3$' -test.benchtime 1x -test.timeout 10m) |
-    awk '$1 ~ /^BenchmarkFigure3(-[0-9]+)?$/ { for (i = 2; i <= NF; i++) if ($i == "ns/op") print $(i - 1) }'
+  "$work/$1.bin" -workload fig3-sweep -seed 1 -seconds 20 -trace 0 | tail -n 1 >>"$work/$1.jsonl"
 }
 
-base_min="" head_min=""
 for i in $(seq 1 "$PAIRS"); do
   if [ $((i % 2)) -eq 1 ]; then
-    b=$(run "$work/base" "$work/base.test")
-    h=$(run . "$work/head.test")
+    run base
+    run head
   else
-    h=$(run . "$work/head.test")
-    b=$(run "$work/base" "$work/base.test")
+    run head
+    run base
   fi
-  echo "pair $i: base $b ns/op, head $h ns/op"
-  if [ -z "$base_min" ] || [ "$b" -lt "$base_min" ]; then base_min=$b; fi
-  if [ -z "$head_min" ] || [ "$h" -lt "$head_min" ]; then head_min=$h; fi
+  echo "pair $i: ops_per_s base $(tail -n 1 "$work/base.jsonl" | jq .metrics.ops_per_s.value)," \
+    "head $(tail -n 1 "$work/head.jsonl" | jq .metrics.ops_per_s.value)"
 done
 
-awk -v b="$base_min" -v h="$head_min" -v pairs="$PAIRS" -v limit="$LIMIT" 'BEGIN {
-  delta = (h - b) / b * 100
-  printf "BenchmarkFigure3 min of %s: base %.0f ns/op, head %.0f ns/op (%+.2f%%, limit +%s%%)\n", pairs, b, h, delta, limit
-  if (delta > limit) { print "head is slower than base beyond the limit"; exit 1 }
-}'
+report=$(jq -nr --slurpfile base "$work/base.jsonl" --slurpfile head "$work/head.jsonl" \
+  --slurpfile spec BENCHMARK.json --argjson limit "$LIMIT" '
+  def median: sort | .[length / 2 | floor];
+  def ops: map(.metrics.ops_per_s.value) | median;
+  def round2: . * 100 | round / 100;
+  def broken($side): .[] | select(.correct != true or .failed > 0) |
+    "\($side) run reports correct=\(.correct) failed=\(.failed)";
+  ($base | ops) as $b | ($head | ops) as $h | (($h - $b) / $b * 100) as $delta |
+  [
+    ($base | broken("base")), ($head | broken("head")),
+    ($spec[0].end_to_end[] | select(.name | endswith("_gain_pct")) as $m |
+      range($base | length) as $i |
+      $base[$i].metrics[$m.name].value as $bv | $head[$i].metrics[$m.name].value as $hv |
+      select(if $bv == 0 then $hv != 0 else (($hv - $bv) / $bv | fabs) > $m.bound end) |
+      "pair \($i + 1): \($m.name) base \($bv), head \($hv) (relative bound \($m.bound))"),
+    (select($delta < -$limit) | "head ops_per_s is more than \($limit)% below base")
+  ] as $fails |
+  "fig3-sweep ops_per_s median of \($base | length): base \($b | round2), head \($h | round2) (\($delta | round2)%, limit -\($limit)%)",
+  if $fails == [] then "guard passed" else $fails[], "guard failed" end')
+echo "$report"
+[ "$(tail -n 1 <<<"$report")" = "guard passed" ]
