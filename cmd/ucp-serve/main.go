@@ -38,7 +38,6 @@ import (
 
 	"ucp/internal/dist"
 	"ucp/internal/journal"
-	"ucp/internal/obs"
 	"ucp/internal/service"
 	"ucp/internal/store"
 )
@@ -59,7 +58,7 @@ func main() {
 		probeIvl = flag.Duration("probe-interval", 2*time.Second, "worker health-probe interval for -worker-urls (0 disables the prober)")
 		traceDir = flag.String("trace-dir", "", "durable trace/event sink directory; empty keeps traces response-only")
 		traceSmp = flag.Float64("trace-sample", 0, "head-sampling rate [0..1] for persisting successful request traces (failed and slow requests always persist)")
-		traceMax = flag.Int64("trace-max-bytes", obs.DefaultSinkMaxBytes, "trace-sink segment size bound in bytes before rotation")
+		traceMax = flag.Int64("trace-max-bytes", journal.DefaultSinkMaxBytes, "trace-sink segment size bound in bytes before rotation")
 		pprofAt  = flag.String("pprof", "", "pprof listen address (e.g. localhost:6060); empty disables profiling")
 		logJSON  = flag.Bool("log-json", false, "emit request logs as JSON lines instead of logfmt-style text")
 	)
@@ -116,10 +115,10 @@ func main() {
 	// The trace sink outlives the service for the same reason the store
 	// does: the drain's last traced requests must land durably before the
 	// process exits.
-	var sink *obs.Sink
+	var sink *journal.Sink
 	if *traceDir != "" {
 		var err error
-		sink, err = obs.OpenSink(*traceDir, *traceMax)
+		sink, err = journal.OpenSink(*traceDir, *traceMax)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

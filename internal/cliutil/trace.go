@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"ucp/internal/journal"
 	"ucp/internal/obs"
 )
 
@@ -41,7 +42,7 @@ func SaveTrace(dir, id string, t *obs.SpanTree) error {
 	if dir == "" || t == nil {
 		return nil
 	}
-	sink, err := obs.OpenSink(dir, 0)
+	sink, err := journal.OpenSink(dir, 0)
 	if err != nil {
 		return err
 	}

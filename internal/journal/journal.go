@@ -4,12 +4,13 @@
 // and running jobs exactly where they left off instead of silently losing
 // them with the in-memory job store.
 //
-// Durability follows internal/store's discipline: every append is a single
-// write followed by fsync, the sequence high-water mark is persisted via
-// atomic temp+rename, and replay is corruption-tolerant — a torn final
+// The package also holds the trace sink (sink.go), the other durable
+// NDJSON log. Both stand on one core (log.go): every append is a single
+// write followed by fsync, and replay is corruption-tolerant — a torn final
 // line (the signature of a crash mid-append) or an unparsable line is
 // skipped, never fatal, because losing one cell record only costs one
-// re-executed cell.
+// re-executed cell. The job sequence high-water mark is persisted via
+// atomic temp+rename.
 //
 // One file per job (<id>.ndjson) keeps appends contention-free across jobs
 // and makes removal (job pruning) a single unlink. The submit record
@@ -19,7 +20,6 @@
 package journal
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -30,8 +30,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"ucp/internal/faults"
 )
 
 // version tags the submit record so a future format change can replay old
@@ -222,15 +220,14 @@ func (l *Journal) Begin(ctx context.Context, id string, created time.Time, total
 	if err != nil {
 		return nil, fmt.Errorf("journal: reserve seq: %w", err)
 	}
-	f, err := os.OpenFile(l.path(id), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	w, err := l.writer(id, os.O_CREATE|os.O_EXCL)
 	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
+		return nil, err
 	}
-	w := &Writer{f: f, id: id}
 	if err := w.append(ctx, record{
 		Type: "submit", V: version, ID: id, Created: created, Total: total, Sweep: sweep,
 	}); err != nil {
-		f.Close()
+		w.Close()
 		os.Remove(l.path(id))
 		return nil, err
 	}
@@ -244,16 +241,24 @@ func (l *Journal) Resume(ctx context.Context, id string) (*Writer, error) {
 	if !validID(id) {
 		return nil, fmt.Errorf("journal: invalid job id %q", id)
 	}
-	f, err := os.OpenFile(l.path(id), os.O_WRONLY|os.O_APPEND, 0o644)
+	w, err := l.writer(id, 0)
 	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
+		return nil, err
 	}
-	w := &Writer{f: f, id: id}
 	if err := w.append(ctx, record{Type: "resume", ID: id}); err != nil {
-		f.Close()
+		w.Close()
 		return nil, err
 	}
 	return w, nil
+}
+
+// writer opens one job's journal for appending with the extra open flags.
+func (l *Journal) writer(id string, flag int) (*Writer, error) {
+	log, err := openLog("journal.append", l.path(id), flag)
+	if err != nil {
+		return nil, err
+	}
+	return &Writer{log: log, id: id}, nil
 }
 
 // Remove unlinks a job's journal file (called when the job store prunes
@@ -270,7 +275,7 @@ func (l *Journal) Remove(id string) error {
 }
 
 // Replay scans every journal file in the directory and reconstructs its
-// job, sorted by ID (creation order for sequential IDs). Files without a
+// job, in sequence order (creation order). Files without a
 // valid submit record — foreign files, total corruption — are skipped
 // rather than fatal; within a file, unparsable lines (a torn tail from a
 // crash mid-append) are counted in Job.Skipped and ignored.
@@ -293,42 +298,28 @@ func (l *Journal) Replay() ([]Job, error) {
 			jobs = append(jobs, j)
 		}
 	}
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].ID < jobs[b].ID })
+	sort.Slice(jobs, func(a, b int) bool {
+		na, _ := seqOf(jobs[a].ID)
+		nb, _ := seqOf(jobs[b].ID)
+		return na < nb
+	})
 	return jobs, nil
 }
-
-// maxLine bounds one journal line during replay; a cell record embeds one
-// Result (well under a kilobyte), so 4 MiB is generous headroom.
-const maxLine = 4 << 20
 
 // replayFile reconstructs one job; ok is false when the file never yields
 // a valid submit record.
 func (l *Journal) replayFile(path, id string) (Job, bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Job{}, false
-	}
-	defer f.Close()
-
 	j := Job{ID: id, Cells: map[int]Cell{}, Failures: map[int]string{}}
 	submitted := false
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64<<10), maxLine)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	skipped, err := readLines(path, func(line []byte) bool {
 		var r record
 		if err := json.Unmarshal(line, &r); err != nil {
-			j.Skipped++
-			continue
+			return false
 		}
 		switch r.Type {
 		case "submit":
 			if r.ID != id || r.Total <= 0 {
-				j.Skipped++
-				continue
+				return false
 			}
 			j.Created = r.Created
 			j.Total = r.Total
@@ -336,74 +327,50 @@ func (l *Journal) replayFile(path, id string) (Job, bool) {
 			submitted = true
 		case "cell":
 			if !submitted || r.Index < 0 || r.Index >= j.Total || len(r.Result) == 0 {
-				j.Skipped++
-				continue
+				return false
 			}
 			j.Cells[r.Index] = Cell{Cached: r.Cached, DurMS: r.DurMS, Result: append(json.RawMessage(nil), r.Result...)}
 			delete(j.Failures, r.Index)
 		case "cellfail":
 			if !submitted || r.Index < 0 || r.Index >= j.Total {
-				j.Skipped++
-				continue
+				return false
 			}
 			j.Failures[r.Index] = r.Error
 		case "resume":
 			j.Resumed = true
 		case "finish":
 			if !submitted || (r.State != "done" && r.State != "failed") {
-				j.Skipped++
-				continue
+				return false
 			}
 			j.State = r.State
 			j.Error = r.Error
 			j.Finished = r.Finished
 		default:
-			j.Skipped++
+			return false
 		}
-	}
-	// A scanner error (over-long line) truncates the replay at that point;
-	// everything before it is still good, which is exactly the torn-tail
-	// contract.
-	if !submitted {
+		return true
+	})
+	if err != nil || !submitted {
 		return Job{}, false
 	}
+	j.Skipped = skipped
 	return j, true
 }
 
-// Writer appends records to one job's journal. Appends are serialized by
-// an internal mutex (sweep cells complete concurrently) and each one is
-// fsynced before returning, so an acknowledged record survives a crash.
+// Writer appends records to one job's journal. Appends are serialized
+// (sweep cells complete concurrently) and each one is fsynced before
+// returning, so an acknowledged record survives a crash.
 type Writer struct {
-	mu sync.Mutex
-	f  *os.File
-	id string
+	log *appendLog
+	id  string
 }
 
-// append marshals and durably writes one record. The faults site
-// "journal.append" (key = job ID) injects append failures for robustness
-// tests; callers treat journal errors as a durability downgrade, never as
-// a reason to fail the job itself.
+// append durably writes one record. The faults site "journal.append"
+// (key = job ID) injects append failures for robustness tests; callers
+// treat journal errors as a durability downgrade, never as a reason to
+// fail the job itself.
 func (w *Writer) append(ctx context.Context, r record) error {
-	if err := faults.Fire(ctx, "journal.append", w.id); err != nil {
-		return err
-	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("journal: marshal: %w", err)
-	}
-	b = append(b, '\n')
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return fmt.Errorf("journal: writer for %s is closed", w.id)
-	}
-	if _, err := w.f.Write(b); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("journal: sync: %w", err)
-	}
-	return nil
+	return w.log.append(ctx, w.id, r)
 }
 
 // Cell records one completed cell: its index in the deterministic sweep
@@ -432,13 +399,4 @@ func (w *Writer) Finish(ctx context.Context, state, errMsg string) error {
 }
 
 // Close releases the file handle without writing a terminal record.
-func (w *Writer) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	err := w.f.Close()
-	w.f = nil
-	return err
-}
+func (w *Writer) Close() error { return w.log.close() }

@@ -1,15 +1,18 @@
 package journal
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"ucp/internal/faults"
+	"ucp/internal/obs"
 )
 
 func mustBegin(t *testing.T, l *Journal, id string, total int) *Writer {
@@ -305,11 +308,113 @@ func TestJournalAppendFaultSite(t *testing.T) {
 	}
 }
 
-// FuzzReplay feeds arbitrary bytes to Replay as one job's journal file.
-// Replay must never panic, a replayed job must stay within the bounds its
-// submit record sets, and the skip count must be exact: appending one
-// garbage line adds one to Skipped and changes nothing else.
+// TestJournalReplayOrderPastSixDigits: IDs are zero-padded to six digits
+// only, so "job-1000000" sorts before "job-999999" as a string. Replay must
+// return jobs in sequence order, because a restart adopts them in that
+// order and prunes the oldest finished ones first.
+func TestJournalReplayOrderPastSixDigits(t *testing.T) {
+	l, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"job-1000000", "job-999999"} {
+		if err := mustBegin(t, l, id, 1).Finish(context.Background(), "done", ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jobs, err := l.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 2 || jobs[0].ID != "job-999999" || jobs[1].ID != "job-1000000" {
+		var ids []string
+		for _, j := range jobs {
+			ids = append(ids, j.ID)
+		}
+		t.Fatalf("replay order = %v, want [job-999999 job-1000000]", ids)
+	}
+}
+
+// TestJournalReplaysCompatFixtures replays directories written by the
+// implementation that predates the shared log core (testdata/compat): a
+// job journal with a resumed, finished job, an unfinished job with a torn
+// tail, and a SEQ mark past both files; and a trace sink with one rotated
+// segment and a corrupt line in the active one. Existing files must keep
+// replaying to exactly these values.
+func TestJournalReplaysCompatFixtures(t *testing.T) {
+	l, err := Open(filepath.Join("testdata", "compat", "jobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Seq(); got != 3 {
+		t.Fatalf("Seq = %d, want 3 (from SEQ; job-000003 was pruned)", got)
+	}
+	jobs, err := l.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	created := time.Date(2026, 10, 1, 12, 0, 0, 0, time.UTC)
+	wantJobs := []Job{{
+		ID:      "job-000001",
+		Created: created,
+		Total:   3,
+		Sweep:   json.RawMessage(`{"programs":["fibcall","fac","bs"],"configs":["k1"],"techs":["45nm"],"runs":1}`),
+		Cells: map[int]Cell{
+			0: {DurMS: 1500, Result: json.RawMessage(`{"program":"fibcall","config":"k1","wcet_orig":1234,"wcet_opt":1200}`)},
+			1: {Cached: true, Result: json.RawMessage(`{"program":"fac","config":"k1","wcet_orig":321,"wcet_opt":321}`)},
+			2: {DurMS: 42, Result: json.RawMessage(`{"program":"bs","config":"k1","wcet_orig":555,"wcet_opt":540}`)},
+		},
+		Failures: map[int]string{}, // cell 1 failed, then succeeded after the resume
+		Resumed:  true,
+		State:    "done",
+		Finished: time.Date(2026, 10, 17, 6, 3, 41, 995675848, time.UTC),
+	}, {
+		ID:       "job-000002",
+		Created:  created.Add(time.Minute),
+		Total:    2,
+		Sweep:    json.RawMessage(`{"programs":["crc"],"configs":["k1","k14"],"techs":["45nm"],"runs":1}`),
+		Cells:    map[int]Cell{0: {DurMS: 7, Result: json.RawMessage(`{"program":"crc","config":"k1","wcet_orig":9000,"wcet_opt":8800}`)}},
+		Failures: map[int]string{},
+		Skipped:  1, // the torn cell record
+	}}
+	if !reflect.DeepEqual(jobs, wantJobs) {
+		t.Fatalf("jobs replayed as\n%+v\nwant\n%+v", jobs, wantJobs)
+	}
+
+	recs, skipped, err := ReadSink(filepath.Join("testdata", "compat", "sink"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const traceID = "f1bbcdcbfa53e0a88ff34785799e5cbd"
+	at := func(ns int) time.Time { return time.Date(2026, 10, 17, 6, 3, 46, ns, time.UTC) }
+	event := func(ns, index int) SinkRecord {
+		return SinkRecord{Kind: "event", Time: at(ns), RequestID: "job-000001", TraceID: traceID,
+			Event: "cell_finished", Attrs: map[string]any{"index": float64(index)}}
+	}
+	wantRecs := []SinkRecord{
+		{Kind: "trace", Time: at(968643936), RequestID: "req-000001", TraceID: traceID, Trace: &obs.SpanTree{
+			Name: "request", TraceID: traceID, SpanID: "2e2ac13ef8e8d8d2", Attrs: map[string]any{"program": "fibcall"},
+		}},
+		event(969009052, 0), // trace-000001.ndjson
+		event(969092874, 1),
+		event(969164495, 2), // trace.ndjson; index 3 is the corrupt line
+		event(969390641, 4),
+	}
+	if skipped != 1 || !reflect.DeepEqual(recs, wantRecs) {
+		t.Fatalf("sink replayed as %d skipped\n%+v\nwant 1 skipped\n%+v", skipped, recs, wantRecs)
+	}
+}
+
+// FuzzReplay feeds arbitrary bytes to both readers of the shared line
+// reader: to Replay as one job's journal file and to ReadSink as the
+// active trace segment. Neither may panic. A replayed job must stay within
+// the bounds its submit record sets; every non-empty line must come back
+// exactly once as a sink record or a skipped line; and appending one
+// garbage line must add one to each skip count and change nothing else.
+// The corpus holds both formats' seed sets, each whole, so the empty input
+// appears once in each.
 func FuzzReplay(f *testing.F) {
+	// Job-journal seeds.
 	const submit = `{"v":1,"type":"submit","id":"job-000001","created":"2026-01-01T00:00:00Z","total":3,"sweep":{"programs":["fibcall"]}}`
 	f.Add([]byte(submit + "\n"))
 	f.Add([]byte(submit + "\n" +
@@ -323,15 +428,32 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte(`{"type":"cell","index":0,"result":{}}` + "\n" + submit + "\n"))
 	f.Add([]byte("not a journal\n"))
 	f.Add([]byte{})
+	// Trace-sink seeds.
+	f.Add([]byte(`{"kind":"trace","request_id":"req-000001","trace_id":"0123456789abcdef0123456789abcdef","trace":{"name":"request"}}` + "\n" +
+		`{"kind":"event","event":"job_finished","request_id":"req-000002","attrs":{"cells":4}}` + "\n"))
+	f.Add([]byte(`{"kind":"event","event":"cell_finished","attrs":{"index":0}}` + "\n" +
+		"{\"kind\":\"event\",\"ev%%corrupt%%\n" +
+		`{"kind":"event","event":"torn`))
+	f.Add([]byte("{\"kind\":\"mystery\"}\n"))
+	f.Add([]byte("\r\n\n{}\r\n"))
+	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= maxLine {
-			t.Skip("over-long lines truncate replay by design")
+			t.Skip("an over-long line ends a read by design")
 		}
-		replay := func(data []byte) (Job, bool) {
+		type result struct {
+			job      Job
+			ok       bool
+			recs     []SinkRecord
+			sinkSkip int
+		}
+		read := func(data []byte) result {
 			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "job-000001.ndjson"), data, 0o644); err != nil {
-				t.Fatal(err)
+			for _, name := range []string{"job-000001.ndjson", sinkActive} {
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 			l, err := Open(dir)
 			if err != nil {
@@ -344,14 +466,19 @@ func FuzzReplay(f *testing.F) {
 			if len(jobs) > 1 {
 				t.Fatalf("one file replayed as %d jobs", len(jobs))
 			}
-			if len(jobs) == 0 {
-				return Job{}, false
+			var r result
+			if len(jobs) == 1 {
+				r.job, r.ok = jobs[0], true
 			}
-			return jobs[0], true
+			if r.recs, r.sinkSkip, err = ReadSink(dir); err != nil {
+				t.Fatal(err)
+			}
+			return r
 		}
 
-		j, ok := replay(data)
-		if ok {
+		r := read(data)
+		if r.ok {
+			j := r.job
 			if j.ID != "job-000001" || j.Total <= 0 {
 				t.Fatalf("replayed job without a valid submit record: %+v", j)
 			}
@@ -369,14 +496,33 @@ func FuzzReplay(f *testing.F) {
 				t.Fatalf("replayed state %q", j.State)
 			}
 		}
-
-		j2, ok2 := replay(append(append([]byte(nil), data...), "\n\x00garbage\n"...))
-		if ok2 != ok {
-			t.Fatalf("a trailing garbage line changed whether the job replays (%v -> %v)", ok, ok2)
+		lines := 0
+		for _, l := range bytes.Split(data, []byte("\n")) {
+			if len(bytes.TrimSuffix(l, []byte("\r"))) > 0 {
+				lines++
+			}
 		}
-		if ok && (j2.Skipped != j.Skipped+1 || len(j2.Cells) != len(j.Cells) || j2.State != j.State) {
+		if len(r.recs)+r.sinkSkip != lines {
+			t.Fatalf("%d sink records + %d skipped != %d non-empty lines", len(r.recs), r.sinkSkip, lines)
+		}
+		for _, rec := range r.recs {
+			if rec.Kind != "trace" && rec.Kind != "event" {
+				t.Fatalf("returned a sink record of kind %q", rec.Kind)
+			}
+		}
+
+		r2 := read(append(append([]byte(nil), data...), "\n\x00garbage\n"...))
+		if r2.ok != r.ok {
+			t.Fatalf("a trailing garbage line changed whether the job replays (%v -> %v)", r.ok, r2.ok)
+		}
+		j, j2 := r.job, r2.job
+		if r.ok && (j2.Skipped != j.Skipped+1 || len(j2.Cells) != len(j.Cells) || j2.State != j.State) {
 			t.Fatalf("trailing garbage line: skipped %d -> %d, cells %d -> %d, state %q -> %q",
 				j.Skipped, j2.Skipped, len(j.Cells), len(j2.Cells), j.State, j2.State)
+		}
+		if r2.sinkSkip != r.sinkSkip+1 || len(r2.recs) != len(r.recs) {
+			t.Fatalf("trailing garbage line: sink skipped %d -> %d, records %d -> %d",
+				r.sinkSkip, r2.sinkSkip, len(r.recs), len(r2.recs))
 		}
 	})
 }

@@ -129,3 +129,33 @@ func RequestIDFrom(ctx context.Context) string {
 	id, _ := ctx.Value(requestIDKey{}).(string)
 	return id
 }
+
+// Sampler makes head sampling decisions for the durable trace sink
+// (journal.Sink): Sample reports true for roughly rate of calls, drawing
+// from the process ID source so a seeded SetIDSource makes the decision
+// sequence deterministic. A nil *Sampler never samples.
+type Sampler struct {
+	rate float64
+}
+
+// NewSampler returns a sampler firing at rate (clamped to [0, 1]).
+func NewSampler(rate float64) *Sampler {
+	if rate < 0 {
+		rate = 0
+	}
+	if rate > 1 {
+		rate = 1
+	}
+	return &Sampler{rate: rate}
+}
+
+// Sample makes one head decision.
+func (s *Sampler) Sample() bool {
+	if s == nil || s.rate <= 0 {
+		return false
+	}
+	if s.rate >= 1 {
+		return true
+	}
+	return float64(randID()>>11)/(1<<53) < s.rate
+}

@@ -161,3 +161,45 @@ func FuzzParseTraceparent(f *testing.F) {
 		}
 	})
 }
+
+func TestSamplerDeterministicUnderSeededSource(t *testing.T) {
+	decisions := func() []bool {
+		seeded := uint64(42)
+		SetIDSource(func() uint64 { seeded++; return seeded * 0x9E3779B97F4A7C15 })
+		defer SetIDSource(nil)
+		sm := NewSampler(0.3)
+		out := make([]bool, 64)
+		for i := range out {
+			out[i] = sm.Sample()
+		}
+		return out
+	}
+	a, b := decisions(), decisions()
+	var fired int
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("decision %d differs across identically seeded runs", i)
+		}
+		if a[i] {
+			fired++
+		}
+	}
+	if fired == 0 || fired == len(a) {
+		t.Fatalf("rate 0.3 fired %d/%d times — not sampling", fired, len(a))
+	}
+}
+
+func TestSamplerEdges(t *testing.T) {
+	if (*Sampler)(nil).Sample() {
+		t.Fatal("nil sampler must never fire")
+	}
+	if NewSampler(0).Sample() {
+		t.Fatal("rate 0 must never fire")
+	}
+	always := NewSampler(1)
+	for i := 0; i < 32; i++ {
+		if !always.Sample() {
+			t.Fatal("rate 1 must always fire")
+		}
+	}
+}

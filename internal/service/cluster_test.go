@@ -14,14 +14,15 @@ import (
 	"time"
 
 	"ucp/internal/dist"
+	"ucp/internal/journal"
 	"ucp/internal/obs"
 )
 
 // openSink opens a trace sink in dir for one test server; the server never
 // closes its configured sink, so the test does.
-func openSink(t *testing.T, dir string) *obs.Sink {
+func openSink(t *testing.T, dir string) *journal.Sink {
 	t.Helper()
-	sink, err := obs.OpenSink(dir, 0)
+	sink, err := journal.OpenSink(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func pollJobDone(t *testing.T, base, jobID string) JobStatus {
 // directory.
 func sinkTraceIDs(t *testing.T, dir string) map[string]bool {
 	t.Helper()
-	records, skipped, err := obs.ReadSink(dir)
+	records, skipped, err := journal.ReadSink(dir)
 	if err != nil {
 		t.Fatalf("read sink %s: %v", dir, err)
 	}

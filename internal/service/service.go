@@ -94,12 +94,12 @@ type Config struct {
 	// analysis runs on worker replicas (see internal/dist.Coordinator).
 	CellExec experiment.CellExec
 	// TraceSink, when non-nil, durably records traces and job lifecycle
-	// events as NDJSON (obs.OpenSink): every request records spans, and the
+	// events as NDJSON (journal.OpenSink): every request records spans, and the
 	// tree is persisted when the request failed, ran slow, asked for
 	// ?trace=1, or won the TraceSample coin flip — tail-based keeping on a
 	// head-recorded trace. The Server does not close the sink; its owner
 	// (cmd/ucp-serve, tests) does, after Close.
-	TraceSink *obs.Sink
+	TraceSink *journal.Sink
 	// TraceSample is the sampling rate in [0,1] for persisting traces of
 	// ordinary successful requests to TraceSink. Zero keeps only failed,
 	// slow, and explicitly traced requests.

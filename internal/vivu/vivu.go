@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ucp/internal/cfg"
 	"ucp/internal/isa"
 	"ucp/internal/obs"
 )
@@ -165,15 +164,15 @@ func Expand(p *isa.Program) (*Prog, error) {
 	}
 
 	// Topological order of the DAG obtained by dropping back edges.
-	dag := cfg.Graph{Succs: make([][]int, len(x.Blocks)), Entry: x.Entry}
+	dag := make([][]int, len(x.Blocks))
 	for _, xb := range x.Blocks {
 		for _, e := range xb.Succs {
 			if !e.Back {
-				dag.Succs[xb.ID] = append(dag.Succs[xb.ID], e.To)
+				dag[xb.ID] = append(dag[xb.ID], e.To)
 			}
 		}
 	}
-	topo, err := cfg.Topological(dag)
+	topo, err := topological(dag, x.Entry)
 	if err != nil {
 		return nil, fmt.Errorf("vivu: expanded graph not acyclic after removing back edges: %w", err)
 	}
@@ -182,6 +181,43 @@ func Expand(p *isa.Program) (*Prog, error) {
 		return nil, fmt.Errorf("vivu: %d of %d expanded blocks unreachable", len(x.Blocks)-len(topo), len(x.Blocks))
 	}
 	return x, nil
+}
+
+// topological returns a topological order of the vertices reachable from
+// entry in the graph with successor lists succs, and fails if the
+// reachable subgraph contains a cycle.
+func topological(succs [][]int, entry int) ([]int, error) {
+	const (
+		white = 0
+		grey  = 1
+		black = 2
+	)
+	color := make([]int, len(succs))
+	post := make([]int, 0, len(succs))
+	var dfs func(v int) error
+	dfs = func(v int) error {
+		color[v] = grey
+		for _, s := range succs[v] {
+			switch color[s] {
+			case grey:
+				return fmt.Errorf("cycle through vertex %d", s)
+			case white:
+				if err := dfs(s); err != nil {
+					return err
+				}
+			}
+		}
+		color[v] = black
+		post = append(post, v)
+		return nil
+	}
+	if err := dfs(entry); err != nil {
+		return nil, err
+	}
+	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
+		post[i], post[j] = post[j], post[i]
+	}
+	return post, nil
 }
 
 // loopChains returns, for every block, the indexes of its enclosing loops

@@ -2,6 +2,7 @@ package vivu
 
 import (
 	"testing"
+	"testing/quick"
 
 	"ucp/internal/isa"
 )
@@ -273,5 +274,69 @@ func TestRegionMembersInnermost(t *testing.T) {
 				t.Fatalf("member %d has ctx %q outside region %q", xb, ctx, want)
 			}
 		}
+	}
+}
+
+func TestTopologicalRejectsCycles(t *testing.T) {
+	// loop: 0 -> 1(head) -> 2(body) -> 1, 1 -> 3(exit)
+	if _, err := topological([][]int{{1}, {2, 3}, {1}, {}}, 0); err == nil {
+		t.Fatal("expected cycle error")
+	}
+	// diamond: 0 -> 1,2 -> 3
+	order, err := topological([][]int{{1, 2}, {3}, {3}, {}}, 0)
+	if err != nil {
+		t.Fatalf("topological: %v", err)
+	}
+	if len(order) != 4 {
+		t.Fatalf("order = %v", order)
+	}
+}
+
+func TestTopologicalIgnoresUnreachable(t *testing.T) {
+	// Vertex 3 unreachable: order covers only the reachable part.
+	order, err := topological([][]int{{1}, {2}, {}, {2}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 3 {
+		t.Fatalf("order = %v, want 3 reachable vertices", order)
+	}
+}
+
+// Property: the topological order is a depth-first reverse postorder, so
+// on an acyclic graph every edge between reachable vertices goes forward
+// in it.
+func TestReversePostorderTopologicalProperty(t *testing.T) {
+	f := func(raw [][2]uint8) bool {
+		n := 10
+		succs := make([][]int, n)
+		for _, e := range raw {
+			u, v := int(e[0])%n, int(e[1])%n
+			if u < v { // forward edges only: guarantees acyclicity
+				succs[u] = append(succs[u], v)
+			}
+		}
+		order, err := topological(succs, 0)
+		if err != nil {
+			return false
+		}
+		pos := map[int]int{}
+		for i, v := range order {
+			pos[v] = i
+		}
+		for u, ss := range succs {
+			if _, ok := pos[u]; !ok {
+				continue
+			}
+			for _, v := range ss {
+				if pos[u] >= pos[v] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
