@@ -23,15 +23,15 @@
 // On top of the paper's local criterion this implementation re-runs the
 // full sound analysis before committing insertions — batched, with
 // bisection on failure — and rolls back any batch that would increase τ_w
-// or fail to remove WCET-scenario misses. Theorem 1 therefore holds by
-// construction, with the paper's criterion acting as the proposal filter
-// (see DESIGN.md).
+// or fail to remove WCET-scenario misses; the cleanup pass that removes
+// parasitic prefetches commits through the same validate step. Theorem 1
+// therefore holds by construction, with the paper's criterion acting as
+// the proposal filter (see DESIGN.md).
 package core
 
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 
 	"ucp/internal/absint"
@@ -265,12 +265,9 @@ func OptimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Op
 			if len(cands) > maxIns-rep.Inserted {
 				cands = cands[:maxIns-rep.Inserted]
 			}
-			n, err := o.bisect(cands)
+			n, err := bisect(o, cands, o.trySubset, shiftCandidate)
 			if err != nil {
 				return nil, nil, err
-			}
-			if debugEnabled {
-				fmt.Printf("level %d pass %d: cands=%d accepted=%d validations=%d\n", lv.n, rep.Passes, len(cands), n, rep.Validations)
 			}
 			rep.Inserted += n
 			if n == 0 {
@@ -319,8 +316,6 @@ func OptimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Op
 	}
 	return q, rep, nil
 }
-
-var debugEnabled = os.Getenv("UCP_DEBUG") != ""
 
 type candidateKey struct {
 	block, index int    // replacing reference r_i (original coordinates)
@@ -378,19 +373,12 @@ type optimizer struct {
 	// each committed decision pinned to its instruction's live coordinates.
 	dec     *decisionLog
 	decRefs []decRef
-	// lastTauDelta is the τ_w movement of the most recent rejected
-	// trySubset, for attributing rcost to single-candidate rejections.
-	lastTauDelta int64
-	// insLog records committed insertions so sibling bisection branches
-	// can shift their pending coordinates.
-	insLog []insertion
+	// edits logs every committed program edit in application order, so a
+	// bisection branch can move its pending half past what its sibling
+	// committed.
+	edits []isa.Edit
 	// budget caps Validations.
 	budget int
-}
-
-// insertion records one committed program growth event.
-type insertion struct {
-	block, pos, grown int
 }
 
 // level is the optimizer's view of one cache level: the candidate phase
@@ -617,65 +605,83 @@ func (o *optimizer) explainPCost(block int) int64 {
 	return o.insertionFetchCost(block)
 }
 
-// bisect commits as many of the candidates as the sound analysis accepts:
-// it inserts the whole set, re-analyzes once, and on a τ_w or miss
-// regression rolls everything back and recurses on the halves, keeping the
-// coordinates of the pending half consistent with the insertions the other
-// half committed.
-func (o *optimizer) bisect(cands []candidate) (int, error) {
-	if len(cands) == 0 || o.rep.Validations >= o.budget {
+// validate is the optimizer's one commit step. It snapshots the program,
+// applies change (which reports the edits it made), and re-analyzes soundly.
+// When accept(prev, cur) holds the edits stay: they join o.edits, and the
+// explain coordinates move through them (a removed decision becomes
+// "pruned"). Otherwise the program and the previous result are restored —
+// which also revives the backward-state cache, keyed on the result pointer.
+func (o *optimizer) validate(change func(*isa.Program) []isa.Edit, accept func(prev, cur *wcet.Result) bool) (bool, error) {
+	prog := o.res.Prog
+	snapshot := make([][]isa.Instr, len(prog.Blocks))
+	for i, b := range prog.Blocks {
+		snapshot[i] = append([]isa.Instr(nil), b.Instrs...)
+	}
+	edits := change(prog)
+	prev := o.res
+	if err := o.refresh(); err != nil {
+		return false, err
+	}
+	if !accept(prev, o.res) {
+		for i, b := range prog.Blocks {
+			b.Instrs = snapshot[i]
+		}
+		o.res = prev
+		return false, nil
+	}
+	o.edits = append(o.edits, edits...)
+	o.explainEdits(edits)
+	return true, nil
+}
+
+// bisect commits as many of items as validation accepts: try validates the
+// whole set at once, and on rejection bisect recurses on the halves, moving
+// the pending half (with shift) past the edits its sibling committed.
+func bisect[T any](o *optimizer, items []T, try func([]T) (bool, error), shift func(T, isa.Edit) T) (int, error) {
+	if len(items) == 0 || o.rep.Validations >= o.budget {
 		return 0, nil
 	}
-	ok, err := o.trySubset(cands)
+	ok, err := try(items)
 	if err != nil {
 		return 0, err
 	}
 	if ok {
-		return len(cands), nil
+		return len(items), nil
 	}
-	if len(cands) == 1 {
-		o.rejected[cands[0].key] = true
-		o.rep.RejectedValidation++
-		o.explainValidationReject(cands[0], o.lastTauDelta)
+	if len(items) == 1 {
 		return 0, nil
 	}
-	mid := len(cands) / 2
-	mark := len(o.insLog)
-	n1, err := o.bisect(cands[:mid])
+	mid := len(items) / 2
+	mark := len(o.edits)
+	n1, err := bisect(o, items[:mid], try, shift)
 	if err != nil {
 		return n1, err
 	}
-	right := cands[mid:]
-	if len(o.insLog) > mark {
-		right = adjustCandidates(right, o.insLog[mark:])
-	}
-	n2, err := o.bisect(right)
-	return n1 + n2, err
-}
-
-// adjustCandidates shifts candidate coordinates past the logged insertions.
-func adjustCandidates(cands []candidate, log []insertion) []candidate {
-	out := append([]candidate(nil), cands...)
-	for _, ins := range log {
-		for i := range out {
-			c := &out[i]
-			if c.at.Block == ins.block && c.at.Index >= ins.pos {
-				c.at.Index += ins.grown
-			}
-			if c.use.Block == ins.block && c.use.Index >= ins.pos {
-				c.use.Index += ins.grown
+	right := items[mid:]
+	if len(o.edits) > mark {
+		right = append([]T(nil), right...)
+		for i := range right {
+			for _, e := range o.edits[mark:] {
+				right[i] = shift(right[i], e)
 			}
 		}
 	}
-	return out
+	n2, err := bisect(o, right, try, shift)
+	return n1 + n2, err
+}
+
+// shiftCandidate moves a pending candidate's anchor and use through e.
+func shiftCandidate(c candidate, e isa.Edit) candidate {
+	c.at, _ = e.Shift(c.at)
+	c.use, _ = e.Shift(c.use)
+	return c
 }
 
 // trySubset inserts the candidates (descending program position, so pending
-// coordinates stay valid), re-analyzes, and keeps the insertions only when
-// τ_w does not grow (Condition 1 / Lemma 2) and the WCET-scenario miss
-// count shrinks (Condition 2).
+// anchors stay valid) and keeps the insertions only when τ_w does not grow
+// (Condition 1 / Lemma 2) and the WCET-scenario miss count shrinks
+// (Condition 2). A rejected single candidate is refuted for good.
 func (o *optimizer) trySubset(cands []candidate) (bool, error) {
-	prog := o.res.Prog
 	sorted := append([]candidate(nil), cands...)
 	sort.Slice(sorted, func(i, j int) bool {
 		if sorted[i].at.Block != sorted[j].at.Block {
@@ -683,77 +689,66 @@ func (o *optimizer) trySubset(cands []candidate) (bool, error) {
 		}
 		return sorted[i].at.Index > sorted[j].at.Index
 	})
-
-	snapshot := make([][]isa.Instr, len(prog.Blocks))
-	for i, b := range prog.Blocks {
-		snapshot[i] = append([]isa.Instr(nil), b.Instrs...)
-	}
-
 	pads := 0
 	if o.opt.PadToBlock {
 		pads = o.cfg.BlockBytes/isa.InstrBytes - 1
 	}
-	var inserted []insertion
-	var poss []isa.InstrRef
-	if o.dec != nil {
-		poss = make([]isa.InstrRef, len(sorted))
-	}
-	for ci, c := range sorted {
-		ins := isa.Instr{Kind: isa.KindPrefetch, Level: c.key.level, Target: c.use}
-		var pos isa.InstrRef
-		if c.before {
-			pos = prog.InsertInstrBefore(c.at, ins)
-		} else {
-			pos = prog.InsertInstr(c.at, ins)
-		}
-		if poss != nil {
-			poss[ci] = pos
-		}
-		cur := pos
-		for k := 0; k < pads; k++ {
-			cur = prog.InsertInstr(cur, isa.Instr{Kind: isa.KindPad})
-		}
-		// Shift the pending candidates' use coordinates past the insertion;
-		// their anchors are weakly upstream by the sort order and stay put.
-		grown := 1 + pads
-		inserted = append(inserted, insertion{block: pos.Block, pos: pos.Index, grown: grown})
-		for cj := ci + 1; cj < len(sorted); cj++ {
-			p := &sorted[cj]
-			if p.use.Block == pos.Block && p.use.Index >= pos.Index {
-				p.use.Index += grown
+	// Each candidate's prefetch (plus pads) is one edit, edits[ci].
+	var edits []isa.Edit
+	insert := func(prog *isa.Program) []isa.Edit {
+		edits = make([]isa.Edit, 0, len(sorted))
+		for ci := range sorted {
+			c := &sorted[ci]
+			// Move the use past this batch's earlier insertions; the anchor
+			// is weakly upstream of them by the sort order and stays put.
+			for _, e := range edits {
+				c.use, _ = e.Shift(c.use)
 			}
+			ins := isa.Instr{Kind: isa.KindPrefetch, Level: c.key.level, Target: c.use}
+			var pos isa.InstrRef
+			if c.before {
+				pos = prog.InsertInstrBefore(c.at, ins)
+			} else {
+				pos = prog.InsertInstr(c.at, ins)
+			}
+			cur := pos
+			for k := 0; k < pads; k++ {
+				cur = prog.InsertInstr(cur, isa.Instr{Kind: isa.KindPad})
+			}
+			edits = append(edits, isa.Edit{At: pos, N: 1 + pads})
 		}
+		return edits
 	}
-
-	prevRes := o.res
-	if err := o.refresh(); err != nil {
-		return false, err
-	}
+	var rcost int64
 	// Condition 2 counts misses jointly across the hierarchy: an L1
 	// prefetch removes an L1 miss, a Level-2 prefetch removes an L2 miss,
 	// and either kind must not re-introduce misses at the other level. For
 	// single-level runs L2Misses is identically zero and this is exactly
 	// the original condition.
-	if o.opt.DisableValidation ||
-		(o.res.TauW <= prevRes.TauW && o.res.Misses+o.res.L2Misses < prevRes.Misses+prevRes.L2Misses) {
-		for _, ins := range inserted {
-			o.insLog = append(o.insLog, ins)
-		}
-		if o.dec != nil {
-			for ci, c := range sorted {
-				o.explainInsert(c, poss[ci], 1+pads)
+	ok, err := o.validate(insert, func(prev, cur *wcet.Result) bool {
+		rcost = cur.TauW - prev.TauW
+		return o.opt.DisableValidation ||
+			(cur.TauW <= prev.TauW && cur.Misses+cur.L2Misses < prev.Misses+prev.L2Misses)
+	})
+	switch {
+	case err != nil:
+		return false, err
+	case ok && o.dec != nil:
+		for ci, c := range sorted {
+			// The prefetch landed at edits[ci].At; later edits of the batch
+			// may have moved it since.
+			pos := edits[ci].At
+			for _, e := range edits[ci+1:] {
+				pos, _ = e.Shift(pos)
 			}
+			o.explainInsert(c, pos)
 		}
-		return true, nil
+	case !ok && len(cands) == 1:
+		o.rejected[cands[0].key] = true
+		o.rep.RejectedValidation++
+		o.explainValidationReject(cands[0], rcost)
 	}
-	o.lastTauDelta = o.res.TauW - prevRes.TauW
-	for i, b := range prog.Blocks {
-		b.Instrs = snapshot[i]
-	}
-	// Restoring the previous result also revives the backward-state cache:
-	// backward() keys it on the result pointer.
-	o.res = prevRes
-	return false, nil
+	return ok, nil
 }
 
 // testRefreshCheck, when set by the differential tests, receives every
@@ -763,10 +758,10 @@ var testRefreshCheck func(*wcet.Result)
 
 // refresh re-runs the WCET analysis after a program mutation, incrementally
 // seeded from the current result: only the blocks the mutation actually
-// perturbed (plus their forward closure) are re-solved. The backward-state
-// cache needs no explicit reset here — it is keyed on the result pointer
-// (see backward()), so replacing o.res invalidates it exactly once per
-// refresh.
+// perturbed (plus their forward closure) are re-solved. Its one caller is
+// validate. The backward-state cache needs no explicit reset here — it is
+// keyed on the result pointer (see backward()), so replacing o.res
+// invalidates it exactly once per refresh.
 func (o *optimizer) refresh() error {
 	res, err := wcet.AnalyzeXHierFrom(o.ctx, o.x, o.h, o.opt.Par, o.res)
 	if err != nil {

@@ -47,9 +47,9 @@ func (l *decisionLog) record(key candidateKey, d Decision) int {
 }
 
 // decRef pins a committed decision to the prefetch instruction it
-// materialized, by current program coordinates. The coordinates are kept
-// live under every later insertion and removal (the same shift rules the
-// isa layer applies to prefetch targets), so the pruning pass can flip
+// materialized, by current program coordinates. validate moves the
+// coordinates through every later committed edit (the isa.Edit shift rule
+// the isa layer applies to prefetch targets), so the pruning pass flips
 // exactly the decisions whose instructions it deleted. Nothing weaker
 // works: candidate keys and recorded targets both use coordinates frozen
 // at screen time, which drift as insertions move the layout under them.
@@ -58,31 +58,23 @@ type decRef struct {
 	dec int
 }
 
-// trackRemovals flips the decisions of pruned instructions. removed lists
-// each deleted prefetch with the total instruction count n (prefetch +
-// trailing pads) taken out at ref, in the order the removals were applied.
-func (o *optimizer) trackRemovals(removed []removal) {
-	if o.dec == nil {
-		return
-	}
-	for _, rm := range removed {
-		for i := 0; i < len(o.decRefs); {
-			r := &o.decRefs[i]
-			if r.ref.Block == rm.ref.Block {
-				if r.ref.Index == rm.ref.Index {
-					d := &o.dec.list[r.dec]
-					d.Inserted = false
-					d.Reason = "pruned"
-					o.decRefs[i] = o.decRefs[len(o.decRefs)-1]
-					o.decRefs = o.decRefs[:len(o.decRefs)-1]
-					continue
-				}
-				if r.ref.Index > rm.ref.Index {
-					r.ref.Index -= rm.n
-				}
+// explainEdits moves the tracked decision coordinates through committed
+// edits, in application order; a decision whose instruction an edit
+// removed is flipped to "pruned" and no longer tracked.
+func (o *optimizer) explainEdits(edits []isa.Edit) {
+	for _, e := range edits {
+		kept := o.decRefs[:0]
+		for _, r := range o.decRefs {
+			var ok bool
+			if r.ref, ok = e.Shift(r.ref); ok {
+				kept = append(kept, r)
+				continue
 			}
-			i++
+			d := &o.dec.list[r.dec]
+			d.Inserted = false
+			d.Reason = "pruned"
 		}
+		o.decRefs = kept
 	}
 }
 
@@ -101,20 +93,9 @@ func (o *optimizer) explainReject(key candidateKey, reason string, d Decision) {
 	o.dec.record(key, d)
 }
 
-// explainInsert records a committed insertion whose instruction landed at
-// pos and occupies grown slots (prefetch + pads). Previously tracked
-// instructions at or past pos shifted down by the insertion; replaying the
-// commits in application order keeps every tracked coordinate current.
-func (o *optimizer) explainInsert(c candidate, pos isa.InstrRef, grown int) {
-	if o.dec == nil {
-		return
-	}
-	for i := range o.decRefs {
-		r := &o.decRefs[i]
-		if r.ref.Block == pos.Block && r.ref.Index >= pos.Index {
-			r.ref.Index += grown
-		}
-	}
+// explainInsert records a committed insertion whose prefetch now sits at
+// pos.
+func (o *optimizer) explainInsert(c candidate, pos isa.InstrRef) {
 	idx := o.dec.record(c.key, Decision{
 		Block: c.key.block, Index: c.key.index, Target: c.key.target,
 		Level: c.key.level, At: c.at, Before: c.before, Use: c.use,

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"ucp/internal/isa"
+	"ucp/internal/wcet"
 )
 
 // The batched commit criterion accepts a set of prefetches when the set as
@@ -13,11 +14,11 @@ import (
 // a DRAM transfer per execution — pure dynamic-energy waste (they are the
 // reason Condition 2 talks about the miss *rate*, not just the WCET).
 //
-// pruneUseless mirrors the insertion machinery: it tries to *remove*
-// prefetches, keeping a removal only when τ_w does not grow and no
-// WCET-scenario miss reappears. Removing a useful prefetch re-introduces
-// its miss and is rolled back; removing a parasite is accepted and even
-// shaves its fetch time off τ_w.
+// pruneUseless runs the insertion's commit step in reverse: it bisects over
+// the prefetches, validating their *removal*, and keeps a removal only when
+// τ_w does not grow and no WCET-scenario miss reappears. Removing a useful
+// prefetch re-introduces its miss and is rolled back; removing a parasite
+// is accepted and even shaves its fetch time off τ_w.
 func (o *optimizer) pruneUseless() error {
 	for {
 		if err := o.chk.Check(); err != nil {
@@ -27,7 +28,9 @@ func (o *optimizer) pruneUseless() error {
 		if len(refs) == 0 {
 			return nil
 		}
-		n, err := o.pruneBisect(refs)
+		n, err := bisect(o, refs, func(refs []isa.InstrRef) (bool, error) {
+			return o.validate(removePrefetches(refs), keepsMisses)
+		}, shiftRef)
 		if err != nil {
 			return err
 		}
@@ -58,72 +61,36 @@ func (o *optimizer) collectPrefetches() []isa.InstrRef {
 	return out
 }
 
-func (o *optimizer) pruneBisect(refs []isa.InstrRef) (int, error) {
-	if len(refs) == 0 || o.rep.Validations >= o.budget {
-		return 0, nil
-	}
-	ok, err := o.tryRemoveSubset(refs)
-	if err != nil {
-		return 0, err
-	}
-	if ok {
-		return len(refs), nil
-	}
-	if len(refs) == 1 {
-		return 0, nil
-	}
-	mid := len(refs) / 2
-	// The halves keep valid coordinates: refs are sorted descending and
-	// removals only shift strictly larger indices of the same block.
-	n1, err := o.pruneBisect(refs[:mid])
-	if err != nil {
-		return n1, err
-	}
-	n2, err := o.pruneBisect(refs[mid:])
-	return n1 + n2, err
-}
-
-// removal records one accepted prefetch deletion: n instructions (the
-// prefetch plus its trailing pads) taken out at ref.
-type removal struct {
-	ref isa.InstrRef
-	n   int
-}
-
-// tryRemoveSubset deletes the prefetches (and their trailing pads, when the
-// PadToBlock ablation added them), re-analyzes, and keeps the removal only
-// when τ_w does not grow and the WCET-scenario miss count does not grow.
-func (o *optimizer) tryRemoveSubset(refs []isa.InstrRef) (bool, error) {
-	prog := o.res.Prog
-	snapshot := make([][]isa.Instr, len(prog.Blocks))
-	for i, b := range prog.Blocks {
-		snapshot[i] = append([]isa.Instr(nil), b.Instrs...)
-	}
-	removed := make([]removal, 0, len(refs))
-	for _, ref := range refs {
-		// Remove trailing pads first so the prefetch's index stays valid.
-		b := prog.Blocks[ref.Block]
-		n := 1
-		for ref.Index+1 < len(b.Instrs) && b.Instrs[ref.Index+1].Kind == isa.KindPad {
-			prog.RemoveInstr(isa.InstrRef{Block: ref.Block, Index: ref.Index + 1})
-			n++
+// removePrefetches is pruning's change for validate: it deletes the
+// prefetches at refs (descending program position) together with their
+// trailing pads, when the PadToBlock ablation added them — one edit each.
+func removePrefetches(refs []isa.InstrRef) func(*isa.Program) []isa.Edit {
+	return func(prog *isa.Program) []isa.Edit {
+		edits := make([]isa.Edit, 0, len(refs))
+		for _, ref := range refs {
+			// Remove trailing pads first so the prefetch's index stays valid.
+			b := prog.Blocks[ref.Block]
+			n := 1
+			for ref.Index+1 < len(b.Instrs) && b.Instrs[ref.Index+1].Kind == isa.KindPad {
+				prog.RemoveInstr(isa.InstrRef{Block: ref.Block, Index: ref.Index + 1})
+				n++
+			}
+			prog.RemoveInstr(ref)
+			edits = append(edits, isa.Edit{At: ref, N: -n})
 		}
-		prog.RemoveInstr(ref)
-		removed = append(removed, removal{ref: ref, n: n})
+		return edits
 	}
-	prevRes := o.res
-	if err := o.refresh(); err != nil {
-		return false, err
-	}
-	// Joint miss count across the hierarchy, like trySubset's Condition 2:
-	// removing a parasite must not let a miss reappear at either level.
-	if o.res.TauW <= prevRes.TauW && o.res.Misses+o.res.L2Misses <= prevRes.Misses+prevRes.L2Misses {
-		o.trackRemovals(removed)
-		return true, nil
-	}
-	for i, b := range prog.Blocks {
-		b.Instrs = snapshot[i]
-	}
-	o.res = prevRes // also revives the backward cache (keyed on the pointer)
-	return false, nil
+}
+
+// keepsMisses accepts a removal when τ_w does not grow and, counting misses
+// jointly across the hierarchy like trySubset's Condition 2, no miss
+// reappears at either level.
+func keepsMisses(prev, cur *wcet.Result) bool {
+	return cur.TauW <= prev.TauW && cur.Misses+cur.L2Misses <= prev.Misses+prev.L2Misses
+}
+
+// shiftRef moves a pending prefetch reference through e.
+func shiftRef(r isa.InstrRef, e isa.Edit) isa.InstrRef {
+	r, _ = e.Shift(r)
+	return r
 }

@@ -125,12 +125,6 @@ type Options struct {
 	// The sweep's determinism does not depend on where cells run: results
 	// land by index, so a distributed sweep renders byte-identical output.
 	Exec CellExec `json:"-"`
-	// OnCell, when non-nil, is invoked once per completed cell with its
-	// matrix index and result, in completion order (concurrent workers
-	// serialize through the progress mutex, so implementations need no
-	// locking of their own). It is the durability seam: a caller
-	// journaling sweep progress hooks here without owning the pool loop.
-	OnCell func(index int, c Cell) `json:"-"`
 }
 
 // Suite is a completed sweep.
@@ -227,11 +221,6 @@ func Sweep(ctx context.Context, o Options) (*Suite, error) {
 			return fmt.Errorf("experiment: %s/%s/%v: %w", u.b.Name, cache.ConfigID(u.ci), u.tech, err)
 		}
 		cells[i] = cell
-		if o.OnCell != nil {
-			progressMu.Lock()
-			o.OnCell(i, cell)
-			progressMu.Unlock()
-		}
 		if o.Progress != nil {
 			progressMu.Lock()
 			fmt.Fprintf(o.Progress, "%-14s %-4s %-4s ins=%-3d τ %.3f  acet %.3f  energy %.3f\n",

@@ -228,36 +228,3 @@ func TestWriteCSV(t *testing.T) {
 		}
 	}
 }
-
-// TestOnCellHook: every completed cell fires OnCell exactly once with the
-// index its result lands at, including under concurrent workers.
-func TestOnCellHook(t *testing.T) {
-	seen := map[int]Cell{}
-	s, err := Run(Options{
-		Programs:         []string{"fibcall", "fac"},
-		Configs:          []int{0, 13},
-		Techs:            []energy.Tech{energy.Tech45},
-		Runs:             1,
-		ValidationBudget: 20,
-		SkipReduced:      true,
-		Workers:          4,
-		OnCell: func(i int, c Cell) {
-			if _, dup := seen[i]; dup {
-				t.Errorf("OnCell fired twice for index %d", i)
-			}
-			seen[i] = c
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != len(s.Cells) {
-		t.Fatalf("OnCell fired %d times, want %d", len(seen), len(s.Cells))
-	}
-	for i, c := range seen {
-		got := s.Cells[i]
-		if got.Program != c.Program || got.ConfigID != c.ConfigID || got.TauOpt != c.TauOpt {
-			t.Errorf("OnCell index %d carried a different cell than the suite", i)
-		}
-	}
-}

@@ -198,6 +198,28 @@ func loopDepth(p *Program, li int) int {
 	return d
 }
 
+// Edit is one change to a block's instruction list: N > 0 slots inserted
+// at At, or −N slots removed starting at At. It is the one description of
+// how a mutation moves the instructions behind it.
+type Edit struct {
+	At InstrRef
+	N  int
+}
+
+// Shift moves r through the edit so it keeps naming the same instruction:
+// positions of At's block at or past the edit move by N. It returns false
+// (and r unchanged) when the edit removed the instruction r names.
+func (e Edit) Shift(r InstrRef) (InstrRef, bool) {
+	if r.Block != e.At.Block || r.Index < e.At.Index {
+		return r, true
+	}
+	if e.N < 0 && r.Index < e.At.Index-e.N {
+		return r, false
+	}
+	r.Index += e.N
+	return r, true
+}
+
 // InsertInstr inserts instruction in immediately after position at (so the
 // new instruction occupies index at.Index+1). All InstrRef targets held by
 // prefetch instructions anywhere in the program are adjusted so they keep
@@ -215,26 +237,7 @@ func (p *Program) InsertInstr(at InstrRef, in Instr) InstrRef {
 	if (term == KindBranch || term == KindJump) && at.Index == len(b.Instrs)-1 {
 		panic("isa: InsertInstr after block terminator")
 	}
-	pos := at.Index + 1
-	b.Instrs = append(b.Instrs, Instr{})
-	copy(b.Instrs[pos+1:], b.Instrs[pos:])
-	b.Instrs[pos] = in
-
-	// Keep every prefetch target pointing at the same instruction.
-	for _, blk := range p.Blocks {
-		for i := range blk.Instrs {
-			ins := &blk.Instrs[i]
-			if ins.Kind != KindPrefetch {
-				continue
-			}
-			// This includes the inserted instruction itself: its caller
-			// computed the target against the pre-insertion indexing.
-			if ins.Target.Block == at.Block && ins.Target.Index >= pos {
-				ins.Target.Index++
-			}
-		}
-	}
-	return InstrRef{Block: at.Block, Index: pos}
+	return p.insert(InstrRef{Block: at.Block, Index: at.Index + 1}, in)
 }
 
 // InsertInstrBefore inserts instruction in immediately before position at
@@ -242,33 +245,26 @@ func (p *Program) InsertInstr(at InstrRef, in Instr) InstrRef {
 // after it). Prefetch targets are adjusted like InsertInstr. It returns the
 // reference of the inserted instruction.
 func (p *Program) InsertInstrBefore(at InstrRef, in Instr) InstrRef {
-	b := p.Blocks[at.Block]
-	if at.Index < 0 || at.Index >= len(b.Instrs) {
+	if at.Index < 0 || at.Index >= len(p.Blocks[at.Block].Instrs) {
 		panic("isa: InsertInstrBefore index out of range")
 	}
-	pos := at.Index
+	return p.insert(at, in)
+}
+
+// insert places in at pos, shifting pos and everything after it.
+func (p *Program) insert(pos InstrRef, in Instr) InstrRef {
+	b := p.Blocks[pos.Block]
 	b.Instrs = append(b.Instrs, Instr{})
-	copy(b.Instrs[pos+1:], b.Instrs[pos:])
-	b.Instrs[pos] = in
-	// Adjust every prefetch target computed against the pre-insertion
-	// indexing, including the inserted instruction's own.
-	for _, blk := range p.Blocks {
-		for i := range blk.Instrs {
-			ins := &blk.Instrs[i]
-			if ins.Kind != KindPrefetch {
-				continue
-			}
-			if ins.Target.Block == at.Block && ins.Target.Index >= pos {
-				ins.Target.Index++
-			}
-		}
-	}
-	return InstrRef{Block: at.Block, Index: pos}
+	copy(b.Instrs[pos.Index+1:], b.Instrs[pos.Index:])
+	b.Instrs[pos.Index] = in
+	p.shiftTargets(Edit{At: pos, N: 1})
+	return pos
 }
 
 // RemoveInstr deletes the instruction at ref (used to roll back a tentative
 // prefetch insertion). Prefetch targets pointing past the removed slot are
-// shifted back. Removing a block terminator is rejected.
+// shifted back; a target naming the removed slot itself is left alone.
+// Removing a block terminator is rejected.
 func (p *Program) RemoveInstr(ref InstrRef) {
 	b := p.Blocks[ref.Block]
 	k := b.Instrs[ref.Index].Kind
@@ -276,14 +272,21 @@ func (p *Program) RemoveInstr(ref InstrRef) {
 		panic("isa: RemoveInstr would delete a terminator")
 	}
 	b.Instrs = append(b.Instrs[:ref.Index], b.Instrs[ref.Index+1:]...)
+	p.shiftTargets(Edit{At: ref, N: -1})
+}
+
+// shiftTargets moves every prefetch target through e, a just-inserted
+// prefetch's own included (its caller computed the target against the
+// pre-edit indexing). A target naming a removed slot is left alone.
+func (p *Program) shiftTargets(e Edit) {
 	for _, blk := range p.Blocks {
 		for i := range blk.Instrs {
 			ins := &blk.Instrs[i]
 			if ins.Kind != KindPrefetch {
 				continue
 			}
-			if ins.Target.Block == ref.Block && ins.Target.Index > ref.Index {
-				ins.Target.Index--
+			if t, ok := e.Shift(ins.Target); ok {
+				ins.Target = t
 			}
 		}
 	}

@@ -172,6 +172,46 @@ func TestInsertAdjustsPrefetchTargets(t *testing.T) {
 	}
 }
 
+func TestEditShift(t *testing.T) {
+	r := InstrRef{Block: 1, Index: 5}
+	for _, tc := range []struct {
+		name string
+		e    Edit
+		want InstrRef
+		ok   bool
+	}{
+		{"insert before", Edit{At: InstrRef{1, 2}, N: 3}, InstrRef{1, 8}, true},
+		{"insert at", Edit{At: InstrRef{1, 5}, N: 1}, InstrRef{1, 6}, true},
+		{"insert after", Edit{At: InstrRef{1, 6}, N: 2}, r, true},
+		{"remove the instruction", Edit{At: InstrRef{1, 5}, N: -1}, r, false},
+		{"remove a range holding it", Edit{At: InstrRef{1, 3}, N: -3}, r, false},
+		{"remove before", Edit{At: InstrRef{1, 2}, N: -3}, InstrRef{1, 2}, true},
+		{"remove after", Edit{At: InstrRef{1, 6}, N: -2}, r, true},
+		{"other block", Edit{At: InstrRef{0, 0}, N: 4}, r, true},
+		{"other block removal", Edit{At: InstrRef{2, 5}, N: -1}, r, true},
+	} {
+		got, ok := tc.e.Shift(r)
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("%s: Shift(%v) through %+v = %v, %v; want %v, %v", tc.name, r, tc.e, got, ok, tc.want, tc.ok)
+		}
+	}
+}
+
+func TestRemoveInstrKeepsTargetOfRemovedSlot(t *testing.T) {
+	p := Build("removed", Code(6))
+	p.InsertInstr(InstrRef{0, 0}, Instr{Kind: KindPrefetch, Target: InstrRef{0, 4}})
+	// The prefetch sits at 1 and targets {0 5}; remove the target itself.
+	p.RemoveInstr(InstrRef{0, 5})
+	if got := p.Blocks[0].Instrs[1].Target; got != (InstrRef{0, 5}) {
+		t.Fatalf("target after removing its slot = %v, want {0 5} (left alone)", got)
+	}
+	// Removing a slot before the target shifts it back.
+	p.RemoveInstr(InstrRef{0, 2})
+	if got := p.Blocks[0].Instrs[1].Target; got != (InstrRef{0, 4}) {
+		t.Fatalf("target after removing an earlier slot = %v, want {0 4}", got)
+	}
+}
+
 func TestRemoveInstrUndoesInsert(t *testing.T) {
 	p := Build("undo", Code(5), IfThen(0.5, Code(3)))
 	q := p.Clone()

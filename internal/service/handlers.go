@@ -294,7 +294,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	reqStart := time.Now()
 	if s.cfg.TraceSink != nil {
 		rec = obs.NewRecorder("analyze")
-		rec.Root().Attr("request_id", requestID(r.Context()))
+		rec.Root().Attr("request_id", obs.RequestIDFrom(r.Context()))
 		rec.Root().Attr("program", uc.bench.Name)
 		ctx = rec.Install(ctx)
 	}
@@ -304,7 +304,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		rec.Release()
 		keep := failed || time.Since(reqStart) >= slowTraceThreshold
-		s.persistTrace(requestID(r.Context()), rec.Tree(), keep)
+		s.persistTrace(obs.RequestIDFrom(r.Context()), rec.Tree(), keep)
 	}
 
 	// Plain requests go cache → singleflight → pipeline. The cache read
@@ -349,7 +349,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // and the explain report in the response.
 func (s *Server) handleAnalyzeTraced(ctx context.Context, w http.ResponseWriter, r *http.Request, uc useCase) {
 	rec := obs.NewRecorder("analyze")
-	rec.Root().Attr("request_id", requestID(r.Context()))
+	rec.Root().Attr("request_id", obs.RequestIDFrom(r.Context()))
 	rec.Root().Attr("program", uc.bench.Name)
 	defer rec.Release()
 	ctx = rec.Install(ctx)
@@ -367,13 +367,13 @@ func (s *Server) handleAnalyzeTraced(ctx context.Context, w http.ResponseWriter,
 		rec.Root().Attr("error", perr.Error())
 		rec.Release()
 		// An explicitly traced request is always persisted, success or not.
-		s.persistTrace(requestID(r.Context()), rec.Tree(), true)
+		s.persistTrace(obs.RequestIDFrom(r.Context()), rec.Tree(), true)
 		s.analyzeErr(w, perr)
 		return
 	}
 	rec.Release()
 	tree := rec.Tree()
-	s.persistTrace(requestID(r.Context()), tree, true)
+	s.persistTrace(obs.RequestIDFrom(r.Context()), tree, true)
 	resp := analyzeResponse{Result: res, Cached: cached, Trace: tree, Explain: decisions}
 	s.writeJSON(w, http.StatusOK, resp)
 }

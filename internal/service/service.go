@@ -250,18 +250,6 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// ctxKey keys values this package stores in request contexts.
-type ctxKey int
-
-const ctxKeyRequestID ctxKey = iota
-
-// requestID returns the request ID the logging middleware assigned, or ""
-// outside a request context.
-func requestID(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKeyRequestID).(string)
-	return id
-}
-
 // maxRequestIDLen bounds adopted X-Request-Id headers; anything longer (or
 // carrying non-printable bytes) is discarded and the request gets a minted
 // ID, so a hostile client cannot inject log lines or bloat span attrs.
@@ -324,8 +312,7 @@ func (s *Server) logging(next http.Handler) http.Handler {
 			id = fmt.Sprintf("req-%06d", s.reqID.Add(1))
 		}
 		w.Header().Set("X-Request-Id", id)
-		ctx := context.WithValue(r.Context(), ctxKeyRequestID, id)
-		r = r.WithContext(obs.WithRequestID(ctx, id))
+		r = r.WithContext(obs.WithRequestID(r.Context(), id))
 		rec := &statusRecorder{ResponseWriter: w}
 		next.ServeHTTP(rec, r)
 		if rec.status == 0 {

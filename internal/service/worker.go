@@ -56,7 +56,7 @@ func (s *Server) handleWorkerCell(w http.ResponseWriter, r *http.Request) {
 		s.resolveErr(w, err)
 		return
 	}
-	reqID := requestID(r.Context())
+	reqID := obs.RequestIDFrom(r.Context())
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.AnalyzeTimeout)
 	defer cancel()
 
