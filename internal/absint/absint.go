@@ -201,6 +201,16 @@ func NewState(cfg cache.Config) *State {
 // transfer's insertions rarely reallocate.
 const cloneHeadroom = 2
 
+// reserve makes s's backing buffer hold at least total entries. A buffer
+// that is too small grows with a quarter of slack, so a pooled state that
+// is recycled while the persistence sets grow (they only ever gain blocks)
+// re-makes its buffer rarely instead of on almost every reuse.
+func (s *State) reserve(total int) {
+	if cap(s.buf) < total {
+		s.buf = make([]entry, total+total/4)
+	}
+}
+
 // copyFrom makes s an exact copy of src, reusing s's backing buffer when it
 // is large enough. s and src must share a configuration.
 func (s *State) copyFrom(src *State) {
@@ -209,9 +219,7 @@ func (s *State) copyFrom(src *State) {
 	for i := 0; i < n; i++ {
 		total += len(src.must[i]) + len(src.may[i]) + len(src.pers[i]) + 3*cloneHeadroom
 	}
-	if cap(s.buf) < total {
-		s.buf = make([]entry, total)
-	}
+	s.reserve(total)
 	buf := s.buf[:cap(s.buf)]
 	off := 0
 	carve := func(from setState) setState {
@@ -219,33 +227,6 @@ func (s *State) copyFrom(src *State) {
 		dst := buf[off : off+l : off+l+cloneHeadroom]
 		copy(dst, from)
 		off += l + cloneHeadroom
-		return dst
-	}
-	for i := 0; i < n; i++ {
-		s.must[i] = carve(src.must[i])
-		s.may[i] = carve(src.may[i])
-		s.pers[i] = carve(src.pers[i])
-	}
-	s.nMust, s.nMay, s.nPers = src.nMust, src.nMay, src.nPers
-	s.hash, s.hashOK = src.hash, src.hashOK
-}
-
-// copyCompact makes s an exact-size copy of src, with no growth headroom:
-// the copy for states that are retained but never mutated again (the
-// recorded in-states of a result).
-func (s *State) copyCompact(src *State) {
-	n := len(src.must)
-	total := int(src.nMust + src.nMay + src.nPers)
-	if cap(s.buf) < total {
-		s.buf = make([]entry, total)
-	}
-	buf := s.buf[:cap(s.buf)]
-	off := 0
-	carve := func(from setState) setState {
-		l := len(from)
-		dst := buf[off : off+l : off+l]
-		copy(dst, from)
-		off += l
 		return dst
 	}
 	for i := 0; i < n; i++ {
@@ -502,9 +483,7 @@ func (s *State) joinInto(a, b *State) {
 			len(a.may[i]) + len(b.may[i]) +
 			len(a.pers[i]) + len(b.pers[i])
 	}
-	if cap(s.buf) < total {
-		s.buf = make([]entry, total)
-	}
+	s.reserve(total)
 	buf := s.buf[:cap(s.buf)]
 	off := 0
 	var nm, ny, np int32
@@ -570,13 +549,12 @@ func joinMayInto(dst, a, b setState) setState {
 	return dst
 }
 
-// Result holds the outcome of the fixpoint: the in-state of every expanded
-// block and the classification of every expanded reference.
+// Result holds the outcome of the fixpoint: the exit state of every
+// expanded block (the in-state is derived from them on demand, see InState)
+// and the classification of every expanded reference.
 type Result struct {
 	X   *vivu.Prog
 	Cfg cache.Config
-	// In[xb] is the abstract state on entry to expanded block xb.
-	In []*State
 	// Class[xb][i] classifies the i-th instruction fetch of expanded
 	// block xb.
 	Class [][]Classification
@@ -604,6 +582,11 @@ type Result struct {
 	// out[xb] is the abstract state at the exit of xb (nil = bottom, the
 	// block was never reached); it seeds incremental re-analysis.
 	out []*State
+	// own lists the exit states this call created and kept — the ones
+	// Release may recycle. Seeded pointers and the previous states a cyclic
+	// component got back through the value cutoff stay with the results
+	// they came from.
+	own []*State
 	// sccs is the fixpoint iteration plan; it depends only on the graph
 	// structure and is shared across incremental re-analyses.
 	sccs *sccPlan
@@ -859,13 +842,13 @@ func (a *analyzer) solve(plan *sccPlan) error {
 	return nil
 }
 
-// classify records the in-state and the per-reference classification of
-// expanded block id into the result.
+// classify records the per-reference classification of expanded block id
+// into the result, walking a copy of the block's in-state in (which is
+// transient: it may be a joinPreds scratch state).
 func (a *analyzer) classify(id int, in *State, walk *State) {
 	x := a.x
 	xb := x.Blocks[id]
 	res := a.res
-	res.In[id] = in
 	walk.copyFrom(in)
 	row := a.ops[id]
 	cls := make([]Classification, len(row))

@@ -75,7 +75,6 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 	res := &Result{
 		X:         x,
 		Cfg:       cfg,
-		In:        make([]*State, n),
 		Class:     make([][]Classification, n),
 		Effective: make([][]bool, n),
 		lambda:    lambda,
@@ -91,6 +90,7 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 		sc = newScratch(cfg)
 	}
 	res.scr = sc
+	made := sc.sp.made // pool misses before this call, for the span
 	a := &analyzer{
 		x: x, cfg: cfg, res: res, sp: &sc.sp,
 		ctx: ctx, chk: interrupt.NewChecker(ctx, checkInterval),
@@ -250,6 +250,11 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 	if err := a.solve(res.sccs); err != nil {
 		return nil, err
 	}
+	for id, own := range a.ownOut {
+		if own {
+			res.own = append(res.own, a.out[id])
+		}
+	}
 
 	// A block needs re-classification iff its transfer row changed or some
 	// predecessor's exit state changed (its in-state value moved); everything
@@ -278,16 +283,20 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 			return nil, err
 		}
 		if !full && !res.Changed[id] {
-			res.In[id] = prev.In[id]
 			res.Class[id] = prev.Class[id]
 			continue
 		}
-		a.classify(id, a.inState(id), walk)
+		in := a.joinPreds(id)
+		if in == nil { // unreachable: the cold-cache state, like the entry
+			in = a.empty
+		}
+		a.classify(id, in, walk)
 	}
 	a.sp.put(walk)
 	if span != nil {
 		span.Attr("rounds", a.rounds)
 		span.Attr("states_pooled", len(sc.sp.free))
+		span.Attr("states_new", sc.sp.made-made)
 		if res.Changed != nil {
 			nc := 0
 			for _, c := range res.Changed {
@@ -299,33 +308,6 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 		}
 	}
 	return res, nil
-}
-
-// inState builds the converged in-state of block id: the single live
-// predecessor's exit state is aliased (both are immutable once the result is
-// returned), a multi-predecessor join gets a fresh compact state, and the
-// entry (or an unreachable block) gets the cold-cache state.
-func (a *analyzer) inState(id int) *State {
-	if id == a.x.Entry {
-		return NewState(a.cfg)
-	}
-	live := 0
-	for _, p := range a.x.Blocks[id].Preds {
-		if a.out[p] != nil {
-			live++
-		}
-	}
-	st := a.joinPreds(id)
-	switch {
-	case st == nil:
-		return NewState(a.cfg)
-	case live == 1:
-		return st
-	default:
-		c := NewState(a.cfg)
-		c.copyCompact(st)
-		return c
-	}
 }
 
 // rowBaseEqual compares transfer rows ignoring effectiveness bits (which
@@ -427,11 +409,15 @@ func flags(buf *[]bool, n int) []bool {
 
 // statePool recycles State buffers across fixpoint rounds and, via the
 // scratch carrier, across the re-analyses of a chain. Slot states the
-// fixpoint replaces go back into the pool; states seeded from a previous
-// Result are never recycled (they are shared, possibly interned).
+// fixpoint replaces go back into the pool, and so do the owned exit states
+// of a released Result; states seeded from a previous Result are never
+// recycled by the call they were seeded into (they are shared, possibly
+// interned).
 type statePool struct {
 	cfg  cache.Config
 	free []*State
+	// made counts pool misses (fresh states) over the chain's lifetime.
+	made int
 }
 
 func (p *statePool) get() *State {
@@ -440,6 +426,7 @@ func (p *statePool) get() *State {
 		p.free = p.free[:n-1]
 		return s
 	}
+	p.made++
 	return NewState(p.cfg)
 }
 
@@ -488,16 +475,43 @@ func (r *Result) Intern() {
 	if r.interns == nil {
 		r.interns = newInternTable()
 	}
-	for _, s := range r.In {
-		if s != nil && !s.hashOK {
-			r.interns.internState(s)
-		}
-	}
 	for _, s := range r.out {
 		if s != nil && !s.hashOK {
 			r.interns.internState(s)
 		}
 	}
+}
+
+// Release returns the exit states this result created and kept to the
+// chain's state pool, then clears the result's exit states and
+// classifications, so any later use of it (reading Class, deriving an
+// in-state, seeding a re-analysis) fails loudly instead of reading recycled
+// memory. Only a result nothing retains may be released: one that was
+// rolled back, so no other result was seeded from it and it was never
+// interned. Its seed keeps every state it shares with it. Release is
+// nil-safe and idempotent.
+func (r *Result) Release() {
+	if r == nil {
+		return
+	}
+	for _, s := range r.own {
+		r.scr.sp.put(s)
+	}
+	r.own, r.out, r.Class = nil, nil, nil
+}
+
+// InState derives the abstract state on entry to expanded block id — the
+// state its classification walked, computed by the same predecessor join
+// (the cold-cache state at the entry and at a block no predecessor
+// reaches). The analysis stores no in-states; this allocates a fresh one
+// per call, for tests and diagnostics.
+func (r *Result) InState(id int) *State {
+	a := &analyzer{x: r.X, out: r.out, scrA: NewState(r.Cfg), scrB: NewState(r.Cfg), empty: NewState(r.Cfg)}
+	in := NewState(r.Cfg)
+	if st := a.joinPreds(id); st != nil {
+		in.copyFrom(st)
+	}
+	return in
 }
 
 // internState replaces every set slice of s with its canonical copy, drops

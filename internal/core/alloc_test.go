@@ -1,0 +1,47 @@
+package core
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"ucp/internal/cache"
+	"ucp/internal/malardalen"
+)
+
+// validationAllocBudget bounds the bytes allocated per validation of the
+// cell in TestValidationAllocBudget: about 1.5× the 75.8 KB it measures
+// (283 validations, plain and under -race alike). Before rolled-back
+// re-analyses returned their abstract states to the pool and results
+// stopped retaining in-states, the same cell allocated 336 KB per
+// validation.
+const validationAllocBudget = 115_000
+
+// TestValidationAllocBudget guards the allocation cost of the optimizer's
+// validate loop on one fixed sub-second cell: a regression that makes each
+// incremental re-analysis allocate fresh abstract states again (instead of
+// recycling what a rollback frees) shows up here long before it shows up
+// as time.
+func TestValidationAllocBudget(t *testing.T) {
+	bm, ok := malardalen.ByName("compress")
+	if !ok {
+		t.Fatal("unknown program compress")
+	}
+	cfg := cache.Table2()[13]
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, rep, err := Optimize(context.Background(), bm.Prog, cfg, Options{Par: testPar})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Validations == 0 {
+		t.Fatal("no validations ran; the budget is vacuous")
+	}
+	perValidation := (after.TotalAlloc - before.TotalAlloc) / uint64(rep.Validations)
+	t.Logf("%d validations, %d bytes allocated per validation (budget %d)", rep.Validations, perValidation, validationAllocBudget)
+	if perValidation > validationAllocBudget {
+		t.Fatalf("%d bytes allocated per validation, budget %d", perValidation, validationAllocBudget)
+	}
+}

@@ -610,7 +610,9 @@ func (o *optimizer) explainPCost(block int) int64 {
 // When accept(prev, cur) holds the edits stay: they join o.edits, and the
 // explain coordinates move through them (a removed decision becomes
 // "pruned"). Otherwise the program and the previous result are restored —
-// which also revives the backward-state cache, keyed on the result pointer.
+// which also revives the backward-state cache, keyed on the result pointer
+// — and the rejected result is released: nothing was seeded from it, so
+// the abstract states it created go back to the chain's pool.
 func (o *optimizer) validate(change func(*isa.Program) []isa.Edit, accept func(prev, cur *wcet.Result) bool) (bool, error) {
 	prog := o.res.Prog
 	snapshot := make([][]isa.Instr, len(prog.Blocks))
@@ -626,6 +628,7 @@ func (o *optimizer) validate(change func(*isa.Program) []isa.Edit, accept func(p
 		for i, b := range prog.Blocks {
 			b.Instrs = snapshot[i]
 		}
+		o.res.Release()
 		o.res = prev
 		return false, nil
 	}

@@ -48,7 +48,7 @@ func TestDifferentialRefreshMatchesFull(t *testing.T) {
 						t.Fatalf("refresh classification diverges at block %d ref %d", id, i)
 					}
 				}
-				if !a.In[id].Equal(b.In[id]) {
+				if !a.InState(id).Equal(b.InState(id)) {
 					t.Fatalf("refresh in-state diverges at block %d", id)
 				}
 			}

@@ -96,7 +96,7 @@ func compareLevel(t *testing.T, where string, id int, inc, full *absint.Result) 
 			t.Fatalf("%s: effectiveness[%d][%d] diverges", where, id, i)
 		}
 	}
-	if !inc.In[id].Equal(full.In[id]) {
+	if !inc.InState(id).Equal(full.InState(id)) {
 		t.Fatalf("%s: abstract in-state of block %d diverges", where, id)
 	}
 }
@@ -245,6 +245,90 @@ func TestDifferentialDirtyPropagationFuzz(t *testing.T) {
 				}
 				compareResults(t, name+"/"+h.String(), inc, full)
 				prev = inc
+			}
+		}
+	}
+}
+
+// TestReleaseDifferential runs seeded random mutation chains in which every
+// re-analysis is accepted or rejected at random, like the optimizer's
+// validate step: a rejected result is Released, the program is restored,
+// and the chain continues from its parent. Releasing recycles the rejected
+// result's own abstract states into the pool the next re-analysis draws
+// from, so a release that touched a state the parent (or anything before
+// it) still holds would corrupt the chain; every accepted result must
+// therefore still match a from-scratch analysis exactly, under every
+// replacement policy, with and without an 8 KiB L2.
+func TestReleaseDifferential(t *testing.T) {
+	t.Parallel()
+	steps := 12
+	if testing.Short() {
+		steps = 5
+	}
+	l1 := cache.Table2()[1] // 256 B, 16 B blocks, 2-way: conflict-heavy
+	for _, name := range []string{"crc", "fdct", "compress", "statemate"} {
+		bm, ok := malardalen.ByName(name)
+		if !ok {
+			t.Fatalf("unknown program %s", name)
+		}
+		for pi, pol := range cache.Policies() {
+			h1 := l1
+			h1.Policy = pol
+			for _, h := range []cache.Hierarchy{
+				cache.Hier1(h1),
+				{L1: h1, L2: cache.Config{Assoc: 4, BlockBytes: 32, CapacityBytes: 8192, Policy: pol}},
+			} {
+				par := diffParams(h)
+				where := name + "/" + h.String()
+				p := bm.Prog.Clone()
+				x, err := vivu.Expand(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prev, err := wcet.AnalyzeXHier(context.Background(), x, h, par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(int64(pi)*7919 + int64(len(name))))
+				accepted, rejected := 0, 0
+				for step := 0; step < steps; step++ {
+					snapshot := make([][]isa.Instr, len(p.Blocks))
+					for i, b := range p.Blocks {
+						snapshot[i] = append([]isa.Instr(nil), b.Instrs...)
+					}
+					for k := 0; k < 1+rng.Intn(3); k++ {
+						mutate(rng, p)
+					}
+					cur, err := wcet.AnalyzeXHierFrom(context.Background(), x, h, par, prev)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rng.Intn(2) == 0 {
+						cur.Release()
+						for i, b := range p.Blocks {
+							b.Instrs = snapshot[i]
+						}
+						rejected++
+						continue
+					}
+					full, err := wcet.AnalyzeXHier(context.Background(), x, h, par)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareResults(t, where, cur, full)
+					prev = cur
+					accepted++
+				}
+				if accepted == 0 || rejected == 0 {
+					t.Fatalf("%s: %d accepted and %d rejected refreshes; the chain needs both", where, accepted, rejected)
+				}
+				// The last accepted result must also have survived the
+				// releases that followed it.
+				full, err := wcet.AnalyzeXHier(context.Background(), x, h, par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareResults(t, where+" (end of chain)", prev, full)
 			}
 		}
 	}

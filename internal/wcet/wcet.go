@@ -116,6 +116,19 @@ func SolveCounts(x *vivu.Prog, cost []int64) (nw []int64, tau int64, err error) 
 	return solveStructural(x, cost)
 }
 
+// Release recycles the abstract states this result's analyses created —
+// the L2's first, since it was gated by and seeded after the L1 — into their
+// chains' pools (see absint.Result.Release). Only a result nothing retains
+// may be released: a rolled-back re-analysis that seeded no other analysis.
+// Its seed stays valid. Release is nil-safe and idempotent.
+func (r *Result) Release() {
+	if r == nil {
+		return
+	}
+	r.AI2.Release()
+	r.AI.Release()
+}
+
 // OnWCETPath reports whether expanded block xb executes in the WCET
 // scenario.
 func (r *Result) OnWCETPath(xb int) bool { return r.Nw[xb] > 0 }
