@@ -24,6 +24,7 @@ package absint
 
 import (
 	"context"
+	"math/bits"
 	"sort"
 
 	"ucp/internal/cache"
@@ -89,9 +90,9 @@ type setState []entry
 
 // smallSetScan is the length up to which find and insert use a linear scan
 // instead of a binary search. Every Table 2 configuration has assoc ≤ 4, so
-// must and may sets never exceed four entries and always take the scan path;
-// only persistence sets (which track every block ever seen) can grow past
-// it.
+// must and may sets and the young persistence bounds stay around four
+// entries and take the scan path; only tree-PLRU may sets (which accumulate
+// every possibly-resident block) grow past it.
 const smallSetScan = 8
 
 func (s setState) find(blk uint64) int {
@@ -158,18 +159,32 @@ func (s setState) hash() uint64 {
 // State is an abstract cache state: a must, a may, and a persistence
 // component per set. The persistence component tracks, for every block ever
 // loaded, an upper bound on its maximal LRU age since that load; a block
-// whose bound stays below the associativity can never have been evicted
-// (ages are capped at the associativity, the "maybe evicted" top element).
+// whose bound stays below the policy's persistence limit can never have been
+// evicted (bounds are capped at the limit, the "maybe evicted" top element).
+//
+// The persistence component is split in two. pers keeps the young bounds,
+// those strictly below the limit, per set like must and may. A bound that
+// reaches the limit can only change again by a reload of its block, so the
+// saturated blocks are kept as one bitset, sat, instead of entry by entry: bit
+// b−satLo is set iff block b was loaded on some path and its bound has
+// reached the limit. A block is therefore young, saturated, or never loaded,
+// and never two of these at once.
 type State struct {
 	cfg  cache.Config
 	tr   policyTransfer // transfer functions for cfg.Policy (see policy.go)
 	must []setState
 	may  []setState
 	pers []setState
-	// nMust/nMay/nPers cache the total entry count per component so Equal
-	// rejects differing states in O(1) — the dominant outcome inside the
-	// fixpoint.
-	nMust, nMay, nPers int32
+	// sat is the saturated persistence bitset; words missing at the end
+	// read as zero. satLo is the block number of bit 0, fixed per chain of
+	// analyses (the first block of the program text), so every state of a
+	// chain indexes the same blocks with the same bits.
+	sat   []uint64
+	satLo uint64
+	// nMust/nMay/nPers/nSat cache the total entry (or bit) count per
+	// component so Equal rejects differing states in O(1) — the dominant
+	// outcome inside the fixpoint.
+	nMust, nMay, nPers, nSat int32
 	// hash caches the structural hash; valid only while hashOK. Mutators
 	// clear it, interning (see incremental.go) sets it, and Equal uses a
 	// mismatch of two valid hashes as a second O(1) early exit.
@@ -183,17 +198,22 @@ type State struct {
 // NewState returns the abstract state of an empty cache: nothing is
 // guaranteed resident (must = ∅) and nothing may be resident (may = ∅), the
 // cold-start state ĉ_I.
-func NewState(cfg cache.Config) *State {
+func NewState(cfg cache.Config) *State { return newState(cfg, 0) }
+
+// newState is NewState for a chain whose saturated bitset starts at block
+// satLo.
+func newState(cfg cache.Config, satLo uint64) *State {
 	n := cfg.NumSets()
 	// One header array backs all three components, so a fresh state costs
 	// two allocations instead of four.
 	h := make([]setState, 3*n)
 	return &State{
-		cfg:  cfg,
-		tr:   transferFor(cfg),
-		must: h[0:n:n],
-		may:  h[n : 2*n : 2*n],
-		pers: h[2*n:],
+		cfg:   cfg,
+		tr:    transferFor(cfg),
+		must:  h[0:n:n],
+		may:   h[n : 2*n : 2*n],
+		pers:  h[2*n:],
+		satLo: satLo,
 	}
 }
 
@@ -203,8 +223,9 @@ const cloneHeadroom = 2
 
 // reserve makes s's backing buffer hold at least total entries. A buffer
 // that is too small grows with a quarter of slack, so a pooled state that
-// is recycled while the persistence sets grow (they only ever gain blocks)
-// re-makes its buffer rarely instead of on almost every reuse.
+// is recycled for states of varying size (states after joins of diverging
+// paths hold more entries than those on straight-line code) re-makes its
+// buffer rarely instead of on almost every reuse.
 func (s *State) reserve(total int) {
 	if cap(s.buf) < total {
 		s.buf = make([]entry, total+total/4)
@@ -234,7 +255,9 @@ func (s *State) copyFrom(src *State) {
 		s.may[i] = carve(src.may[i])
 		s.pers[i] = carve(src.pers[i])
 	}
-	s.nMust, s.nMay, s.nPers = src.nMust, src.nMay, src.nPers
+	s.sat = append(s.sat[:0], src.sat...)
+	s.satLo = src.satLo
+	s.nMust, s.nMay, s.nPers, s.nSat = src.nMust, src.nMay, src.nPers, src.nSat
 	s.hash, s.hashOK = src.hash, src.hashOK
 }
 
@@ -255,10 +278,16 @@ func (s *State) Equal(o *State) bool {
 	if s == o {
 		return true
 	}
-	if s.cfg != o.cfg || s.nMust != o.nMust || s.nMay != o.nMay || s.nPers != o.nPers {
+	if s.cfg != o.cfg || s.nMust != o.nMust || s.nMay != o.nMay || s.nPers != o.nPers || s.nSat != o.nSat {
 		return false
 	}
+	if s.nSat > 0 && s.satLo != o.satLo {
+		return false // bitsets of different chains number blocks differently
+	}
 	if s.hashOK && o.hashOK && s.hash != o.hash {
+		return false
+	}
+	if !satEqual(s.sat, o.sat) {
 		return false
 	}
 	for i := range s.must {
@@ -292,14 +321,59 @@ func (s *State) MayContains(blk uint64) bool {
 // Persistent reports whether blk, if it was ever loaded, is guaranteed not
 // to have been evicted since (its persistence age bound is below the
 // policy's persistence horizon — the associativity for LRU and FIFO, the
-// log2(a)+1 virtual associativity for tree-PLRU).
-func (s *State) Persistent(blk uint64) bool {
-	set := s.pers[s.cfg.SetOf(blk)]
-	if i := set.find(blk); i >= 0 {
-		return set[i].age() < s.tr.persLimit()
+// log2(a)+1 virtual associativity for tree-PLRU). A block never loaded on
+// any path reaching here is persistent too: the access itself will be the
+// (single) first load.
+func (s *State) Persistent(blk uint64) bool { return !s.satHas(blk) }
+
+// satHas reports whether blk's persistence bound is saturated.
+func (s *State) satHas(blk uint64) bool {
+	i := blk - s.satLo
+	w := i / 64
+	return w < uint64(len(s.sat)) && s.sat[w]&(1<<(i%64)) != 0
+}
+
+// satAdd marks blk saturated; its bound just reached the limit, so it is not
+// young.
+func (s *State) satAdd(blk uint64) {
+	if blk < s.satLo {
+		panic("absint: memory block below the chain's first block")
 	}
-	// Never loaded on any path reaching here: the access itself will be
-	// the (single) first load.
+	i := blk - s.satLo
+	w := int(i / 64)
+	for len(s.sat) <= w {
+		s.sat = append(s.sat, 0)
+	}
+	s.sat[w] |= 1 << (i % 64)
+	s.nSat++
+}
+
+// satDel clears blk's saturated bit, if set: the block is being reloaded.
+func (s *State) satDel(blk uint64) {
+	i := blk - s.satLo
+	if w := i / 64; w < uint64(len(s.sat)) {
+		if bit := uint64(1) << (i % 64); s.sat[w]&bit != 0 {
+			s.sat[w] &^= bit
+			s.nSat--
+		}
+	}
+}
+
+// satEqual compares two bitsets, reading missing trailing words as zero.
+func satEqual(a, b []uint64) bool {
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	for i, w := range b {
+		if a[i] != w {
+			return false
+		}
+	}
+	for _, w := range a[len(b):] {
+		if w != 0 {
+			return false
+		}
+	}
 	return true
 }
 
@@ -350,24 +424,21 @@ func (s *State) PrefetchFill(blk uint64, effective bool) {
 // mustUpdate is the must-analysis LRU update: the accessed block gets age 0;
 // blocks younger than its previous upper-bound age grow older by one; blocks
 // aged past the associativity are no longer guaranteed. The input slice is
-// updated in place (callers own their states).
+// updated in place (callers own their states). A hit keeps its sorted slot:
+// the blocks it ages stay below its old age, so none falls out.
 func mustUpdate(s setState, m uint64, assoc uint8) setState {
-	prev := assoc // treat "not guaranteed" as the oldest possible age
-	if i := s.find(m); i >= 0 {
-		prev = s[i].age()
-		s = s.remove(i)
+	i := s.find(m)
+	if i < 0 {
+		return mustAgeAll(s, assoc).insert(m, 0)
 	}
-	w := 0
-	for _, e := range s {
+	prev := s[i].age()
+	for j, e := range s {
 		if e.age() < prev {
-			e++ // ages live in the low bits, so +1 ages the entry
-		}
-		if e.age() < assoc {
-			s[w] = e
-			w++
+			s[j] = e + 1 // ages live in the low bits, so +1 ages the entry
 		}
 	}
-	return s[:w].insert(m, 0)
+	s[i] = mkEntry(m, 0)
+	return s
 }
 
 // mustAgeAll ages every guaranteed block by one (the conservative must
@@ -395,72 +466,87 @@ func mayInsertFresh(s setState, blk uint64) setState {
 }
 
 // persUpdate is the persistence update: the accessed block's age bound
-// resets to zero; younger blocks age by one, capped at the associativity
-// (the "maybe evicted" marker) but never removed — once a block has been
-// seen, the analysis keeps tracking whether it could have been evicted.
-func persUpdate(s setState, m uint64, assoc uint8) setState {
-	prev := assoc
-	if i := s.find(m); i >= 0 {
-		prev = s[i].age()
-		s = s.remove(i)
+// resets to zero (a reload takes it out of the saturated part); younger
+// blocks age by one, and a bound that reaches the limit moves to the
+// saturated part — once a block has been seen, the analysis keeps tracking
+// whether it could have been evicted. A young block's update keeps its
+// sorted slot: the bounds it ages stay below its old bound, so none
+// saturates.
+func persUpdate(st *State, s setState, m uint64, lim uint8) setState {
+	i := s.find(m)
+	if i < 0 {
+		st.satDel(m)
+		return persAgeAll(st, s, lim).insert(m, 0)
 	}
-	for i := range s {
-		if a := s[i].age(); a < prev && a < assoc {
-			s[i]++
+	prev := s[i].age()
+	for j, e := range s {
+		if e.age() < prev {
+			s[j] = e + 1
 		}
 	}
-	return s.insert(m, 0)
-}
-
-// persAgeAll ages every tracked bound (a fill at an unknown time).
-func persAgeAll(s setState, assoc uint8) setState {
-	for i := range s {
-		if s[i].age() < assoc {
-			s[i]++
-		}
-	}
+	s[i] = mkEntry(m, 0)
 	return s
 }
 
-// joinPersInto merges persistence states (union with maximal age bounds)
-// by appending to dst, which the caller sizes to len(a)+len(b).
-func joinPersInto(dst, a, b setState) setState {
+// persAgeAll ages every young bound (a fill at an unknown time), moving the
+// ones that reach the limit to the saturated part.
+func persAgeAll(st *State, s setState, lim uint8) setState {
+	w := 0
+	for _, e := range s {
+		e++
+		if e.age() == lim {
+			st.satAdd(e.blk())
+			continue
+		}
+		s[w] = e
+		w++
+	}
+	return s[:w]
+}
+
+// joinPersInto merges young persistence bounds (union with maximal age
+// bounds) by appending to dst, which the caller sizes to len(a)+len(b). A
+// block saturated in st, the join result, is dropped: the maximum of a
+// young bound and the limit is the limit.
+func joinPersInto(st *State, dst, a, b setState) setState {
 	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch ba, bb := a[i].blk(), b[j].blk(); {
-		case ba < bb:
-			dst = append(dst, a[i])
+	for i < len(a) || j < len(b) {
+		var e entry
+		switch {
+		case j == len(b) || i < len(a) && a[i].blk() < b[j].blk():
+			e = a[i]
 			i++
-		case ba > bb:
-			dst = append(dst, b[j])
+		case i == len(a) || a[i].blk() > b[j].blk():
+			e = b[j]
 			j++
 		default:
 			// Equal blocks: the larger packed value carries the larger age.
-			e := a[i]
-			if b[j] > e {
-				e = b[j]
-			}
-			dst = append(dst, e)
+			e = max(a[i], b[j])
 			i, j = i+1, j+1
 		}
+		if !st.satHas(e.blk()) {
+			dst = append(dst, e)
+		}
 	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
 	return dst
 }
 
 // mayUpdate is the may-analysis LRU update: the accessed block gets age 0;
 // blocks whose lower-bound age does not exceed its previous lower bound grow
-// older by one; blocks aged past the associativity cannot be resident.
+// older by one; blocks aged past the associativity cannot be resident. A
+// hit keeps its sorted slot; the one pass ages and compacts the rest.
 func mayUpdate(s setState, m uint64, assoc uint8) setState {
-	prev := assoc
-	if i := s.find(m); i >= 0 {
-		prev = s[i].age()
-		s = s.remove(i)
+	i := s.find(m)
+	if i < 0 {
+		return mustAgeAll(s, assoc).insert(m, 0)
 	}
+	prev := s[i].age()
 	w := 0
-	for _, e := range s {
-		if e.age() <= prev {
+	for j, e := range s {
+		switch {
+		case j == i:
+			e = mkEntry(m, 0)
+		case e.age() <= prev:
 			e++
 		}
 		if e.age() < assoc {
@@ -468,14 +554,31 @@ func mayUpdate(s setState, m uint64, assoc uint8) setState {
 			w++
 		}
 	}
-	return s[:w].insert(m, 0)
+	return s[:w]
 }
 
 // joinInto sets s to the join of a and b (which must not be s), reusing s's
 // backing buffer: the must component intersects (keeping maximal ages) and
 // the may component unites (keeping minimal ages) — the classical join
-// functions of [8] — without allocating per set.
+// functions of [8] — without allocating per set. The persistence component
+// unites with maximal bounds: the saturated bitsets OR first, then the young
+// merge drops whatever came out saturated.
 func (s *State) joinInto(a, b *State) {
+	long, short := a.sat, b.sat
+	if len(long) < len(short) {
+		long, short = short, long
+	}
+	s.sat = append(s.sat[:0], long...)
+	var ns int
+	for i, w := range s.sat {
+		if i < len(short) {
+			w |= short[i]
+			s.sat[i] = w
+		}
+		ns += bits.OnesCount64(w)
+	}
+	s.satLo, s.nSat = a.satLo, int32(ns)
+
 	n := len(a.must)
 	total := 0
 	for i := 0; i < n; i++ {
@@ -501,7 +604,7 @@ func (s *State) joinInto(a, b *State) {
 		off += bound
 
 		bound = len(a.pers[i]) + len(b.pers[i])
-		dst = joinPersInto(buf[off:off:off+bound], a.pers[i], b.pers[i])
+		dst = joinPersInto(s, buf[off:off:off+bound], a.pers[i], b.pers[i])
 		s.pers[i] = dst
 		np += int32(len(dst))
 		off += bound

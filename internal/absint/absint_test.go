@@ -69,6 +69,10 @@ func TestMustUpdateDoesNotAgeOlderBlocks(t *testing.T) {
 	}
 }
 
+// joinMust and joinMay are the allocating forms of the join functions.
+func joinMust(a, b setState) setState { return joinMustInto(nil, a, b) }
+func joinMay(a, b setState) setState  { return joinMayInto(nil, a, b) }
+
 func TestJoinMustIntersectsMaxAge(t *testing.T) {
 	a := setState{}.insert(1, 0).insert(2, 1)
 	b := setState{}.insert(2, 0).insert(3, 1)
@@ -495,5 +499,52 @@ func TestPersistentAfterEvictionIsFalse(t *testing.T) {
 	// A never-seen block: its access would be the one first load.
 	if !st.Persistent(1) {
 		t.Fatal("an untouched block's single load is its first miss")
+	}
+}
+
+// The saturated persistence bits are numbered from the chain's first memory
+// block, so re-analyzing a program whose text moved to another base must not
+// reuse the previous chain: the call runs in full and matches a fresh
+// analysis.
+func TestAnalyzeFromRebasedLayoutRunsFull(t *testing.T) {
+	p := isa.Build("rebase",
+		isa.Code(6),
+		isa.Loop(10, 8, isa.Code(40), isa.If(0.5, isa.S(isa.Code(20)), isa.S(isa.Code(30)))),
+		isa.Code(12))
+	x, lay := mustExpand(t, p)
+	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 256}
+	const lambda = 10
+	prev := testAnalyze(t, x, lay, cfg, lambda)
+	saturated := false
+	for _, s := range prev.out {
+		saturated = saturated || s != nil && s.nSat > 0
+	}
+	if !saturated {
+		t.Fatal("no exit state has a saturated bound; the test needs some")
+	}
+
+	x.Prog.Base = isa.DefaultBaseAddr / 2
+	moved := isa.NewLayout(x.Prog)
+	if moved.StartAddr()/uint64(cfg.BlockBytes) == lay.StartAddr()/uint64(cfg.BlockBytes) {
+		t.Fatal("the start block did not move")
+	}
+	got, err := AnalyzeFrom(context.Background(), x, moved, cfg, lambda, prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Changed != nil {
+		t.Fatal("a re-analysis of a rebased layout ran incrementally")
+	}
+	want := testAnalyze(t, x, moved, cfg, lambda)
+	for id := range want.Class {
+		for i := range want.Class[id] {
+			if got.Class[id][i] != want.Class[id][i] || got.Effective[id][i] != want.Effective[id][i] {
+				t.Fatalf("block %d ref %d: %v/%v, want %v/%v", id, i,
+					got.Class[id][i], got.Effective[id][i], want.Class[id][i], want.Effective[id][i])
+			}
+		}
+		if !got.InState(id).Equal(want.InState(id)) {
+			t.Fatalf("in-state of block %d diverges from a fresh analysis", id)
+		}
 	}
 }

@@ -44,7 +44,9 @@ import (
 // bit-identical to Analyze on the mutated program. prev must come from an
 // Analyze/AnalyzeFrom call on the same expanded program (the expansion is
 // structural, so in-place instruction edits keep it valid); when prev is
-// nil or incompatible the call degrades to a full analysis. An aborted call
+// nil or incompatible — including a prev whose layout started at a different
+// block, since the saturated persistence bits are numbered from the chain's
+// first block — the call degrades to a full analysis. An aborted call
 // (canceled ctx) returns a typed interrupt error and leaves prev fully
 // usable for a later retry.
 func AnalyzeFrom(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Config, lambda int, prev *Result) (*Result, error) {
@@ -81,13 +83,17 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 		gated:     l1 != nil,
 		out:       make([]*State, n),
 	}
+	satLo := lay.StartAddr() / uint64(cfg.BlockBytes)
+	if prev != nil && prev.scr.sp.satLo != satLo {
+		prev = nil // the seed's states number their saturated bits differently
+	}
 	full := prev == nil
 	var sc *scratch
 	if !full {
 		sc = prev.scr
 	}
 	if sc == nil {
-		sc = newScratch(cfg)
+		sc = newScratch(cfg, satLo)
 	}
 	res.scr = sc
 	made := sc.sp.made // pool misses before this call, for the span
@@ -390,8 +396,8 @@ type scratch struct {
 	row                                            []opRec
 }
 
-func newScratch(cfg cache.Config) *scratch {
-	return &scratch{sp: statePool{cfg: cfg}, empty: NewState(cfg)}
+func newScratch(cfg cache.Config, satLo uint64) *scratch {
+	return &scratch{sp: statePool{cfg: cfg, satLo: satLo}, empty: newState(cfg, satLo)}
 }
 
 // flags returns n cleared bools backed by *buf, growing it as needed.
@@ -414,8 +420,11 @@ func flags(buf *[]bool, n int) []bool {
 // recycled by the call they were seeded into (they are shared, possibly
 // interned).
 type statePool struct {
-	cfg  cache.Config
-	free []*State
+	cfg cache.Config
+	// satLo is the chain's first memory block, bit 0 of every state's
+	// saturated persistence bitset; it is fixed for the chain's lifetime.
+	satLo uint64
+	free  []*State
 	// made counts pool misses (fresh states) over the chain's lifetime.
 	made int
 }
@@ -427,7 +436,7 @@ func (p *statePool) get() *State {
 		return s
 	}
 	p.made++
-	return NewState(p.cfg)
+	return newState(p.cfg, p.satLo)
 }
 
 func (p *statePool) put(s *State) {
@@ -516,8 +525,10 @@ func (r *Result) InState(id int) *State {
 
 // internState replaces every set slice of s with its canonical copy, drops
 // the private backing buffer, and records the structural hash (giving Equal
-// its O(1) fast path on interned states). The state must not be mutated
-// afterwards.
+// its O(1) fast path on interned states). The saturated bitset stays with
+// the state; its non-zero words are folded into the hash with their index,
+// so trailing zero words, which Equal ignores, do not change it. The state
+// must not be mutated afterwards.
 func (t *internTable) internState(s *State) {
 	h := uint64(fnvOffset)
 	for i := range s.must {
@@ -534,6 +545,12 @@ func (t *internTable) internState(s *State) {
 		c, ch := t.canon(s.pers[i])
 		s.pers[i] = c
 		h = (h ^ ch) * fnvPrime
+	}
+	for i, w := range s.sat {
+		if w != 0 {
+			h = (h ^ uint64(i)) * fnvPrime
+			h = (h ^ w) * fnvPrime
+		}
 	}
 	s.buf = nil
 	s.hash, s.hashOK = h, true
@@ -639,8 +656,3 @@ func (c *effCalc) step(sxb, sidx, d int32, tgt uint64, lambda int) bool {
 	}
 	return true
 }
-
-// joinMust and joinMay are the allocating forms of the join functions,
-// retained for tests and external callers.
-func joinMust(a, b setState) setState { return joinMustInto(nil, a, b) }
-func joinMay(a, b setState) setState  { return joinMayInto(nil, a, b) }

@@ -9,8 +9,11 @@ import (
 // policyTransfer is the seam between the policy-independent abstract-state
 // machinery (packed entries, pooling, interning, joins — see incremental.go)
 // and the policy-specific transfer functions. Implementations mutate the
-// per-set slices of a State directly; the entry-count and hash bookkeeping
-// stays in State.Access / State.PrefetchFill, and the join functions stay
+// per-set slices of a State directly, and each passes its persistence limit
+// (the bound at which a block may have been evicted) to the persistence
+// updates, which keep the saturated bitset and its count. The entry-count
+// and hash bookkeeping stays in State.Access / State.PrefetchFill, and the
+// join functions stay
 // shared because must/may/persistence joins are lattice operations on age
 // bounds, independent of how the bounds evolve.
 //
@@ -23,9 +26,6 @@ type policyTransfer interface {
 	// fill applies the abstract effect of a prefetch fill of blk in set si;
 	// effective means the fill provably completes before blk's next use.
 	fill(s *State, si int, blk uint64, effective bool)
-	// persLimit is the age bound below which a persistence entry still
-	// guarantees "never evicted since load" (the component's top element).
-	persLimit() uint8
 }
 
 // transferFor selects the transfer implementation for a configuration.
@@ -57,7 +57,7 @@ type lruTransfer struct{ assoc uint8 }
 func (t lruTransfer) access(s *State, si int, blk uint64) {
 	s.must[si] = mustUpdate(s.must[si], blk, t.assoc)
 	s.may[si] = mayUpdate(s.may[si], blk, t.assoc)
-	s.pers[si] = persUpdate(s.pers[si], blk, t.assoc)
+	s.pers[si] = persUpdate(s, s.pers[si], blk, t.assoc)
 }
 
 func (t lruTransfer) fill(s *State, si int, blk uint64, effective bool) {
@@ -71,13 +71,11 @@ func (t lruTransfer) fill(s *State, si int, blk uint64, effective bool) {
 	// persistence bounds; the target itself may land (age 0 is only safe
 	// when effective — otherwise keep whatever bound it had).
 	if effective {
-		s.pers[si] = persUpdate(s.pers[si], blk, t.assoc)
+		s.pers[si] = persUpdate(s, s.pers[si], blk, t.assoc)
 	} else {
-		s.pers[si] = persAgeAll(s.pers[si], t.assoc)
+		s.pers[si] = persAgeAll(s, s.pers[si], t.assoc)
 	}
 }
-
-func (t lruTransfer) persLimit() uint8 { return t.assoc }
 
 // --- FIFO ----------------------------------------------------------------
 
@@ -109,13 +107,13 @@ func (t fifoTransfer) access(s *State, si int, blk uint64) {
 		// Definite miss: exact one-position shift of the whole set.
 		s.must[si] = mustUpdate(s.must[si], blk, t.assoc)
 		s.may[si] = mayUpdate(s.may[si], blk, t.assoc)
-		s.pers[si] = fifoPersMiss(s.pers[si], blk, t.assoc)
+		s.pers[si] = fifoPersMiss(s, s.pers[si], blk, t.assoc)
 		return
 	}
 	// Unknown hit/miss: join of both outcomes.
 	s.must[si] = fifoMustUnknown(s.must[si], blk, t.assoc)
 	s.may[si] = mayInsertFresh(s.may[si], blk)
-	s.pers[si] = fifoPersUnknown(s.pers[si], blk, t.assoc)
+	s.pers[si] = fifoPersUnknown(s, s.pers[si], blk, t.assoc)
 }
 
 func (t fifoTransfer) fill(s *State, si int, blk uint64, effective bool) {
@@ -128,10 +126,8 @@ func (t fifoTransfer) fill(s *State, si int, blk uint64, effective bool) {
 	}
 	s.must[si] = mustAgeAll(s.must[si], t.assoc)
 	s.may[si] = mayInsertFresh(s.may[si], blk)
-	s.pers[si] = persAgeAll(s.pers[si], t.assoc)
+	s.pers[si] = persAgeAll(s, s.pers[si], t.assoc)
 }
-
-func (t fifoTransfer) persLimit() uint8 { return t.assoc }
 
 // fifoMustUnknown is the must update for an access that may hit or miss
 // under FIFO: every other bound ages by one (the miss outcome dominates the
@@ -150,37 +146,38 @@ func fifoMustUnknown(s setState, m uint64, assoc uint8) setState {
 }
 
 // fifoPersMiss is the persistence update for a definite FIFO miss: the
-// insertion shifts the whole set, so every tracked bound ages (capped at
+// insertion shifts the whole set, so every young bound ages (saturating at
 // the limit), and the freshly loaded block restarts at zero.
-func fifoPersMiss(s setState, m uint64, assoc uint8) setState {
+func fifoPersMiss(st *State, s setState, m uint64, lim uint8) setState {
 	if i := s.find(m); i >= 0 {
 		s = s.remove(i)
+	} else {
+		st.satDel(m)
 	}
-	for j := range s {
-		if s[j].age() < assoc {
-			s[j]++
-		}
-	}
-	return s.insert(m, 0)
+	return persAgeAll(st, s, lim).insert(m, 0)
 }
 
 // fifoPersUnknown is the persistence update for a may-hit-may-miss FIFO
 // access: other bounds age (miss outcome), but the accessed block's own
-// bound is kept — a FIFO hit does not reset a block's position, so
-// resetting it here would be unsound. A block never tracked before starts
-// at zero (this access is its first load on every path through here).
-func fifoPersUnknown(s setState, m uint64, assoc uint8) setState {
+// bound is kept, saturated or not — a FIFO hit does not reset a block's
+// position, so resetting it here would be unsound. A block never tracked
+// before starts at zero (this access is its first load on every path
+// through here).
+func fifoPersUnknown(st *State, s setState, m uint64, lim uint8) setState {
 	found := false
-	for j := range s {
-		if s[j].blk() == m {
+	w := 0
+	for _, e := range s {
+		if e.blk() == m {
 			found = true
+		} else if e++; e.age() == lim {
+			st.satAdd(e.blk())
 			continue
 		}
-		if s[j].age() < assoc {
-			s[j]++
-		}
+		s[w] = e
+		w++
 	}
-	if !found {
+	s = s[:w]
+	if !found && !st.satHas(m) {
 		s = s.insert(m, 0)
 	}
 	return s
@@ -200,18 +197,16 @@ type plruTransfer struct{ eff uint8 }
 func (t plruTransfer) access(s *State, si int, blk uint64) {
 	s.must[si] = mustUpdate(s.must[si], blk, t.eff)
 	s.may[si] = mayInsertFresh(s.may[si], blk)
-	s.pers[si] = persUpdate(s.pers[si], blk, t.eff)
+	s.pers[si] = persUpdate(s, s.pers[si], blk, t.eff)
 }
 
 func (t plruTransfer) fill(s *State, si int, blk uint64, effective bool) {
 	if effective {
 		s.must[si] = mustUpdate(s.must[si], blk, t.eff)
-		s.pers[si] = persUpdate(s.pers[si], blk, t.eff)
+		s.pers[si] = persUpdate(s, s.pers[si], blk, t.eff)
 	} else {
 		s.must[si] = mustAgeAll(s.must[si], t.eff)
-		s.pers[si] = persAgeAll(s.pers[si], t.eff)
+		s.pers[si] = persAgeAll(s, s.pers[si], t.eff)
 	}
 	s.may[si] = mayInsertFresh(s.may[si], blk)
 }
-
-func (t plruTransfer) persLimit() uint8 { return t.eff }

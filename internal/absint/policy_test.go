@@ -168,10 +168,14 @@ func TestPolicyTransferSelection(t *testing.T) {
 
 // A FIFO hit does not refresh the accessed block's position, so after an
 // unknown hit/miss access the block's persistence bound must be kept, not
-// reset — resetting would claim more residency than a hit delivers.
+// reset — resetting would claim more residency than a hit delivers. The same
+// holds for a saturated bound: only a definite miss (a reload) brings it
+// back to zero.
 func TestPolicyFIFOPersistenceNoRefresh(t *testing.T) {
+	cfg := cache.Config{Assoc: 4, BlockBytes: 16, CapacityBytes: 64, Policy: cache.FIFO} // 1 set
+	st := NewState(cfg)
 	s := setState{mkEntry(3, 2), mkEntry(7, 1)}
-	out := fifoPersUnknown(s, 3, 4)
+	out := fifoPersUnknown(st, s, 3, 4)
 	if i := out.find(3); i < 0 || out[i].age() != 2 {
 		t.Fatalf("block 3's bound must stay at 2, got %v", out)
 	}
@@ -180,12 +184,35 @@ func TestPolicyFIFOPersistenceNoRefresh(t *testing.T) {
 	}
 
 	// A definite miss restarts the block and ages everyone else.
-	out = fifoPersMiss(setState{mkEntry(3, 2), mkEntry(7, 1)}, 3, 4)
+	out = fifoPersMiss(st, setState{mkEntry(3, 2), mkEntry(7, 1)}, 3, 4)
 	if i := out.find(3); i < 0 || out[i].age() != 0 {
 		t.Fatalf("a definite miss reloads block 3 at bound 0, got %v", out)
 	}
 	if i := out.find(7); i < 0 || out[i].age() != 2 {
 		t.Fatalf("block 7 must age to 2, got %v", out)
+	}
+	if st.nSat != 0 {
+		t.Fatalf("no bound reached the limit, yet %d blocks are saturated", st.nSat)
+	}
+
+	// A saturated block hit by an unknown access stays saturated, while the
+	// young bound that reaches the limit saturates beside it.
+	st.satAdd(5)
+	out = fifoPersUnknown(st, setState{mkEntry(7, 3)}, 5, 4)
+	if len(out) != 0 || !st.satHas(5) || !st.satHas(7) || st.nSat != 2 {
+		t.Fatalf("block 5 must stay saturated and block 7 saturate, got young %v, %d saturated", out, st.nSat)
+	}
+	if st.Persistent(5) {
+		t.Fatal("a saturated block must not be persistent")
+	}
+
+	// A definite miss reloads the saturated block at bound 0.
+	out = fifoPersMiss(st, out, 5, 4)
+	if i := out.find(5); i < 0 || out[i].age() != 0 || st.satHas(5) || st.nSat != 1 {
+		t.Fatalf("a definite miss must reload block 5 at bound 0, got young %v, %d saturated", out, st.nSat)
+	}
+	if !st.Persistent(5) {
+		t.Fatal("a reloaded block must be persistent")
 	}
 }
 
