@@ -739,12 +739,19 @@ type analyzer struct {
 	ownOut     []bool
 	dirty      []bool
 	outChanged []bool
+	// cls[id] is the classification row block id's latest transfer
+	// recorded, valid only where classed[id]; both live in the chain's
+	// scratch.
+	cls     [][]Classification
+	classed []bool
 	// rounds counts cyclic-component convergence rounds, for tracing.
 	rounds int
-	// scrA/scrB ping-pong through multi-predecessor joins; tmp/jn serve the
-	// Uncertain join inside one instruction; empty is the cold-cache entry
-	// state.
-	scrA, scrB, tmp, jn, empty *State
+	// scrA/scrB ping-pong through multi-predecessor joins; empty is the
+	// cold-cache entry state.
+	scrA, scrB, empty *State
+	// maybe holds the save and join buffers of the set-local Uncertain
+	// access (see maybeBuf).
+	maybe *maybeBuf
 }
 
 // checkInterval is how many fixpoint steps pass between context polls: the
@@ -762,34 +769,93 @@ func Analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 }
 
 // transferInto pushes src through the instruction sequence of expanded block
-// p into dst.
+// p into dst, classifying every fetch against the state it meets. The row
+// goes into the scratch buffer cls[p]; the row a block's last transfer
+// recorded is its final classification (see solve).
 func (a *analyzer) transferInto(dst, src *State, p int) {
 	dst.copyFrom(src)
+	ctx := a.x.Blocks[p].Ctx
+	inRest := len(ctx) > 0 && ctx[len(ctx)-1] == 'R'
+	cls := a.cls[p][:0]
 	for _, op := range a.ops[p] {
+		cl := dst.Classify(op.acc)
+		// Persistence upgrade (first-miss classification): a
+		// not-classified reference in an other-iterations context whose
+		// block can never have been evicted since its load pays its one
+		// miss in the first-iteration context; here it is a hit.
+		if cl == NotClassified && inRest && dst.Persistent(op.acc) {
+			cl = FirstMiss
+		}
+		cls = append(cls, cl)
 		a.apply(dst, op)
 	}
+	a.cls[p] = cls
+	a.classed[p] = true
 }
 
 // apply pushes one instruction through st: the fetch under its CAC gate —
 // Always is the plain update, Never leaves the state untouched, Uncertain
-// joins the applied and skipped branches — then the prefetch fill, if it
-// passes through this level, with its computed effectiveness. A fill that
-// passes through without targeting this level lands at an unknown time,
-// which the non-effective fill soundly over-approximates (it also covers
-// the fill not happening at all — a redundant prefetch).
+// joins the applied and skipped branches of the accessed set (see
+// maybeBuf.accessMaybe) — then the prefetch fill, if it passes through this
+// level, with its computed effectiveness. A fill that passes through
+// without targeting this level lands at an unknown time, which the
+// non-effective fill soundly over-approximates (it also covers the fill not
+// happening at all — a redundant prefetch).
 func (a *analyzer) apply(st *State, op opRec) {
 	switch op.cac {
 	case cacAlways:
 		st.Access(op.acc)
 	case cacUncertain:
-		a.tmp.copyFrom(st)
-		a.tmp.Access(op.acc)
-		a.jn.joinInto(st, a.tmp)
-		st.copyFrom(a.jn)
+		a.maybe.accessMaybe(st, op.acc)
 	}
 	if op.pft {
 		st.PrefetchFill(op.tgt, op.eff)
 	}
+}
+
+// maybeBuf holds the buffers of the Uncertain access: the accessed set's
+// must, may and young persistence entries and the saturated bitset as they
+// were before the access, and the join output. It lives in the chain's
+// scratch, so a steady-state re-analysis allocates nothing for it.
+type maybeBuf struct {
+	must, may, pers, join setState
+	sat                   []uint64
+}
+
+// accessMaybe applies an access to blk that may or may not happen: the join of
+// the accessed and the untouched state (Hardy & Puaut's Uncertain update).
+// Access changes only blk's cache set, and joining an untouched set with
+// itself gives the same set, so only that set is joined: its saved entries
+// with the accessed ones, and the saved saturated bits ORed back in (the
+// bits of other sets are the same on both sides). The young persistence
+// join runs against the ORed bitset, so a bound saturated on either branch
+// stays saturated.
+func (b *maybeBuf) accessMaybe(st *State, blk uint64) {
+	si := st.cfg.SetOf(blk)
+	b.must = append(b.must[:0], st.must[si]...)
+	b.may = append(b.may[:0], st.may[si]...)
+	b.pers = append(b.pers[:0], st.pers[si]...)
+	b.sat = append(b.sat[:0], st.sat...)
+	st.Access(blk)
+
+	// Access never shrinks the bitset, so every saved word has a slot.
+	for i, w := range b.sat {
+		if d := w &^ st.sat[i]; d != 0 {
+			st.sat[i] |= d
+			st.nSat += int32(bits.OnesCount64(d))
+		}
+	}
+	m0, y0, p0 := len(st.must[si]), len(st.may[si]), len(st.pers[si])
+	b.join = joinMustInto(b.join[:0], b.must, st.must[si])
+	st.must[si] = append(st.must[si][:0], b.join...)
+	b.join = joinMayInto(b.join[:0], b.may, st.may[si])
+	st.may[si] = append(st.may[si][:0], b.join...)
+	b.join = joinPersInto(st, b.join[:0], b.pers, st.pers[si])
+	st.pers[si] = append(st.pers[si][:0], b.join...)
+	st.nMust += int32(len(st.must[si]) - m0)
+	st.nMay += int32(len(st.may[si]) - y0)
+	st.nPers += int32(len(st.pers[si]) - p0)
+	st.hashOK = false
 }
 
 // joinPreds returns the join of the predecessors' exit states of block id —
@@ -871,6 +937,14 @@ func (a *analyzer) processBlock(id int) bool {
 // Components with no dirty member are skipped entirely: their equations and
 // inputs are unchanged, so the seeded previous values are already final.
 //
+// The classification row each transfer records (see transferInto) is final
+// once the solve ends: every publish of a new exit state marks the
+// successors dirty, so a block is transferred again whenever one of its
+// predecessors changes after its last transfer — an acyclic block's
+// predecessors are final before it is reached, and a cyclic component does
+// not converge while a member is dirty. A block's last transfer therefore
+// saw its predecessors' final exit states.
+//
 // The fixpoint is interruptible: the amortized checker is polled once per
 // component and once per cyclic convergence round, so a canceled context
 // unwinds the solve within one round. An aborted solve leaves the seed
@@ -943,30 +1017,4 @@ func (a *analyzer) solve(plan *sccPlan) error {
 		}
 	}
 	return nil
-}
-
-// classify records the per-reference classification of expanded block id
-// into the result, walking a copy of the block's in-state in (which is
-// transient: it may be a joinPreds scratch state).
-func (a *analyzer) classify(id int, in *State, walk *State) {
-	x := a.x
-	xb := x.Blocks[id]
-	res := a.res
-	walk.copyFrom(in)
-	row := a.ops[id]
-	cls := make([]Classification, len(row))
-	inRest := len(xb.Ctx) > 0 && xb.Ctx[len(xb.Ctx)-1] == 'R'
-	for i, op := range row {
-		cl := walk.Classify(op.acc)
-		// Persistence upgrade (first-miss classification): a
-		// not-classified reference in an other-iterations context whose
-		// block can never have been evicted since its load pays its one
-		// miss in the first-iteration context; here it is a hit.
-		if cl == NotClassified && inRest && walk.Persistent(op.acc) {
-			cl = FirstMiss
-		}
-		cls[i] = cl
-		a.apply(walk, op)
-	}
-	res.Class[id] = cls
 }

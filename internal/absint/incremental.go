@@ -242,15 +242,16 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 	if !full {
 		copy(a.out, prev.out)
 	}
-	a.scrA, a.scrB = a.sp.get(), a.sp.get()
-	if l1 != nil { // only a gated level has Uncertain fetches
-		a.tmp, a.jn = a.sp.get(), a.sp.get()
+	if len(sc.cls) != n { // a chain analyzes one expanded program
+		sc.cls = make([][]Classification, n)
 	}
+	a.cls = sc.cls
+	a.classed = flags(&sc.classed, n)
+	a.maybe = &sc.maybe
+	a.scrA, a.scrB = a.sp.get(), a.sp.get()
 	defer func() {
 		a.sp.put(a.scrA)
 		a.sp.put(a.scrB)
-		a.sp.put(a.tmp)
-		a.sp.put(a.jn)
 	}()
 	a.empty = sc.empty
 	if err := a.solve(res.sccs); err != nil {
@@ -282,23 +283,20 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 		}
 		res.Changed = changed
 	}
-	walk := a.sp.get()
-	for _, id := range x.Topo {
-		if err := a.chk.Check(); err != nil {
-			a.sp.put(walk)
-			return nil, err
-		}
+	// Every changed block takes the row its last transfer in the fixpoint
+	// recorded. A block the solve never transferred has no predecessor
+	// state — it is unreachable, and edits never change reachability — so
+	// it is classified against the cold-cache state, like the entry.
+	for id := range ops {
 		if !full && !res.Changed[id] {
 			res.Class[id] = prev.Class[id]
 			continue
 		}
-		in := a.joinPreds(id)
-		if in == nil { // unreachable: the cold-cache state, like the entry
-			in = a.empty
+		if !a.classed[id] {
+			a.transferInto(a.scrA, a.empty, id)
 		}
-		a.classify(id, in, walk)
+		res.Class[id] = append([]Classification(nil), a.cls[id]...)
 	}
-	a.sp.put(walk)
 	if span != nil {
 		span.Attr("rounds", a.rounds)
 		span.Attr("states_pooled", len(sc.sp.free))
@@ -392,8 +390,12 @@ type scratch struct {
 	ec    *effCalc
 	empty *State
 	// flag slices, re-cleared per call
-	baseDirty, dirty, rowDirty, ownOut, outChanged []bool
-	row                                            []opRec
+	baseDirty, dirty, rowDirty, ownOut, outChanged, classed []bool
+	row                                                     []opRec
+	// cls holds the per-block classification rows the fixpoint records
+	// (see analyzer.transferInto); maybe the Uncertain access's buffers.
+	cls   [][]Classification
+	maybe maybeBuf
 }
 
 func newScratch(cfg cache.Config, satLo uint64) *scratch {
@@ -510,10 +512,11 @@ func (r *Result) Release() {
 }
 
 // InState derives the abstract state on entry to expanded block id — the
-// state its classification walked, computed by the same predecessor join
-// (the cold-cache state at the entry and at a block no predecessor
-// reaches). The analysis stores no in-states; this allocates a fresh one
-// per call, for tests and diagnostics.
+// join of its predecessors' final exit states, which the block's last
+// transfer in the fixpoint classified against (the cold-cache state at the
+// entry and at a block no predecessor reaches). The analysis neither stores
+// nor walks in-states after the solve; this allocates a fresh one per
+// call, for tests and diagnostics.
 func (r *Result) InState(id int) *State {
 	a := &analyzer{x: r.X, out: r.out, scrA: NewState(r.Cfg), scrB: NewState(r.Cfg), empty: NewState(r.Cfg)}
 	in := NewState(r.Cfg)

@@ -45,3 +45,39 @@ func TestValidationAllocBudget(t *testing.T) {
 		t.Fatalf("%d bytes allocated per validation, budget %d", perValidation, validationAllocBudget)
 	}
 }
+
+// hierValidationAllocBudget bounds the bytes allocated per validation of the
+// L1 + L2 cell in TestHierValidationAllocBudget: about 1.5× the 114.3 KB it
+// measures (63 validations; 115.2 KB under -race).
+const hierValidationAllocBudget = 171_000
+
+// TestHierValidationAllocBudget is TestValidationAllocBudget behind an
+// 8 KiB L2: each validation re-analyzes both levels, and the L2's Uncertain
+// accesses (L1 verdicts that are neither always-hit nor always-miss) and
+// the classification rows the fixpoint records must not allocate per call.
+func TestHierValidationAllocBudget(t *testing.T) {
+	bm, ok := malardalen.ByName("compress")
+	if !ok {
+		t.Fatal("unknown program compress")
+	}
+	h := cache.Hier1(cache.Table2()[13])
+	h.L2 = cache.Config{Assoc: 4, BlockBytes: 32, CapacityBytes: 8192, Policy: h.L1.Policy}
+	par := testPar
+	par.L2HitCycles = 3
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, rep, err := OptimizeHier(context.Background(), bm.Prog, h, Options{Par: par})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Validations == 0 {
+		t.Fatal("no validations ran; the budget is vacuous")
+	}
+	perValidation := (after.TotalAlloc - before.TotalAlloc) / uint64(rep.Validations)
+	t.Logf("%d validations, %d bytes allocated per validation (budget %d)", rep.Validations, perValidation, hierValidationAllocBudget)
+	if perValidation > hierValidationAllocBudget {
+		t.Fatalf("%d bytes allocated per validation, budget %d", perValidation, hierValidationAllocBudget)
+	}
+}
