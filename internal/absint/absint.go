@@ -920,13 +920,12 @@ func (a *analyzer) processBlock(id int) bool {
 	return true
 }
 
-// solve runs the fixpoint over the strongly-connected components of the
-// expanded graph in condensation topological order. When a component is
-// reached, every predecessor outside it already holds its final (least
-// fixpoint) value, so:
+// solve runs the fixpoint over the components of the plan (see sccPlan) in
+// topological order. When a component is reached, every predecessor
+// outside it already holds its final (least fixpoint) value, so:
 //
-//   - an acyclic (singleton, no self edge) component is solved by a single
-//     transfer — and if the result equals the seeded previous value, nothing
+//   - an acyclic (singleton) component is solved by a single transfer —
+//     and if the result equals the seeded previous value, nothing
 //     propagates;
 //   - a cyclic component with a dirty member restarts from bottom as a
 //     whole and iterates to convergence, which is the least fixpoint of the

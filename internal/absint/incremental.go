@@ -22,8 +22,9 @@ import (
 // an L2 row also changes when the L1 verdict gating one of its fetches
 // moved, so a re-classification at L1 dirties exactly the L2 blocks it
 // reaches. Every slot is seeded with the previous solution and
-// the fixpoint walks the strongly-connected components of the graph in
-// condensation topological order (see solve in absint.go). By induction
+// the fixpoint walks the components of the plan — blocks outside every
+// loop region, and whole outermost regions — in topological order (see
+// sccPlan in scc.go and solve in absint.go). By induction
 // over that order, when a component is reached its external inputs are
 // final: a clean component (no dirty member, no input change propagated
 // into it) keeps its previous values, which are exactly the new least-

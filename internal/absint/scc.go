@@ -1,90 +1,44 @@
 package absint
 
-import (
-	"sort"
+import "ucp/internal/vivu"
 
-	"ucp/internal/vivu"
-)
-
-// sccPlan is the iteration strategy of the fixpoint: the strongly-connected
-// components of the expanded graph in condensation topological order, each
-// member list in ACFG topological order. Acyclic components are solved by a
-// single transfer once their predecessors are final; cyclic components
-// (residual-loop regions) iterate locally to convergence. The plan depends
-// only on the graph structure — in-place instruction edits keep it valid —
-// so it travels inside the Result and is reused across incremental
-// re-analyses.
+// sccPlan is the iteration strategy of the fixpoint: the components of the
+// expanded graph in topological order, each member list in ACFG
+// topological order. Acyclic components are solved by a single transfer
+// once their predecessors are final; cyclic components (residual-loop
+// regions) iterate locally to convergence. The plan depends only on the
+// graph structure — in-place instruction edits keep it valid — so it
+// travels inside the Result and is reused across incremental re-analyses.
 type sccPlan struct {
 	comps  [][]int
 	cyclic []bool
 }
 
-// buildSCCPlan runs Tarjan's algorithm over the expanded graph and orders
-// the components topologically (Tarjan emits them in reverse topological
-// order of the condensation).
+// buildSCCPlan reads the components off the residual-region tree vivu
+// records: a block outside every region is an acyclic singleton, and each
+// outermost region, nested loops included, is one cyclic component placed
+// at its R header's position in Topo. Every edge into a region enters at
+// its header, so this order is topological.
+//
+// A region can be larger than its strongly-connected component — a
+// bound-1 inner loop leaves a dead-end latch inside it — but iterating the
+// region to convergence still yields the same least fixpoint: a member
+// that cannot reach the back edge feeds only members that cannot either,
+// so the others iterate exactly as in the smaller component, and the last
+// transfer of such a member takes its predecessors' final values
+// (DESIGN.md §8).
 func buildSCCPlan(x *vivu.Prog) *sccPlan {
-	n := len(x.Blocks)
-	index := make([]int32, n) // 0 = unvisited, else visit order + 1
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	selfLoop := make([]bool, n)
-	stack := make([]int32, 0, n)
 	plan := &sccPlan{}
-	var next int32
-	var strong func(v int)
-	strong = func(v int) {
-		next++
-		index[v], low[v] = next, next
-		stack = append(stack, int32(v))
-		onStack[v] = true
-		for _, e := range x.Blocks[v].Succs {
-			w := e.To
-			if w == v {
-				selfLoop[v] = true
-			}
-			if index[w] == 0 {
-				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
+	for i, id := range x.Topo {
+		r := x.Region[id]
+		if r == -1 {
+			plan.comps = append(plan.comps, x.Topo[i:i+1:i+1])
+			plan.cyclic = append(plan.cyclic, false)
+			continue
 		}
-		if low[v] == index[v] {
-			var comp []int
-			for {
-				w := int(stack[len(stack)-1])
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			plan.comps = append(plan.comps, comp)
-			plan.cyclic = append(plan.cyclic, len(comp) > 1 || selfLoop[v])
-		}
-	}
-	for _, v := range x.Topo {
-		if index[v] == 0 {
-			strong(v)
-		}
-	}
-	// Reverse into condensation topological order.
-	for i, j := 0, len(plan.comps)-1; i < j; i, j = i+1, j-1 {
-		plan.comps[i], plan.comps[j] = plan.comps[j], plan.comps[i]
-		plan.cyclic[i], plan.cyclic[j] = plan.cyclic[j], plan.cyclic[i]
-	}
-	// Iterate cyclic components in ACFG topological order, which reaches
-	// convergence in the fewest passes on reducible regions.
-	pos := make([]int32, n)
-	for i, v := range x.Topo {
-		pos[v] = int32(i)
-	}
-	for _, comp := range plan.comps {
-		if len(comp) > 1 {
-			sort.Slice(comp, func(i, j int) bool { return pos[comp[i]] < pos[comp[j]] })
+		if inst := x.Loops[r]; inst.HeadRest == id && inst.Parent == -1 {
+			plan.comps = append(plan.comps, inst.Members)
+			plan.cyclic = append(plan.cyclic, true)
 		}
 	}
 	return plan

@@ -790,22 +790,11 @@ func (o *optimizer) insertionPoint(r vivu.Ref, origRef isa.InstrRef) (isa.InstrR
 		return origRef, false, true
 	}
 	// Terminator: place the prefetch at the head of the WCET successor.
-	xb := res.X.Blocks[r.XB]
-	bestN := int64(-1)
-	best := -1
-	for _, e := range xb.Succs {
-		n := res.Nw[e.To]
-		switch {
-		case n > bestN:
-			bestN, best = n, e.To
-		case n == bestN && best != -1 && o.topoPos[e.To] < o.topoPos[best]:
-			best = e.To
-		}
-	}
-	if best == -1 || bestN <= 0 {
+	succ := o.wcetSuccBlock(r.XB)
+	if succ == -1 {
 		return isa.InstrRef{}, false, false
 	}
-	return isa.InstrRef{Block: res.X.Blocks[best].Orig, Index: 0}, true, true
+	return isa.InstrRef{Block: res.X.Blocks[succ].Orig, Index: 0}, true, true
 }
 
 // duplicateAt reports whether an equivalent prefetch (same target block at

@@ -31,10 +31,11 @@ type Result struct {
 // Solve builds and solves the IPET instance for the expanded program x.
 // cost[xb] is the WCET-scenario time of one execution of expanded block xb
 // (the t_w(bb) of Equation 1). extra, which may be nil, holds per-block
-// one-time costs charged once per entry of the residual loop region
-// containing the block — the encoding of first-miss (persistence)
-// classifications. The charge attaches to the region's entry flow: the
-// non-back edges into its HeadRest block.
+// one-time costs — the encoding of first-miss (persistence)
+// classifications — charged once per entry of the innermost residual loop
+// region containing the block (x.Region), or once on the block's one
+// execution outside every region. A region's charge attaches to its entry
+// flow: the non-back edges into its HeadRest block.
 func Solve(x *vivu.Prog, cost, extra []int64) (*Result, error) {
 	if len(cost) != len(x.Blocks) {
 		return nil, fmt.Errorf("ipet: cost vector length %d != %d blocks", len(cost), len(x.Blocks))
@@ -64,6 +65,24 @@ func Solve(x *vivu.Prog, cost, extra []int64) (*Result, error) {
 	}
 	row := func() []float64 { return make([]float64, n+1) }
 
+	// One-time charges (first-miss classifications): each block's charge
+	// rides on the entry flow of its innermost residual region only;
+	// enclosing regions would double-count it (their entries subsume the
+	// inner entries). A block outside every region executes at most once,
+	// so its charge joins its per-execution cost.
+	unit := make([]float64, len(x.Blocks))
+	regionExtra := make([]float64, len(x.Loops))
+	for b, r := range x.Region {
+		unit[b] = float64(cost[b])
+		switch {
+		case extra == nil:
+		case r == -1:
+			unit[b] += float64(extra[b])
+		default:
+			regionExtra[r] += float64(extra[b])
+		}
+	}
+
 	// Objective: Σ cost(b) · n_b, with n_b expressed as the inflow of b.
 	// Flow conservation: inflow(b) − outflow(b) = 0 for every block.
 	p := &lp{obj: make([]float64, n)}
@@ -72,11 +91,11 @@ func Solve(x *vivu.Prog, cost, extra []int64) (*Result, error) {
 		flow[b] = row()
 	}
 	for v, e := range edges {
-		p.obj[v] = float64(cost[e.to])
+		p.obj[v] = unit[e.to]
 		flow[e.to][v]++
 		flow[e.from][v]--
 	}
-	p.obj[entryVar] = float64(cost[x.Entry])
+	p.obj[entryVar] = unit[x.Entry]
 	flow[x.Entry][entryVar] = 1
 	exitVar := entryVar + 1
 	for _, xb := range x.Blocks {
@@ -91,21 +110,9 @@ func Solve(x *vivu.Prog, cost, extra []int64) (*Result, error) {
 	entry[entryVar], entry[n] = 1, 1
 	p.eq = append(flow, entry)
 
-	for _, inst := range x.Loops {
+	for r, inst := range x.Loops {
 		if inst.HeadRest == -1 {
 			continue
-		}
-		// Per-entry one-time charges (first-miss classifications): the
-		// region's aggregate extra rides on its entry flow. Each block's
-		// charge goes to its innermost region only; enclosing regions would
-		// double-count it (their entries subsume the inner entries).
-		var regionExtra float64
-		if extra != nil {
-			for _, xb := range x.RegionMembers(inst) {
-				if len(x.Blocks[xb].Ctx) == len(inst.Enclosing)+1 {
-					regionExtra += float64(extra[xb])
-				}
-			}
 		}
 		// Loop bound: the residual back-edge flow into HeadRest is at most
 		// (bound−1) times the flow entering HeadFirst.
@@ -120,7 +127,7 @@ func Solve(x *vivu.Prog, cost, extra []int64) (*Result, error) {
 			case e.to == inst.HeadRest && e.back:
 				bound[v]++
 			case e.to == inst.HeadRest:
-				p.obj[v] += regionExtra
+				p.obj[v] += regionExtra[r]
 			}
 		}
 		p.le = append(p.le, bound)

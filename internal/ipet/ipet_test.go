@@ -123,3 +123,30 @@ func TestBuildRejectsBadCostVector(t *testing.T) {
 		t.Fatal("expected cost-length error")
 	}
 }
+
+// TestExtraChargedToInnermostRegion pins where a one-time charge lands for
+// a block in an F context inside a residual region: the inner loop's header
+// in context RF lies in the outer loop's region, not in a region of its
+// own, so its charge rides on the outer region's entry flow. Unit costs
+// make the path's block executions 43; the charge adds 100 once.
+func TestExtraChargedToInnermostRegion(t *testing.T) {
+	p := isa.Build("rf", isa.Loop(4, 3, isa.Loop(3, 2, isa.Code(2))))
+	x := expand(t, p)
+	cost := make([]int64, len(x.Blocks))
+	for i := range cost {
+		cost[i] = 1
+	}
+	extra := make([]int64, len(x.Blocks))
+	rf := x.Lookup(p.Loops[1].Head, "RF")
+	if rf == -1 || x.Region[rf] == -1 {
+		t.Fatalf("inner header RF copy %d is not in a residual region", rf)
+	}
+	extra[rf] = 100
+	r, err := Solve(x, cost, extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.TauW != 143 {
+		t.Fatalf("TauW = %d, want 143 (43 block executions + one charge of 100)", r.TauW)
+	}
+}

@@ -40,13 +40,21 @@ type Block struct {
 
 // LoopInstance identifies one instantiation of an original loop in a given
 // enclosing context, together with the expanded header blocks the IPET bound
-// constraints attach to.
+// constraints attach to. An instance with an R context owns a residual
+// region: the R-context copy of the loop, entered and left only at
+// HeadRest and closed by its back edges.
 type LoopInstance struct {
 	Orig      int     // index into Program.Loops
 	Enclosing Context // context of the surrounding code
 	Bound     int
 	HeadFirst int // expanded ID of the header in the F context
 	HeadRest  int // expanded ID of the header in the R context, or -1
+	// Members are the expanded blocks of the residual region, nested loops
+	// included, in Topo order with HeadRest first; nil when HeadRest == -1.
+	Members []int
+	// Parent is the index in Prog.Loops of the innermost residual region
+	// enclosing this instance, or -1.
+	Parent int
 }
 
 // Prog is the context-expanded program.
@@ -58,6 +66,11 @@ type Prog struct {
 	// Topo is a topological order of Blocks ignoring back edges (the ACFG
 	// order); back edges only close the R-context self-loops.
 	Topo []int
+	// Region[xb] is the index in Loops of the innermost residual region
+	// containing expanded block xb, or -1 outside every region. Regions,
+	// their Members and their Parent chains form the loop-region tree the
+	// WCET solve, the fixpoint plan and the IPET formulation all share.
+	Region []int
 
 	index map[instKey]int
 }
@@ -180,7 +193,42 @@ func Expand(p *isa.Program) (*Prog, error) {
 	if len(topo) != len(x.Blocks) {
 		return nil, fmt.Errorf("vivu: %d of %d expanded blocks unreachable", len(x.Blocks)-len(topo), len(x.Blocks))
 	}
+	x.regions(chains)
 	return x, nil
+}
+
+// regions records the residual-region tree. A block's innermost region is
+// named by the last R of its context: the loop at that depth of its chain,
+// instantiated in the context before the R. An instance's parent is the
+// innermost region of its F-context header, whose context is the
+// enclosing one. Every region is entered only at its R header, which
+// therefore precedes the other members in Topo.
+func (x *Prog) regions(chains [][]int) {
+	headOf := make([]int, len(x.Blocks))
+	for i := range headOf {
+		headOf[i] = -1
+	}
+	for i, inst := range x.Loops {
+		if inst.HeadRest != -1 {
+			headOf[inst.HeadRest] = i
+		}
+	}
+	x.Region = make([]int, len(x.Blocks))
+	for _, xb := range x.Blocks {
+		x.Region[xb.ID] = -1
+		if d := strings.LastIndexByte(string(xb.Ctx), 'R'); d >= 0 {
+			head := x.Prog.Loops[chains[xb.Orig][d]].Head
+			x.Region[xb.ID] = headOf[x.index[instKey{head, xb.Ctx[:d+1]}]]
+		}
+	}
+	for i := range x.Loops {
+		x.Loops[i].Parent = x.Region[x.Loops[i].HeadFirst]
+	}
+	for _, id := range x.Topo {
+		for r := x.Region[id]; r != -1; r = x.Loops[r].Parent {
+			x.Loops[r].Members = append(x.Loops[r].Members, id)
+		}
+	}
 }
 
 // topological returns a topological order of the vertices reachable from
@@ -327,29 +375,6 @@ func sameChain(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// RegionMembers returns the expanded blocks of the residual (R-copy) region
-// of a loop instance: members of the original loop whose context extends
-// Enclosing+"R". Both the structural WCET solver and the IPET formulation
-// attach their per-entry costs and bounds to this region.
-func (x *Prog) RegionMembers(inst LoopInstance) []int {
-	loop := x.Prog.Loops[inst.Orig]
-	inLoop := map[int]bool{}
-	for _, b := range loop.Blocks {
-		inLoop[b] = true
-	}
-	want := inst.Enclosing + "R"
-	var out []int
-	for _, xb := range x.Blocks {
-		if !inLoop[xb.Orig] {
-			continue
-		}
-		if len(xb.Ctx) >= len(want) && xb.Ctx[:len(want)] == want {
-			out = append(out, xb.ID)
-		}
-	}
-	return out
 }
 
 // Ref identifies one expanded reference: instruction Index of the expanded

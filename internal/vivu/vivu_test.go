@@ -1,6 +1,8 @@
 package vivu
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -260,21 +262,110 @@ func TestNRefsMatchesContexts(t *testing.T) {
 	}
 }
 
-func TestRegionMembersInnermost(t *testing.T) {
-	p := isa.Build("rm", isa.Loop(4, 2, isa.Loop(3, 2, isa.Code(2))))
-	x := expand(t, p)
-	for _, inst := range x.Loops {
-		if inst.HeadRest == -1 {
-			continue
+// TestRegionInvariants pins the residual-region tree Expand records: every
+// region's Members are exactly the blocks of its loop in a context that
+// extends Enclosing+"R", listed in Topo order with HeadRest first; Region
+// names the innermost region containing a block; the Parent chain nests
+// strictly; and every back edge runs from a member of a region to its
+// R header.
+func TestRegionInvariants(t *testing.T) {
+	progs := []*isa.Program{
+		isa.Build("rm", isa.Loop(4, 2, isa.Loop(3, 2, isa.Code(2)))),
+		// A bound-1 inner loop: its body copies in the outer R context
+		// belong to the outer region, and its latch is a dead end there.
+		isa.Build("b1", isa.Loop(5, 3, isa.Code(2), isa.Loop(1, 0.5, isa.Code(3)), isa.Code(1))),
+		isa.Build("deep", isa.Code(1),
+			isa.Loop(3, 2, isa.IfThen(0.5, isa.Loop(2, 1, isa.Code(2))), isa.Loop(4, 2, isa.Loop(2, 1, isa.Code(1)))),
+			isa.Loop(6, 3, isa.If(0.3, isa.S(isa.Code(4)), isa.S(isa.Loop(2, 1, isa.Code(2)))))),
+	}
+	for _, p := range progs {
+		x := expand(t, p)
+		pos := make([]int, len(x.Blocks))
+		for i, id := range x.Topo {
+			pos[id] = i
 		}
-		for _, xb := range x.RegionMembers(inst) {
-			ctx := x.Blocks[xb].Ctx
+		// in[r][xb]: xb lies in region r, by the context rule.
+		in := make([][]bool, len(x.Loops))
+		regions := 0
+		for r, inst := range x.Loops {
+			if inst.HeadRest == -1 {
+				if inst.Members != nil {
+					t.Fatalf("%s: loop %d/%s has no R context but %d members", p.Name, inst.Orig, inst.Enclosing, len(inst.Members))
+				}
+				continue
+			}
+			regions++
+			in[r] = make([]bool, len(x.Blocks))
 			want := inst.Enclosing + "R"
-			if len(ctx) < len(want) || ctx[:len(want)] != want {
-				t.Fatalf("member %d has ctx %q outside region %q", xb, ctx, want)
+			var members []int
+			for _, id := range x.Topo {
+				xb := x.Blocks[id]
+				if contains(p.Loops[inst.Orig].Blocks, xb.Orig) && strings.HasPrefix(string(xb.Ctx), string(want)) {
+					in[r][id] = true
+					members = append(members, id)
+				}
+			}
+			if !reflect.DeepEqual(inst.Members, members) {
+				t.Fatalf("%s: loop %d/%s members %v, want %v (Topo order)", p.Name, inst.Orig, inst.Enclosing, inst.Members, members)
+			}
+			if inst.Members[0] != inst.HeadRest {
+				t.Fatalf("%s: loop %d/%s members start at %d, not the R header %d", p.Name, inst.Orig, inst.Enclosing, inst.Members[0], inst.HeadRest)
+			}
+		}
+		if regions == 0 {
+			t.Fatalf("%s: no residual region", p.Name)
+		}
+		for _, inst := range x.Loops {
+			if par := inst.Parent; par != -1 {
+				outer := x.Loops[par]
+				if outer.HeadRest == -1 || len(outer.Enclosing) >= len(inst.Enclosing) {
+					t.Fatalf("%s: loop %d/%s has parent %d/%s", p.Name, inst.Orig, inst.Enclosing, outer.Orig, outer.Enclosing)
+				}
+				for _, m := range inst.Members {
+					if !in[par][m] {
+						t.Fatalf("%s: member %d of loop %d/%s outside its parent region", p.Name, m, inst.Orig, inst.Enclosing)
+					}
+				}
+			}
+		}
+		for _, xb := range x.Blocks {
+			// The regions containing xb are exactly the Parent chain from
+			// Region[xb].
+			onChain := make([]bool, len(x.Loops))
+			for r := x.Region[xb.ID]; r != -1; r = x.Loops[r].Parent {
+				onChain[r] = true
+			}
+			for r := range x.Loops {
+				if (in[r] != nil && in[r][xb.ID]) != onChain[r] {
+					t.Fatalf("%s: block %d (%s) in region %d: %v, on its Region chain: %v",
+						p.Name, xb.ID, xb.Ctx, r, !onChain[r], onChain[r])
+				}
+			}
+			for _, e := range xb.Succs {
+				if !e.Back {
+					continue
+				}
+				r := -1
+				for i, inst := range x.Loops {
+					if inst.HeadRest == e.To {
+						r = i
+					}
+				}
+				if r == -1 || !in[r][xb.ID] {
+					t.Fatalf("%s: back edge %d->%d leaves its region", p.Name, xb.ID, e.To)
+				}
 			}
 		}
 	}
+}
+
+func contains(s []int, v int) bool {
+	for _, e := range s {
+		if e == v {
+			return true
+		}
+	}
+	return false
 }
 
 func TestTopologicalRejectsCycles(t *testing.T) {

@@ -111,6 +111,14 @@ func assemble(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params, 
 		Tw:   make([][]int64, n),
 		Cost: make([]int64, n),
 	}
+	if prev != nil {
+		res.plan = prev.plan
+	} else {
+		var err error
+		if res.plan, err = newSolvePlan(x); err != nil {
+			return nil, err
+		}
+	}
 	// Without an L2 every L1 miss goes to memory directly: the L2 verdict is
 	// a miss and an L2 access costs nothing.
 	l2Hit := par.L2HitCycles
@@ -192,11 +200,7 @@ func assemble(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params, 
 		}
 	} else {
 		_, sp := obs.Start(ctx, "wcet.solve")
-		nw, tau, err := solveStructuralExtra(x, res.Cost, extra)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
+		nw, tau := res.plan.solve(res.Cost, extra)
 		sp.Attr("tau_w", tau)
 		sp.End()
 		res.Nw, res.TauW = nw, tau

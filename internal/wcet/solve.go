@@ -2,310 +2,243 @@ package wcet
 
 import (
 	"fmt"
-	"sort"
 
 	"ucp/internal/vivu"
 )
 
-// solveStructural computes the WCET scenario (block counts and total memory
-// time) of an expanded program by hierarchical reduction: every residual
-// loop region (the R-context copy of a loop) is collapsed, innermost first,
-// into a supernode whose weight accounts for its bounded iteration, and the
-// remaining DAG is solved by longest path. For the network-like IPET
-// instances our structured programs generate this yields exactly the ILP
-// optimum (a property checked against internal/ipet in tests) at a fraction
-// of the cost.
-func solveStructural(x *vivu.Prog, cost []int64) (nw []int64, tau int64, err error) {
-	return solveStructuralExtra(x, cost, nil)
+// solvePlan is the structural WCET solve laid out once per expansion. The
+// solve is a hierarchical reduction: every residual loop region, innermost
+// first, collapses into one node whose weight accounts for its bounded
+// iteration, and the top level is solved by longest path. The regions and
+// their nesting come from the tree vivu.Expand records, and inserting a
+// prefetch never changes the expanded graph, so the plan travels down the
+// Result chain and every solve is a few passes over slices. For the
+// network-like IPET instances our structured programs generate this yields
+// exactly the ILP optimum (a property checked against internal/ipet in
+// tests) at a fraction of the cost.
+type solvePlan struct {
+	nBlocks int
+	// levels holds the top level first, then one level per residual region
+	// in the Topo order of the R headers, so every region comes after the
+	// regions enclosing it.
+	levels []planLevel
+	nNodes int // total nodes over all levels
 }
 
-// solveStructuralExtra additionally takes per-block one-time costs charged
-// once per entry of the residual loop region containing the block (the
-// IPET encoding of first-miss/persistence classifications). extra may be
-// nil.
-func solveStructuralExtra(x *vivu.Prog, cost, extra []int64) (nw []int64, tau int64, err error) {
-	s := &structSolver{x: x}
-	s.init(cost, extra)
-	if err := s.collapseLoops(); err != nil {
-		return nil, 0, err
-	}
-	return s.finish()
+// planLevel is one region, or the top level, as a DAG of nodes in ACFG
+// order. A node is a block whose innermost region this level is, or a
+// child region collapsed into the node of its R header. A region's node 0
+// is its R header; the top level's is the entry.
+type planLevel struct {
+	bound int64 // the region's loop bound; 0 at the top level
+	off   int   // offset of this level's nodes in the solve's flat buffers
+	nodes []int // block IDs
+	// child[i] is the level of the child region node i stands for, or -1.
+	child []int
+	// end[i] marks a node that may end the level's longest path: a source
+	// of the region's back edges, or a sink at the top level.
+	end  []bool
+	succ [][]int32 // positions of each node's successors on this level
 }
 
-type superNode struct {
-	inst     vivu.LoopInstance
-	headNode int
-	// iterPath is the chosen maximal iteration path (head first, back-edge
-	// source last), as node IDs at the time of collapse.
-	iterPath []int
-	// iterChoice[n] = chosen successor of node n along the iteration path.
-	iterCost int64
-}
-
-type structSolver struct {
-	x *vivu.Prog
-
-	// Node space: 0..nXB-1 are expanded blocks; supernodes appended.
-	weight []int64
-	// extra holds per-node one-time costs, consumed (folded into the
-	// supernode weight) when the node's region collapses; whatever remains
-	// at the top level is charged once on the final path.
-	extra  []int64
-	succs  [][]int
-	alive  []bool
-	key    []int // topological key (position in x.Topo of the representative)
-	find   []int // xblock -> current node
-	supers map[int]*superNode
-
-	nXB int
-}
-
-func (s *structSolver) init(cost, extra []int64) {
-	n := len(s.x.Blocks)
-	s.nXB = n
-	s.weight = append([]int64(nil), cost...)
-	s.extra = make([]int64, n)
-	if extra != nil {
-		copy(s.extra, extra)
+// newSolvePlan lays out the regions of x and checks the structure the
+// solve relies on: every region is entered and left only at its R header
+// and has a residual back edge. Every expanded block is reachable and a
+// region is entered only at its header, so every node of a level is
+// reachable from its node 0.
+func newSolvePlan(x *vivu.Prog) (*solvePlan, error) {
+	// regionOf[li] is the region of level li (-1 for the top level), and
+	// levelOf[r+1] the level of region r.
+	regionOf := []int{-1}
+	levelOf := make([]int, len(x.Loops)+1)
+	for _, id := range x.Topo {
+		if r := x.Region[id]; r != -1 && x.Loops[r].HeadRest == id {
+			levelOf[r+1] = len(regionOf)
+			regionOf = append(regionOf, r)
+		}
 	}
-	s.succs = make([][]int, n)
-	s.alive = make([]bool, n)
-	s.key = make([]int, n)
-	s.find = make([]int, n)
-	s.supers = map[int]*superNode{}
-	for i := 0; i < n; i++ {
-		s.alive[i] = true
-		s.find[i] = i
+	p := &solvePlan{nBlocks: len(x.Blocks), levels: make([]planLevel, len(regionOf))}
+
+	// at[id] is the position of the node standing for block id on the
+	// level that holds it as a node: its region's level, or its parent's
+	// for an R header (which is node 0 of its own level).
+	at := make([]int, len(x.Blocks))
+	for _, id := range x.Topo {
+		r, child := x.Region[id], -1
+		if r != -1 && x.Loops[r].HeadRest == id {
+			child = levelOf[r+1]
+			p.levels[child].nodes = append(p.levels[child].nodes, id)
+			p.levels[child].child = append(p.levels[child].child, -1)
+			r = x.Loops[r].Parent
+		}
+		lv := &p.levels[levelOf[r+1]]
+		at[id] = len(lv.nodes)
+		lv.nodes = append(lv.nodes, id)
+		lv.child = append(lv.child, child)
 	}
-	for pos, id := range s.x.Topo {
-		s.key[id] = pos
-	}
-	for _, xb := range s.x.Blocks {
-		for _, e := range xb.Succs {
-			if !e.Back {
-				s.succs[xb.ID] = append(s.succs[xb.ID], e.To)
+
+	// nodeOn returns the position of the node standing for block id on the
+	// level of region r, and the child region containing id (-1 when id is
+	// a node of r itself); the position is -1 when id lies outside r.
+	nodeOn := func(r, id int) (pos, child int) {
+		c := x.Region[id]
+		if c == r {
+			if r != -1 && x.Loops[r].HeadRest == id {
+				return 0, -1
 			}
+			return at[id], -1
 		}
-	}
-}
-
-// collapseLoops processes the residual loop regions innermost first.
-func (s *structSolver) collapseLoops() error {
-	insts := append([]vivu.LoopInstance(nil), s.x.Loops...)
-	sort.SliceStable(insts, func(i, j int) bool {
-		return len(insts[i].Enclosing) > len(insts[j].Enclosing)
-	})
-	for _, inst := range insts {
-		if inst.HeadRest == -1 {
-			continue
+		for c != -1 && x.Loops[c].Parent != r {
+			c = x.Loops[c].Parent
 		}
-		if err := s.collapse(inst); err != nil {
-			return err
+		if c == -1 {
+			return -1, -1
 		}
-	}
-	return nil
-}
-
-func (s *structSolver) collapse(inst vivu.LoopInstance) error {
-	members := s.x.RegionMembers(inst)
-	region := map[int]bool{}
-	for _, xb := range members {
-		region[s.find[xb]] = true
-	}
-	head := s.find[inst.HeadRest]
-	if !region[head] {
-		return fmt.Errorf("wcet: loop %d/%s head outside its region", inst.Orig, inst.Enclosing)
+		return at[x.Loops[c].HeadRest], c
 	}
 
-	// Back-edge sources (xblock level) and their current nodes.
-	backSrc := map[int]bool{}
-	for _, p := range s.x.Blocks[inst.HeadRest].Preds {
-		for _, e := range s.x.Blocks[p].Succs {
-			if e.To == inst.HeadRest && e.Back {
-				backSrc[s.find[p]] = true
+	for li, r := range regionOf {
+		lv := &p.levels[li]
+		lv.end = make([]bool, len(lv.nodes))
+		lv.succ = make([][]int32, len(lv.nodes))
+		for i, id := range lv.nodes {
+			inner := -1 // the region node i collapses, whose own edges stay inside it
+			if lv.child[i] != -1 {
+				inner = x.Region[id]
 			}
-		}
-	}
-	if len(backSrc) == 0 {
-		return fmt.Errorf("wcet: loop %d/%s has no residual back edge", inst.Orig, inst.Enclosing)
-	}
-
-	// Longest head→back-source path inside the region (node-weighted,
-	// endpoints included), over the region-internal DAG.
-	nodes := make([]int, 0, len(region))
-	for n := range region {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return s.key[nodes[i]] < s.key[nodes[j]] })
-
-	const minusInf = int64(-1) << 62
-	best := map[int]int64{}
-	choice := map[int]int{}
-	for n := range region {
-		best[n] = minusInf
-	}
-	best[head] = s.weight[head]
-	var iterCost int64 = minusInf
-	var iterEnd = -1
-	for _, n := range nodes {
-		if best[n] == minusInf {
-			continue
-		}
-		if backSrc[n] && best[n] > iterCost {
-			iterCost = best[n]
-			iterEnd = n
-		}
-		for _, t := range s.succs[n] {
-			if !region[t] {
-				continue
-			}
-			if v := best[n] + s.weight[t]; v > best[t] {
-				best[t] = v
-				choice[t] = n
-			}
-		}
-	}
-	if iterEnd == -1 {
-		return fmt.Errorf("wcet: loop %d/%s back-edge source unreachable from its header", inst.Orig, inst.Enclosing)
-	}
-	var iterPath []int
-	for n := iterEnd; ; {
-		iterPath = append(iterPath, n)
-		if n == head {
-			break
-		}
-		prev, ok := choice[n]
-		if !ok {
-			return fmt.Errorf("wcet: broken iteration path reconstruction")
-		}
-		n = prev
-	}
-	// Reverse to head-first order.
-	for i, j := 0, len(iterPath)-1; i < j; i, j = i+1, j-1 {
-		iterPath[i], iterPath[j] = iterPath[j], iterPath[i]
-	}
-
-	// External successors must all leave from the header (our structured
-	// programs have no breaks; the solver checks rather than assumes).
-	var exits []int
-	for n := range region {
-		for _, t := range s.succs[n] {
-			if region[t] {
-				continue
-			}
-			if n != head {
-				return fmt.Errorf("wcet: loop %d/%s exits from non-header node %d", inst.Orig, inst.Enclosing, n)
-			}
-			exits = append(exits, t)
-		}
-	}
-
-	// Create the supernode. Every member's one-time cost (first-miss
-	// charges of persistence-classified references) is paid once per
-	// region entry, so it folds directly into the supernode's weight.
-	nu := len(s.weight)
-	b := int64(inst.Bound)
-	var regionExtra int64
-	for n := range region {
-		regionExtra += s.extra[n]
-	}
-	s.weight = append(s.weight, (b-1)*iterCost+s.weight[head]+regionExtra)
-	s.succs = append(s.succs, exits)
-	s.alive = append(s.alive, true)
-	s.extra = append(s.extra, 0)
-	s.key = append(s.key, s.key[head])
-	s.supers[nu] = &superNode{inst: inst, headNode: head, iterPath: iterPath, iterCost: iterCost}
-
-	// Redirect external edges into the region (they may only target the
-	// header) and retire the region nodes.
-	for n := range s.alive[:nu] {
-		if !s.alive[n] || region[n] {
-			continue
-		}
-		for i, t := range s.succs[n] {
-			if region[t] {
-				if t != head {
-					return fmt.Errorf("wcet: loop %d/%s entered at non-header node %d", inst.Orig, inst.Enclosing, t)
+			for _, e := range x.Blocks[id].Succs {
+				if e.Back {
+					continue
 				}
-				s.succs[n][i] = nu
+				if inner != -1 {
+					if pos, _ := nodeOn(inner, e.To); pos != -1 {
+						continue
+					}
+				}
+				pos, c := nodeOn(r, e.To)
+				switch {
+				case pos == -1 && i != 0:
+					return nil, fmt.Errorf("wcet: loop %d/%s exits from non-header block %d",
+						x.Loops[r].Orig, x.Loops[r].Enclosing, id)
+				case pos == -1:
+					continue // the header's exit, taken on the parent level
+				case c != -1 && e.To != x.Loops[c].HeadRest:
+					return nil, fmt.Errorf("wcet: loop %d/%s entered at non-header block %d",
+						x.Loops[c].Orig, x.Loops[c].Enclosing, e.To)
+				}
+				lv.succ[i] = append(lv.succ[i], int32(pos))
+			}
+			lv.end[i] = r == -1 && len(lv.succ[i]) == 0
+		}
+		if r != -1 {
+			inst := x.Loops[r]
+			lv.bound = int64(inst.Bound)
+			back := false
+			for _, src := range x.Blocks[inst.HeadRest].Preds {
+				pos, _ := nodeOn(r, src)
+				for _, e := range x.Blocks[src].Succs {
+					if e.To == inst.HeadRest && e.Back && pos != -1 {
+						lv.end[pos], back = true, true
+					}
+				}
+			}
+			if !back {
+				return nil, fmt.Errorf("wcet: loop %d/%s has no residual back edge", inst.Orig, inst.Enclosing)
 			}
 		}
+		lv.off = p.nNodes
+		p.nNodes += len(lv.nodes)
 	}
-	for n := range region {
-		s.alive[n] = false
-	}
-	for xb := range s.find {
-		if region[s.find[xb]] {
-			s.find[xb] = nu
-		}
-	}
-	return nil
+	return p, nil
 }
 
-// finish solves the remaining DAG by longest path and reconstructs the
-// per-block WCET counts.
-func (s *structSolver) finish() ([]int64, int64, error) {
-	entry := s.find[s.x.Entry]
-	order := make([]int, 0, len(s.weight))
-	for n := range s.weight {
-		if s.alive[n] {
-			order = append(order, n)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return s.key[order[i]] < s.key[order[j]] })
-
+// solve computes the WCET scenario for per-block costs cost and one-time
+// costs extra (nil for none): the counts n_w and the memory time τ_w. A
+// block's extra is charged once per entry of its innermost residual region
+// (the IPET encoding of first-miss charges), or once on the path outside
+// every region.
+//
+// Each level makes one longest-path pass in ACFG order, relaxing with a
+// strict >, so among equal paths the one through the earliest node wins;
+// its end is the first end node with the strictly greatest value.
+func (p *solvePlan) solve(cost, extra []int64) (nw []int64, tau int64) {
 	const minusInf = int64(-1) << 62
-	best := make([]int64, len(s.weight))
-	choice := make([]int, len(s.weight))
-	for i := range best {
-		best[i] = minusInf
-		choice[i] = -1
-	}
-	// Longest path *to* each node from the entry; process forward, then
-	// pick the best sink. (Weights are non-negative, so the longest path
-	// always runs entry→sink.)
-	best[entry] = s.weight[entry] + s.extra[entry]
-	for _, n := range order {
-		if best[n] == minusInf {
-			continue
-		}
-		for _, t := range s.succs[n] {
-			if v := best[n] + s.weight[t] + s.extra[t]; v > best[t] {
-				best[t] = v
-				choice[t] = n
+	nodeW := make([]int64, p.nNodes)
+	best := make([]int64, p.nNodes)
+	choice := make([]int32, p.nNodes)
+	weight := make([]int64, len(p.levels)) // a collapsed region's node weight
+	last := make([]int32, len(p.levels))   // the end node of a level's path
+	const top = 0
+	for li := len(p.levels) - 1; li >= top; li-- {
+		lv := &p.levels[li]
+		w := nodeW[lv.off : lv.off+len(lv.nodes)]
+		b, ch := best[lv.off:lv.off+len(lv.nodes)], choice[lv.off:]
+		var regionExtra int64
+		for i, id := range lv.nodes {
+			b[i] = minusInf
+			if c := lv.child[i]; c != -1 {
+				w[i] = weight[c]
+				continue
+			}
+			w[i] = cost[id]
+			if extra == nil {
+				continue
+			}
+			if li == top {
+				w[i] += extra[id]
+			} else {
+				regionExtra += extra[id]
 			}
 		}
-	}
-	tau := minusInf
-	end := -1
-	for _, n := range order {
-		if len(s.succs[n]) == 0 && best[n] > tau {
-			tau = best[n]
-			end = n
+		b[0] = w[0]
+		endVal, end := minusInf, int32(-1)
+		for i := range lv.nodes {
+			if b[i] == minusInf {
+				continue
+			}
+			if lv.end[i] && b[i] > endVal {
+				endVal, end = b[i], int32(i)
+			}
+			for _, j := range lv.succ[i] {
+				if v := b[i] + w[j]; v > b[j] {
+					b[j], ch[j] = v, int32(i)
+				}
+			}
 		}
-	}
-	if end == -1 {
-		return nil, 0, fmt.Errorf("wcet: no reachable sink")
+		last[li] = end
+		if li == top {
+			tau = endVal
+		} else {
+			// The header runs once more than the residual iterations (the
+			// exit check); the chosen iteration path, header included, runs
+			// bound-1 times, and the region's one-time charges once.
+			weight[li] = (lv.bound-1)*endVal + cost[lv.nodes[0]] + regionExtra
+		}
 	}
 
-	nw := make([]int64, s.nXB)
-	var assign func(node int, mult int64)
-	assign = func(node int, mult int64) {
-		if sn, ok := s.supers[node]; ok {
-			bound := int64(sn.inst.Bound)
-			// The header runs once more than the residual iterations (the
-			// exit check); every node of the chosen iteration path runs
-			// bound-1 times.
-			assign(sn.headNode, mult)
-			for _, n := range sn.iterPath {
-				assign(n, (bound-1)*mult)
-			}
+	nw = make([]int64, p.nBlocks)
+	var assign func(li, i int, mult int64)
+	assign = func(li, i int, mult int64) {
+		lv := &p.levels[li]
+		c := lv.child[i]
+		if c == -1 {
+			nw[lv.nodes[i]] += mult
 			return
 		}
-		nw[node] += mult
+		cl := &p.levels[c]
+		nw[cl.nodes[0]] += mult
+		for j := last[c]; ; j = choice[cl.off+int(j)] {
+			assign(c, int(j), (cl.bound-1)*mult)
+			if j == 0 {
+				break
+			}
+		}
 	}
-	for n := end; n != -1; n = choice[n] {
-		assign(n, 1)
+	for i := last[top]; ; i = choice[p.levels[top].off+int(i)] {
+		assign(top, int(i), 1)
+		if i == 0 {
+			break
+		}
 	}
-	return nw, tau, nil
+	return nw, tau
 }

@@ -87,6 +87,10 @@ type Result struct {
 	L2Misses int64
 	// Fetches is the number of instruction fetches in the WCET scenario.
 	Fetches int64
+
+	// plan is the structural solve's layout of X's regions; it depends only
+	// on the expansion and is shared along the chain of re-analyses.
+	plan *solvePlan
 }
 
 // Analyze expands p and analyzes it on cfg with parameters par. The analysis
@@ -113,7 +117,12 @@ func AnalyzeX(ctx context.Context, x *vivu.Prog, cfg cache.Config, par Params) (
 // supplied per-block costs, returning the counts n_w and the optimum τ_w.
 // The locking baseline uses it with its own fixed hit/miss cost vector.
 func SolveCounts(x *vivu.Prog, cost []int64) (nw []int64, tau int64, err error) {
-	return solveStructural(x, cost)
+	plan, err := newSolvePlan(x)
+	if err != nil {
+		return nil, 0, err
+	}
+	nw, tau = plan.solve(cost, nil)
+	return nw, tau, nil
 }
 
 // Release recycles the abstract states this result's analyses created —
