@@ -685,11 +685,18 @@ type Result struct {
 	// out[xb] is the abstract state at the exit of xb (nil = bottom, the
 	// block was never reached); it seeds incremental re-analysis.
 	out []*State
-	// own lists the exit states this call created and kept — the ones
-	// Release may recycle. Seeded pointers and the previous states a cyclic
-	// component got back through the value cutoff stay with the results
-	// they came from.
-	own []*State
+	// own lists the blocks whose exit states this result owns — the ones
+	// Release and Retire may recycle: the states its own call created and
+	// kept, plus those it took over from the result it superseded (see
+	// Retire). Seeded pointers and the previous states a cyclic component
+	// got back through the value cutoff stay with the results they came
+	// from until those retire.
+	own []int32
+	// lay is the ID of the layout the result was computed against, and
+	// from the layout ID of the result it was seeded from (0 after a full
+	// analysis): a layout derived from lay tells the next re-analysis which
+	// transfer rows can differ.
+	lay, from uint64
 	// sccs is the fixpoint iteration plan; it depends only on the graph
 	// structure and is shared across incremental re-analyses.
 	sccs *sccPlan

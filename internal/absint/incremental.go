@@ -103,15 +103,30 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 		ctx: ctx, chk: interrupt.NewChecker(ctx, checkInterval),
 	}
 
+	res.lay = lay.ID()
+	if !full {
+		res.from = prev.lay
+	}
+
 	// Build the per-block transfer rows. In the incremental case the program
 	// was mutated in place, so the previous instructions are gone — the
 	// previous result's opRec rows are the only diffable snapshot. Rows that
 	// match byte for byte alias the previous row (keeping its effectiveness
-	// bits); the rest are the base-dirty set.
+	// bits); the rest are the base-dirty set. When lay was derived from
+	// prev's layout, only the rows an edit can have reached are rebuilt and
+	// diffed (see rowSources); every other row aliases prev's unexamined.
 	ops := make([][]opRec, n)
 	baseDirty := flags(&sc.baseDirty, n)
 	rowBuf := sc.row
+	var src []bool
+	if !full && lay.DerivedFrom(prev.lay) && (l1 == nil || (l1.Changed != nil && l1.lay == res.lay && l1.from == prev.lay)) {
+		src = rowSources(x.Prog, lay, &sc.src)
+	}
 	for _, xb := range x.Blocks {
+		if src != nil && !src[xb.Orig] && (l1 == nil || !l1.Changed[xb.ID]) {
+			ops[xb.ID] = prev.ops[xb.ID]
+			continue
+		}
 		instrs := x.Prog.Blocks[xb.Orig].Instrs
 		rowBuf = rowBuf[:0]
 		for i, ins := range instrs {
@@ -260,7 +275,7 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 	}
 	for id, own := range a.ownOut {
 		if own {
-			res.own = append(res.own, a.out[id])
+			res.own = append(res.own, int32(id))
 		}
 	}
 
@@ -313,6 +328,32 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 		}
 	}
 	return res, nil
+}
+
+// rowSources marks the original blocks whose transfer-row inputs may
+// differ from the layout lay was derived from: the blocks whose addresses
+// or instructions changed, and the blocks holding a prefetch whose target
+// lies in a changed block (the target's memory block may have moved). At a
+// gated level an expanded block's row also reads its L1 verdicts, which
+// the caller checks through the L1 result's Changed flags.
+func rowSources(p *isa.Program, lay *isa.Layout, buf *[]bool) []bool {
+	src := flags(buf, len(p.Blocks))
+	for id, b := range p.Blocks {
+		if lay.Changed(id) {
+			src[id] = true
+			continue
+		}
+		if !lay.HasPrefetch(id) {
+			continue
+		}
+		for _, in := range b.Instrs {
+			if in.Kind == isa.KindPrefetch && lay.Changed(in.Target.Block) {
+				src[id] = true
+				break
+			}
+		}
+	}
+	return src
 }
 
 // rowBaseEqual compares transfer rows ignoring effectiveness bits (which
@@ -393,6 +434,9 @@ type scratch struct {
 	// flag slices, re-cleared per call
 	baseDirty, dirty, rowDirty, ownOut, outChanged, classed []bool
 	row                                                     []opRec
+	// src marks the original blocks whose rows a scoped build re-derives
+	// (see rowSources).
+	src []bool
 	// cls holds the per-block classification rows the fixpoint records
 	// (see analyzer.transferInto); maybe the Uncertain access's buffers.
 	cls   [][]Classification
@@ -419,9 +463,9 @@ func flags(buf *[]bool, n int) []bool {
 // statePool recycles State buffers across fixpoint rounds and, via the
 // scratch carrier, across the re-analyses of a chain. Slot states the
 // fixpoint replaces go back into the pool, and so do the owned exit states
-// of a released Result; states seeded from a previous Result are never
-// recycled by the call they were seeded into (they are shared, possibly
-// interned).
+// of a released Result and those a retired Result's successor no longer
+// shares; states seeded from a previous Result are never recycled by the
+// call they were seeded into (they are shared, possibly interned).
 type statePool struct {
 	cfg cache.Config
 	// satLo is the chain's first memory block, bit 0 of every state's
@@ -494,22 +538,59 @@ func (r *Result) Intern() {
 	}
 }
 
-// Release returns the exit states this result created and kept to the
-// chain's state pool, then clears the result's exit states and
-// classifications, so any later use of it (reading Class, deriving an
-// in-state, seeding a re-analysis) fails loudly instead of reading recycled
-// memory. Only a result nothing retains may be released: one that was
-// rolled back, so no other result was seeded from it and it was never
-// interned. Its seed keeps every state it shares with it. Release is
-// nil-safe and idempotent.
+// Release returns the exit states this result owns to the chain's state
+// pool, then clears the result's exit states and classifications, so any
+// later use of it (reading Class, deriving an in-state, seeding a
+// re-analysis) fails loudly instead of reading recycled memory. Only a
+// result nothing was seeded from may be released: one that was rolled
+// back. Its seed keeps every state it shares with it. Release is nil-safe
+// and idempotent.
 func (r *Result) Release() {
+	r.Retire(nil)
+}
+
+// Retire ends r's life after next, a result seeded from r, superseded it:
+// the owned exit states next still aliases become next's, the rest go back
+// to the chain's state pool, and r is cleared like Release. Interned states
+// are shared for good and stay where they are. r must not be used, or
+// seeded from, afterwards. A nil next releases r. Retire is nil-safe and
+// idempotent.
+func (r *Result) Retire(next *Result) {
 	if r == nil {
 		return
 	}
-	for _, s := range r.own {
-		r.scr.sp.put(s)
+	for _, id := range r.own {
+		s := r.out[id]
+		switch {
+		case s.interned(): // shared through the intern table for good
+		case next != nil && next.out[id] == s:
+			next.own = append(next.own, id)
+		default:
+			r.scr.sp.put(s)
+		}
 	}
 	r.own, r.out, r.Class = nil, nil, nil
+}
+
+// PooledStates counts r's exit states that sit in its chain's state pool.
+// It is zero for every live result: a state recycled while r still holds
+// it would be overwritten by the chain's next analysis. It walks the pool;
+// it is for tests and diagnostics.
+func (r *Result) PooledStates() int {
+	if r.scr == nil {
+		return 0
+	}
+	pooled := make(map[*State]bool, len(r.scr.sp.free))
+	for _, s := range r.scr.sp.free {
+		pooled[s] = true
+	}
+	n := 0
+	for _, s := range r.out {
+		if s != nil && pooled[s] {
+			n++
+		}
+	}
+	return n
 }
 
 // InState derives the abstract state on entry to expanded block id — the
@@ -526,6 +607,12 @@ func (r *Result) InState(id int) *State {
 	}
 	return in
 }
+
+// interned reports whether s was interned. internState drops the private
+// backing buffer that every state the fixpoint creates carries (a transfer
+// copies into it); an interned state shares canonical set slices and must
+// never be recycled.
+func (s *State) interned() bool { return s.buf == nil }
 
 // internState replaces every set slice of s with its canonical copy, drops
 // the private backing buffer, and records the structural hash (giving Equal

@@ -605,33 +605,34 @@ func (o *optimizer) explainPCost(block int) int64 {
 	return o.insertionFetchCost(block)
 }
 
-// validate is the optimizer's one commit step. It snapshots the program,
-// applies change (which reports the edits it made), and re-analyzes soundly.
-// When accept(prev, cur) holds the edits stay: they join o.edits, and the
-// explain coordinates move through them (a removed decision becomes
-// "pruned"). Otherwise the program and the previous result are restored —
+// validate is the optimizer's one commit step. It opens an undo record on
+// the program, applies change (which reports the edits it made), and
+// re-analyzes soundly. When accept(prev, cur) holds the edits stay: they
+// join o.edits, the explain coordinates move through them (a removed
+// decision becomes "pruned"), and prev retires into cur — the exit states
+// cur no longer shares go back to the chain's pool. Otherwise the record
+// restores the blocks the change wrote, the previous result comes back —
 // which also revives the backward-state cache, keyed on the result pointer
 // — and the rejected result is released: nothing was seeded from it, so
-// the abstract states it created go back to the chain's pool.
+// the abstract states it created go back to the pool. A failed re-analysis
+// restores the program too, so it still matches o.res.
 func (o *optimizer) validate(change func(*isa.Program) []isa.Edit, accept func(prev, cur *wcet.Result) bool) (bool, error) {
 	prog := o.res.Prog
-	snapshot := make([][]isa.Instr, len(prog.Blocks))
-	for i, b := range prog.Blocks {
-		snapshot[i] = append([]isa.Instr(nil), b.Instrs...)
-	}
+	prog.BeginUndo()
 	edits := change(prog)
 	prev := o.res
 	if err := o.refresh(); err != nil {
+		prog.Undo()
 		return false, err
 	}
 	if !accept(prev, o.res) {
-		for i, b := range prog.Blocks {
-			b.Instrs = snapshot[i]
-		}
+		prog.Undo()
 		o.res.Release()
 		o.res = prev
 		return false, nil
 	}
+	prog.DropUndo()
+	prev.Retire(o.res)
 	o.edits = append(o.edits, edits...)
 	o.explainEdits(edits)
 	return true, nil

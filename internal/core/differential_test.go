@@ -15,7 +15,8 @@ import (
 // every incremental refresh against a from-scratch analysis of the same
 // program state. This exercises the incremental path under exactly the
 // mutation patterns production sees (batch insert, partial rollback via
-// snapshot restore, prefetch removal during pruning). One cell runs behind
+// the program's undo record, prefetch removal during pruning, each accepted
+// result retiring the one it replaced). One cell runs behind
 // an L2, so both candidate phases and the incremental L2 analysis are
 // checked as well.
 func TestDifferentialRefreshMatchesFull(t *testing.T) {

@@ -97,6 +97,12 @@ type Block struct {
 	// relocation firewalls: an inserted prefetch shifts addresses only up
 	// to the next boundary, where the padding absorbs it.
 	Align int
+
+	// stamp names the block's current instruction list: every write by one
+	// of the Program's mutators gives it a fresh value, and an undo restores
+	// the old one. A derived Layout compares stamps to find the blocks whose
+	// contents changed, so a direct write to Instrs goes unseen there.
+	stamp uint64
 }
 
 // NInstr returns the number of instructions in the block.
@@ -142,6 +148,23 @@ type Program struct {
 	// zero). Blocks are laid out in slice order from here, with alignment
 	// padding before every block that requests it.
 	Base uint64
+
+	// clock is the last block stamp handed out.
+	clock uint64
+	// undo is the open undo record (see BeginUndo): each block's
+	// instructions and stamp before the record's first write to it. undoFrom
+	// is the clock when the record began, so a block stamped later has
+	// already been saved.
+	undo      []undoEntry
+	undoFrom  uint64
+	recording bool
+}
+
+// undoEntry is one block as it was before an undo record first wrote to it.
+type undoEntry struct {
+	b      *Block
+	instrs []Instr
+	stamp  uint64
 }
 
 // NInstr returns the total number of instructions across all blocks.
@@ -254,6 +277,7 @@ func (p *Program) InsertInstrBefore(at InstrRef, in Instr) InstrRef {
 // insert places in at pos, shifting pos and everything after it.
 func (p *Program) insert(pos InstrRef, in Instr) InstrRef {
 	b := p.Blocks[pos.Block]
+	p.touch(b)
 	b.Instrs = append(b.Instrs, Instr{})
 	copy(b.Instrs[pos.Index+1:], b.Instrs[pos.Index:])
 	b.Instrs[pos.Index] = in
@@ -271,6 +295,7 @@ func (p *Program) RemoveInstr(ref InstrRef) {
 	if k == KindBranch || k == KindJump {
 		panic("isa: RemoveInstr would delete a terminator")
 	}
+	p.touch(b)
 	b.Instrs = append(b.Instrs[:ref.Index], b.Instrs[ref.Index+1:]...)
 	p.shiftTargets(Edit{At: ref, N: -1})
 }
@@ -285,11 +310,49 @@ func (p *Program) shiftTargets(e Edit) {
 			if ins.Kind != KindPrefetch {
 				continue
 			}
-			if t, ok := e.Shift(ins.Target); ok {
+			if t, ok := e.Shift(ins.Target); ok && t != ins.Target {
+				p.touch(blk)
 				ins.Target = t
 			}
 		}
 	}
+}
+
+// touch stamps a write to b. Inside an open undo record, the record's
+// first write to b saves b's instructions and stamp before it.
+func (p *Program) touch(b *Block) {
+	if p.recording && b.stamp <= p.undoFrom {
+		p.undo = append(p.undo, undoEntry{b: b, instrs: append([]Instr(nil), b.Instrs...), stamp: b.stamp})
+	}
+	p.clock++
+	b.stamp = p.clock
+}
+
+// BeginUndo opens an undo record: from now until Undo or DropUndo, the
+// first write of InsertInstr, InsertInstrBefore or RemoveInstr to a block
+// (a prefetch target another block's edit moves included) saves that
+// block's instructions. Only the blocks written are saved, so a record
+// costs what its edits touched. A record that is already open is dropped.
+func (p *Program) BeginUndo() {
+	p.DropUndo()
+	p.undoFrom = p.clock
+	p.recording = true
+}
+
+// Undo restores every block the open record saved — instructions and
+// stamp — and closes the record. Without an open record it does nothing.
+func (p *Program) Undo() {
+	for _, e := range p.undo {
+		e.b.Instrs, e.b.stamp = e.instrs, e.stamp
+	}
+	p.DropUndo()
+}
+
+// DropUndo closes the open record and keeps its edits.
+func (p *Program) DropUndo() {
+	clear(p.undo)
+	p.undo = p.undo[:0]
+	p.recording = false
 }
 
 // Clone returns a deep copy of the program. Optimizers work on clones so the

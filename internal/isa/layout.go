@@ -1,5 +1,7 @@
 package isa
 
+import "sync/atomic"
+
 // DefaultBaseAddr is the address at which program text starts when a
 // program does not override it. The value is block-aligned for every cache
 // block size in the evaluation.
@@ -29,15 +31,59 @@ type Layout struct {
 	addrs [][]uint64 // addrs[blockID][instrIndex]
 	total int        // total instruction count
 	end   uint64     // one past the last instruction
+
+	// id names the layout; parent is the id of the layout it was derived
+	// from, 0 for one computed by NewLayout. A derived layout names its
+	// parent instead of pointing at it, so a chain of derivations keeps
+	// only the newest layout alive.
+	id, parent uint64
+	// stamps[b] is block b's edit stamp when the layout was computed, and
+	// pft[b] whether block b then held a prefetch.
+	stamps []uint64
+	pft    []bool
+	// changed[b] reports whether block b's addresses or instructions differ
+	// from the parent layout's; nil without a parent.
+	changed []bool
 }
+
+// layoutIDs hands out layout ids; 0 means "no layout".
+var layoutIDs atomic.Uint64
 
 // NewLayout computes the address layout of p.
 func NewLayout(p *Program) *Layout {
+	return layOut(p, nil)
+}
+
+// Derive returns the layout of l's program as it is now, computed from l:
+// a block whose start address and length are unchanged keeps l's address
+// row, and the result records which blocks changed since l (see Changed).
+// A block's instructions count as changed when one of the Program's
+// mutators wrote to it since l was computed (an undo of those writes
+// restores the old contents and counts as unchanged); a direct write to
+// Block.Instrs is not seen. l itself is left as it was.
+func (l *Layout) Derive() *Layout {
+	return layOut(l.prog, l)
+}
+
+// layOut lays p out from its base address, deriving from parent when it is
+// non-nil.
+func layOut(p *Program, parent *Layout) *Layout {
+	if parent != nil && len(parent.addrs) != len(p.Blocks) {
+		parent = nil
+	}
 	base := p.Base
 	if base == 0 {
 		base = DefaultBaseAddr
 	}
-	l := &Layout{prog: p, addrs: make([][]uint64, len(p.Blocks))}
+	nb := len(p.Blocks)
+	l := &Layout{
+		prog: p, addrs: make([][]uint64, nb), id: layoutIDs.Add(1),
+		stamps: make([]uint64, nb), pft: make([]bool, nb),
+	}
+	if parent != nil {
+		l.parent = parent.id
+		l.changed = make([]bool, nb)
+	}
 	addr := base
 	n := 0
 	for i, b := range p.Blocks {
@@ -47,18 +93,55 @@ func NewLayout(p *Program) *Layout {
 				addr += uint64(b.Align) - rem
 			}
 		}
-		row := make([]uint64, len(b.Instrs))
-		for j := range b.Instrs {
-			row[j] = addr
-			addr += InstrBytes
-			n++
+		k := len(b.Instrs)
+		l.stamps[i] = b.stamp
+		if parent != nil && parent.stamps[i] == b.stamp {
+			l.pft[i] = parent.pft[i]
+		} else {
+			for _, in := range b.Instrs {
+				if in.Kind == KindPrefetch {
+					l.pft[i] = true
+					break
+				}
+			}
 		}
-		l.addrs[i] = row
+		if parent != nil && len(parent.addrs[i]) == k && (k == 0 || parent.addrs[i][0] == addr) {
+			l.addrs[i] = parent.addrs[i]
+			l.changed[i] = parent.stamps[i] != b.stamp
+			addr += uint64(k) * InstrBytes
+		} else {
+			row := make([]uint64, k)
+			for j := range row {
+				row[j] = addr
+				addr += InstrBytes
+			}
+			l.addrs[i] = row
+			if parent != nil {
+				l.changed[i] = true
+			}
+		}
+		n += k
 	}
 	l.total = n
 	l.end = addr
 	return l
 }
+
+// ID names the layout. Two layouts never share an ID.
+func (l *Layout) ID() uint64 { return l.id }
+
+// DerivedFrom reports whether l was derived (by Derive) from the layout
+// whose ID is id, so Changed describes the difference to it.
+func (l *Layout) DerivedFrom(id uint64) bool { return l.parent != 0 && l.parent == id }
+
+// Changed reports whether block b's addresses or instructions differ from
+// the layout l was derived from. Every block counts as changed in a layout
+// computed by NewLayout.
+func (l *Layout) Changed(b int) bool { return l.changed == nil || l.changed[b] }
+
+// HasPrefetch reports whether block b held a prefetch instruction when the
+// layout was computed.
+func (l *Layout) HasPrefetch(b int) bool { return l.pft[b] }
 
 // Addr returns the address of the instruction at ref.
 func (l *Layout) Addr(ref InstrRef) uint64 { return l.addrs[ref.Block][ref.Index] }

@@ -144,6 +144,11 @@ type machine struct {
 	// since arriving.
 	firstUse map[uint64]bool
 	stats    *Stats
+
+	// inner[b] is the innermost loop of block b (p.LoopOf(b)) and head[b]
+	// whether b heads it, tabulated once per RunHier.
+	inner []int
+	head  []bool
 }
 
 // Run simulates the program on a single-level cache and returns the
@@ -179,10 +184,13 @@ func RunHier(p *isa.Program, h cache.Hierarchy, o Options) Stats {
 	}
 	stats := Stats{Runs: o.Runs}
 	lay := isa.NewLayout(p)
+	inner, head := loopTable(p)
 	for r := 0; r < o.Runs; r++ {
 		m := &machine{
 			p:        p,
 			lay:      lay,
+			inner:    inner,
+			head:     head,
 			cfg:      h.L1,
 			h:        h,
 			o:        o,
@@ -213,8 +221,7 @@ func (m *machine) run() {
 			panic("sim: execution did not terminate (loop annotations inconsistent?)")
 		}
 		b := m.p.Blocks[cur]
-		li := m.p.LoopOf(cur)
-		isHead := li >= 0 && m.p.Loops[li].Head == cur
+		li, isHead := m.inner[cur], m.head[cur]
 		if isHead && m.freshEntry(li, prev) {
 			loopIters[li] = m.drawIters(li)
 		}
@@ -242,6 +249,35 @@ func (m *machine) run() {
 			cur = b.Succs[0]
 		}
 	}
+}
+
+// loopTable tabulates p.LoopOf for every block — the innermost loop
+// containing it, or −1 — and whether the block heads that loop, so the
+// run loop does not scan the loop annotations per executed block.
+func loopTable(p *isa.Program) (inner []int, head []bool) {
+	depth := make([]int, len(p.Loops))
+	for i := range p.Loops {
+		for li := i; li >= 0; li = p.Loops[li].Parent {
+			depth[i]++
+		}
+	}
+	inner = make([]int, len(p.Blocks))
+	for b := range inner {
+		inner[b] = -1
+	}
+	// Same scan order and tie-break as LoopOf: the first deepest loop wins.
+	for i, l := range p.Loops {
+		for _, b := range l.Blocks {
+			if inner[b] == -1 || depth[i] > depth[inner[b]] {
+				inner[b] = i
+			}
+		}
+	}
+	head = make([]bool, len(p.Blocks))
+	for b, li := range inner {
+		head[b] = li >= 0 && p.Loops[li].Head == b
+	}
+	return inner, head
 }
 
 func (m *machine) freshEntry(li, prev int) bool {
@@ -562,9 +598,8 @@ func (m *machine) triggerHW(b *isa.Block, i int, pc, blk uint64, hit bool, loopI
 		// Resolve the branch the same way run() will: peek the driver
 		// state without consuming randomness (approximation: predict the
 		// likelier arm; the RPT learns from it).
-		li := m.p.LoopOf(b.ID)
-		if li >= 0 && m.p.Loops[li].Head == b.ID {
-			if loopIters[li] > 0 {
+		if m.head[b.ID] {
+			if loopIters[m.inner[b.ID]] > 0 {
 				ev.NextPC = ev.TakenPC
 			} else {
 				ev.NextPC = ev.FallPC

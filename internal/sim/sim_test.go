@@ -7,6 +7,7 @@ import (
 	"ucp/internal/cache"
 	"ucp/internal/hwpref"
 	"ucp/internal/isa"
+	"ucp/internal/malardalen"
 	"ucp/internal/wcet"
 )
 
@@ -199,5 +200,28 @@ func TestAccountMatchesStats(t *testing.T) {
 	a := s.Account()
 	if a.CacheReads != s.Fetches || a.DRAMReads != s.DRAMReads || a.Cycles != s.Cycles || a.CacheFills != s.CacheFills {
 		t.Fatalf("account mismatch: %+v vs %+v", a, s)
+	}
+}
+
+// TestLoopTableMatchesLoopOf pins the simulator's per-run loop table to
+// isa.(*Program).LoopOf — innermost loop and header flag — for every block
+// of every Mälardalen program.
+func TestLoopTableMatchesLoopOf(t *testing.T) {
+	bms := malardalen.All()
+	if len(bms) != 37 {
+		t.Fatalf("%d Mälardalen programs, want 37", len(bms))
+	}
+	for _, bm := range bms {
+		p := bm.Prog
+		inner, head := loopTable(p)
+		for _, b := range p.Blocks {
+			li := p.LoopOf(b.ID)
+			if inner[b.ID] != li {
+				t.Fatalf("%s: block %d: table loop %d, LoopOf %d", bm.Name, b.ID, inner[b.ID], li)
+			}
+			if want := li >= 0 && p.Loops[li].Head == b.ID; head[b.ID] != want {
+				t.Fatalf("%s: block %d: table head %v, want %v", bm.Name, b.ID, head[b.ID], want)
+			}
+		}
 	}
 }

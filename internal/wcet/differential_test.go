@@ -252,15 +252,33 @@ func TestDifferentialDirtyPropagationFuzz(t *testing.T) {
 
 // TestReleaseDifferential runs seeded random mutation chains in which every
 // re-analysis is accepted or rejected at random, like the optimizer's
-// validate step: a rejected result is Released, the program is restored,
-// and the chain continues from its parent. Releasing recycles the rejected
-// result's own abstract states into the pool the next re-analysis draws
-// from, so a release that touched a state the parent (or anything before
-// it) still holds would corrupt the chain; every accepted result must
-// therefore still match a from-scratch analysis exactly, under every
-// replacement policy, with and without an 8 KiB L2.
+// validate step: the edits run inside the program's undo record, a rejected
+// result is Released and the record undone, and the chain continues from
+// its parent. Releasing recycles the rejected result's own abstract states
+// into the pool the next re-analysis draws from, so a release that touched
+// a state the parent (or anything before it) still holds would corrupt the
+// chain; every accepted result must therefore still match a from-scratch
+// analysis exactly, under every replacement policy, with and without an
+// 8 KiB L2. Accepted results are kept, not retired.
 func TestReleaseDifferential(t *testing.T) {
 	t.Parallel()
+	acceptRejectChains(t, false)
+}
+
+// TestRetireDifferential is TestReleaseDifferential with the optimizer's
+// accept path: every accepted result retires its predecessor, which hands
+// over the exit states the new result still shares and recycles the rest.
+// Every accepted result, and the last one at the end of the chain, must
+// equal a full analysis, the retired result must read as cleared, and no
+// exit state of the live result may sit in either level's pool.
+func TestRetireDifferential(t *testing.T) {
+	t.Parallel()
+	acceptRejectChains(t, true)
+}
+
+// acceptRejectChains runs the chains of TestReleaseDifferential and, with
+// retire set, of TestRetireDifferential.
+func acceptRejectChains(t *testing.T, retire bool) {
 	steps := 12
 	if testing.Short() {
 		steps = 5
@@ -289,13 +307,14 @@ func TestReleaseDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				prev.AI.Intern() // the optimizer's seed is interned
+				if prev.AI2 != nil {
+					prev.AI2.Intern()
+				}
 				rng := rand.New(rand.NewSource(int64(pi)*7919 + int64(len(name))))
 				accepted, rejected := 0, 0
 				for step := 0; step < steps; step++ {
-					snapshot := make([][]isa.Instr, len(p.Blocks))
-					for i, b := range p.Blocks {
-						snapshot[i] = append([]isa.Instr(nil), b.Instrs...)
-					}
+					p.BeginUndo()
 					for k := 0; k < 1+rng.Intn(3); k++ {
 						mutate(rng, p)
 					}
@@ -304,26 +323,40 @@ func TestReleaseDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 					if rng.Intn(2) == 0 {
+						p.Undo()
 						cur.Release()
-						for i, b := range p.Blocks {
-							b.Instrs = snapshot[i]
-						}
 						rejected++
-						continue
+					} else {
+						p.DropUndo()
+						full, err := wcet.AnalyzeXHier(context.Background(), x, h, par)
+						if err != nil {
+							t.Fatal(err)
+						}
+						compareResults(t, where, cur, full)
+						if retire {
+							old := prev
+							prev.Retire(cur)
+							if old.AI.Class != nil || (old.AI2 != nil && old.AI2.Class != nil) {
+								t.Fatalf("%s: a retired result still exposes its classifications", where)
+							}
+						}
+						prev = cur
+						accepted++
 					}
-					full, err := wcet.AnalyzeXHier(context.Background(), x, h, par)
-					if err != nil {
-						t.Fatal(err)
+					if n := prev.AI.PooledStates(); n != 0 {
+						t.Fatalf("%s: %d L1 exit states of the live result sit in the pool", where, n)
 					}
-					compareResults(t, where, cur, full)
-					prev = cur
-					accepted++
+					if prev.AI2 != nil {
+						if n := prev.AI2.PooledStates(); n != 0 {
+							t.Fatalf("%s: %d L2 exit states of the live result sit in the pool", where, n)
+						}
+					}
 				}
 				if accepted == 0 || rejected == 0 {
 					t.Fatalf("%s: %d accepted and %d rejected refreshes; the chain needs both", where, accepted, rejected)
 				}
 				// The last accepted result must also have survived the
-				// releases that followed it.
+				// releases and retirements that followed it.
 				full, err := wcet.AnalyzeXHier(context.Background(), x, h, par)
 				if err != nil {
 					t.Fatal(err)

@@ -74,10 +74,16 @@ func AnalyzeXHierFrom(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par 
 		span.Attr("mode", mode)
 	}
 	defer span.End()
-	lay := isa.NewLayout(x.Prog)
+	// A re-analysis derives the layout from prev's: only the rows of blocks
+	// an edit moved or rewrote are recomputed, and the change record lets
+	// each level rebuild only the transfer rows those blocks reach.
+	var lay *isa.Layout
 	var prevAI, prevAI2 *absint.Result
 	if prev != nil {
+		lay = prev.Lay.Derive()
 		prevAI, prevAI2 = prev.AI, prev.AI2
+	} else {
+		lay = isa.NewLayout(x.Prog)
 	}
 	ai, err := absint.AnalyzeFrom(ctx, x, lay, h.L1, int(par.Lambda), prevAI)
 	if err != nil {

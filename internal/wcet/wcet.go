@@ -125,17 +125,30 @@ func SolveCounts(x *vivu.Prog, cost []int64) (nw []int64, tau int64, err error) 
 	return nw, tau, nil
 }
 
-// Release recycles the abstract states this result's analyses created —
-// the L2's first, since it was gated by and seeded after the L1 — into their
-// chains' pools (see absint.Result.Release). Only a result nothing retains
-// may be released: a rolled-back re-analysis that seeded no other analysis.
-// Its seed stays valid. Release is nil-safe and idempotent.
+// Release recycles the abstract states this result's analyses own — the
+// L2's first, since it was gated by and seeded after the L1 — into their
+// chains' pools (see absint.Result.Release). Only a result nothing was
+// seeded from may be released: a rolled-back re-analysis. Its seed stays
+// valid. Release is nil-safe and idempotent.
 func (r *Result) Release() {
+	r.Retire(nil)
+}
+
+// Retire ends r's life after next, the re-analysis seeded from r that
+// superseded it (an accepted edit): each level hands next the exit states
+// next still shares and recycles the rest (see absint.Result.Retire). r
+// must not be used or seeded from afterwards; next stays valid. A nil next
+// releases r. Retire is nil-safe and idempotent.
+func (r *Result) Retire(next *Result) {
 	if r == nil {
 		return
 	}
-	r.AI2.Release()
-	r.AI.Release()
+	var ai, ai2 *absint.Result
+	if next != nil {
+		ai, ai2 = next.AI, next.AI2
+	}
+	r.AI2.Retire(ai2)
+	r.AI.Retire(ai)
 }
 
 // OnWCETPath reports whether expanded block xb executes in the WCET
