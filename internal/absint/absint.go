@@ -654,18 +654,14 @@ func joinMayInto(dst, a, b setState) setState {
 
 // Result holds the outcome of the fixpoint: the exit state of every
 // expanded block (the in-state is derived from them on demand, see InState)
-// and the classification of every expanded reference.
+// and the classification of every expanded reference. The effectiveness of
+// a prefetch is read from its block's transfer row (see Effective).
 type Result struct {
 	X   *vivu.Prog
 	Cfg cache.Config
 	// Class[xb][i] classifies the i-th instruction fetch of expanded
 	// block xb.
 	Class [][]Classification
-	// Effective[xb][i] is meaningful for prefetch instructions: whether
-	// the fill latency is provably hidden before the first use of the
-	// target block (Definition 10, checked with the conservative
-	// one-cycle-per-instruction lower bound).
-	Effective [][]bool
 	// Changed[xb] reports whether block xb's transfer row or in-state value
 	// differs from the previous result's, i.e. whether anything derived
 	// from the block could differ. It is nil after a full analysis (every
@@ -680,7 +676,8 @@ type Result struct {
 	gated bool
 	// ops[xb] is the transfer-function encoding of expanded block xb; the
 	// incremental path diffs it against the previous result to find the
-	// dirty region. Rows of unchanged blocks alias the previous result's.
+	// dirty region. Rows of unchanged blocks alias the previous result's
+	// and are never written: a flipped effectiveness bit copies the row.
 	ops [][]opRec
 	// out[xb] is the abstract state at the exit of xb (nil = bottom, the
 	// block was never reached); it seeds incremental re-analysis.
@@ -709,6 +706,12 @@ type Result struct {
 	// long-term (e.g. a result cache) pay for the deduplication.
 	interns *internTable
 }
+
+// Effective reports whether instruction i of expanded block xb is a
+// prefetch filling this level whose fill latency is provably hidden before
+// the first use of the target block (Definition 10, checked with the
+// conservative one-cycle-per-instruction lower bound).
+func (r *Result) Effective(xb, i int) bool { return r.ops[xb][i].eff }
 
 // opRec is one instruction of a transfer function at one cache level: the
 // memory block the fetch accesses, the CAC gate deciding whether the fetch

@@ -445,11 +445,11 @@ func TestEffectivenessDistance(t *testing.T) {
 	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 128}
 
 	resShort := testAnalyze(t, x, lay, cfg, 4)
-	if !resShort.Effective[x.Topo[0]][1] {
+	if !resShort.Effective(x.Topo[0], 1) {
 		t.Fatal("prefetch 29+ instructions ahead should hide a 4-cycle latency")
 	}
 	resLong := testAnalyze(t, x, lay, cfg, 1000)
-	if resLong.Effective[x.Topo[0]][1] {
+	if resLong.Effective(x.Topo[0], 1) {
 		t.Fatal("a 1000-cycle latency cannot hide in 29 instructions")
 	}
 }
@@ -538,9 +538,9 @@ func TestAnalyzeFromRebasedLayoutRunsFull(t *testing.T) {
 	want := testAnalyze(t, x, moved, cfg, lambda)
 	for id := range want.Class {
 		for i := range want.Class[id] {
-			if got.Class[id][i] != want.Class[id][i] || got.Effective[id][i] != want.Effective[id][i] {
+			if got.Class[id][i] != want.Class[id][i] || got.Effective(id, i) != want.Effective(id, i) {
 				t.Fatalf("block %d ref %d: %v/%v, want %v/%v", id, i,
-					got.Class[id][i], got.Effective[id][i], want.Class[id][i], want.Effective[id][i])
+					got.Class[id][i], got.Effective(id, i), want.Class[id][i], want.Effective(id, i))
 			}
 		}
 		if !got.InState(id).Equal(want.InState(id)) {

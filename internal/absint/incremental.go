@@ -76,13 +76,12 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 	defer span.End()
 	n := len(x.Blocks)
 	res := &Result{
-		X:         x,
-		Cfg:       cfg,
-		Class:     make([][]Classification, n),
-		Effective: make([][]bool, n),
-		lambda:    lambda,
-		gated:     l1 != nil,
-		out:       make([]*State, n),
+		X:      x,
+		Cfg:    cfg,
+		Class:  make([][]Classification, n),
+		lambda: lambda,
+		gated:  l1 != nil,
+		out:    make([]*State, n),
 	}
 	satLo := lay.StartAddr() / uint64(cfg.BlockBytes)
 	if prev != nil && prev.scr.sp.satLo != satLo {
@@ -208,18 +207,6 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 				dirty[id] = true
 			}
 		}
-	}
-
-	for id := range ops {
-		if !full && !dirty[id] {
-			res.Effective[id] = prev.Effective[id]
-			continue
-		}
-		effRow := make([]bool, len(ops[id]))
-		for i, op := range ops[id] {
-			effRow[i] = op.eff
-		}
-		res.Effective[id] = effRow
 	}
 
 	if full {

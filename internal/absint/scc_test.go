@@ -48,8 +48,10 @@ func TestSCCPlanDifferential(t *testing.T) {
 			if !reflect.DeepEqual(got.Class[id], want.Class[id]) {
 				t.Fatalf("%s: block %d classes %v, region plan %v", where, id, got.Class[id], want.Class[id])
 			}
-			if !reflect.DeepEqual(got.Effective[id], want.Effective[id]) {
-				t.Fatalf("%s: block %d effectiveness %v, region plan %v", where, id, got.Effective[id], want.Effective[id])
+			for i := range want.Class[id] {
+				if got.Effective(id, i) != want.Effective(id, i) {
+					t.Fatalf("%s: block %d ref %d effectiveness %v, region plan %v", where, id, i, got.Effective(id, i), want.Effective(id, i))
+				}
 			}
 			if !got.InState(id).Equal(want.InState(id)) {
 				t.Fatalf("%s: block %d in-state differs from the region plan's", where, id)

@@ -120,9 +120,9 @@ func TestScopedRowsDifferential(t *testing.T) {
 	}{{"L1", n1, f1}, {"L2", n2, f2}} {
 		for id := range lv.want.Class {
 			for i := range lv.want.Class[id] {
-				if lv.got.Class[id][i] != lv.want.Class[id][i] || lv.got.Effective[id][i] != lv.want.Effective[id][i] {
+				if lv.got.Class[id][i] != lv.want.Class[id][i] || lv.got.Effective(id, i) != lv.want.Effective(id, i) {
 					t.Fatalf("%s: block %d ref %d: %v/%v, want %v/%v", lv.name, id, i,
-						lv.got.Class[id][i], lv.got.Effective[id][i], lv.want.Class[id][i], lv.want.Effective[id][i])
+						lv.got.Class[id][i], lv.got.Effective(id, i), lv.want.Class[id][i], lv.want.Effective(id, i))
 				}
 			}
 			if !lv.got.InState(id).Equal(lv.want.InState(id)) {

@@ -10,13 +10,15 @@ import (
 )
 
 // validationAllocBudget bounds the bytes allocated per validation of the
-// cell in TestValidationAllocBudget: about 1.5× the 49.1 KB it measures
-// (283 validations; 49.4 KB under -race). Before a validation undid only
-// the blocks its edit wrote, derived its layout from the previous one and
-// retired the result it replaced, the same cell allocated 66.6 KB per
-// validation; before rolled-back re-analyses returned their abstract
-// states to the pool and results stopped retaining in-states, 336 KB.
-const validationAllocBudget = 75_000
+// cell in TestValidationAllocBudget: about 1.5× the 39.3 KB it measures
+// (283 validations; 39.4 KB under -race). Before t_w and effectiveness
+// lost their per-result copies, the same cell allocated 49.1 KB per
+// validation; before a validation undid only the blocks its edit wrote,
+// derived its layout from the previous one and retired the result it
+// replaced, 66.6 KB; before rolled-back re-analyses returned their
+// abstract states to the pool and results stopped retaining in-states,
+// 336 KB.
+const validationAllocBudget = 59_000
 
 // TestValidationAllocBudget guards the allocation cost of the optimizer's
 // validate loop on one fixed sub-second cell: a regression that makes each
@@ -48,10 +50,11 @@ func TestValidationAllocBudget(t *testing.T) {
 }
 
 // hierValidationAllocBudget bounds the bytes allocated per validation of the
-// L1 + L2 cell in TestHierValidationAllocBudget: about 1.5× the 88.7 KB it
-// measures (63 validations; 89.4 KB under -race; 106.0 KB before the
+// L1 + L2 cell in TestHierValidationAllocBudget: about 1.5× the 78.2 KB it
+// measures (63 validations; 78.8 KB under -race; 88.7 KB before t_w and
+// effectiveness lost their per-result copies, 106.0 KB before the
 // edit-scoped validation).
-const hierValidationAllocBudget = 135_000
+const hierValidationAllocBudget = 118_000
 
 // TestHierValidationAllocBudget is TestValidationAllocBudget behind an
 // 8 KiB L2: each validation re-analyzes both levels, and the L2's Uncertain

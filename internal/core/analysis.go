@@ -107,25 +107,24 @@ func (o *optimizer) wcetSuccBlock(id int) int {
 // applyBackward pushes the references of expanded block id through a
 // backward state of level lv, in reverse order.
 func (o *optimizer) applyBackward(lv *level, st *cache.State, id int) {
-	eff := lv.ai(o.res).Effective[id]
 	orig := o.res.X.Blocks[id].Orig
-	for i := len(eff) - 1; i >= 0; i-- {
-		o.stepBackward(lv, st, eff, isa.InstrRef{Block: orig, Index: i})
+	for i := len(o.res.Prog.Blocks[orig].Instrs) - 1; i >= 0; i-- {
+		o.stepBackward(lv, st, vivu.Ref{XB: id, Index: i})
 	}
 }
 
-// stepBackward pushes the reference at ref through a backward state of
-// level lv and returns the block the access replaced (cache.InvalidBlock if
-// none); eff is the level's effectiveness row of the reference's block. A
+// stepBackward pushes the reference r through a backward state of level lv
+// and returns the block the access replaced (cache.InvalidBlock if none). A
 // prefetch's own fetch is a reference like any other; when its fill is
 // effective at this level it satisfies the future use of the target block,
 // so the target is dropped from the window (upstream code no longer needs to
 // preserve it). A prefetch filling another level — an L1 prefetch seen from
 // the L2, whose fill passes through at an unknown time — is never effective
 // here and cannot be relied on.
-func (o *optimizer) stepBackward(lv *level, st *cache.State, eff []bool, ref isa.InstrRef) uint64 {
+func (o *optimizer) stepBackward(lv *level, st *cache.State, r vivu.Ref) uint64 {
 	lay := o.res.Lay
-	if eff[ref.Index] { // only prefetches are ever effective
+	ref := isa.InstrRef{Block: o.res.X.Blocks[r.XB].Orig, Index: r.Index}
+	if lv.ai(o.res).Effective(r.XB, r.Index) { // only prefetches are ever effective
 		st.Remove(lay.MemBlock(o.res.Prog.Instr(ref).Target, lv.bwCfg.BlockBytes))
 	}
 	_, evicted := st.Access(lay.MemBlock(ref, lv.bwCfg.BlockBytes))

@@ -198,7 +198,6 @@ func OptimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Op
 	if err := h.Valid(); err != nil {
 		return nil, nil, err
 	}
-	cfg := h.L1
 	ctx, span := obs.Start(ctx, "core.optimize")
 	defer span.End()
 	q := p.Clone()
@@ -232,7 +231,7 @@ func OptimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Op
 	}
 
 	o := &optimizer{
-		x: x, cfg: cfg, h: h, opt: opt, rep: rep, res: res,
+		x: x, h: h, opt: opt, rep: rep, res: res,
 		levels:   levelsFor(h, opt.Par),
 		rejected: map[candidateKey]bool{},
 		ctx:      ctx, chk: interrupt.NewChecker(ctx, 64),
@@ -337,9 +336,8 @@ type candidate struct {
 }
 
 type optimizer struct {
-	x   *vivu.Prog
-	cfg cache.Config
-	// h is the cache hierarchy being optimized for; h.L1 == cfg always.
+	x *vivu.Prog
+	// h is the cache hierarchy being optimized for.
 	h cache.Hierarchy
 	// ctx and chk make the run cancellable: the reverse walk polls the
 	// amortized checker per expanded block, and every validation re-analysis
@@ -477,11 +475,10 @@ func (o *optimizer) collect(lv *level) ([]candidate, error) {
 			continue
 		}
 		st.CopyFrom(bw[xbID])
-		eff := lv.ai(res).Effective[xbID]
 		orig := res.X.Blocks[xbID].Orig
-		for i := len(eff) - 1; i >= 0; i-- {
+		for i := len(res.Prog.Blocks[orig].Instrs) - 1; i >= 0; i-- {
 			r := vivu.Ref{XB: xbID, Index: i}
-			evicted := o.stepBackward(lv, st, eff, isa.InstrRef{Block: orig, Index: i})
+			evicted := o.stepBackward(lv, st, r)
 			if evicted == cache.InvalidBlock {
 				continue
 			}
@@ -695,7 +692,7 @@ func (o *optimizer) trySubset(cands []candidate) (bool, error) {
 	})
 	pads := 0
 	if o.opt.PadToBlock {
-		pads = o.cfg.BlockBytes/isa.InstrBytes - 1
+		pads = o.h.L1.BlockBytes/isa.InstrBytes - 1
 	}
 	// Each candidate's prefetch (plus pads) is one edit, edits[ci].
 	var edits []isa.Edit

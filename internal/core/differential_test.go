@@ -45,7 +45,7 @@ func TestDifferentialRefreshMatchesFull(t *testing.T) {
 					continue
 				}
 				for i := range b.Class[id] {
-					if a.Class[id][i] != b.Class[id][i] || a.Effective[id][i] != b.Effective[id][i] {
+					if a.Class[id][i] != b.Class[id][i] || a.Effective(id, i) != b.Effective(id, i) {
 						t.Fatalf("refresh classification diverges at block %d ref %d", id, i)
 					}
 				}

@@ -140,8 +140,8 @@ type machine struct {
 	rng   *rand.Rand
 	t     int64
 	fills []fill
-	// firstUse tracks the tagged-prefetch bit: blocks not yet demand-read
-	// since arriving.
+	// firstUse tracks the tagged-prefetch bit: prefetched blocks not yet
+	// demand-read since their fill landed.
 	firstUse map[uint64]bool
 	stats    *Stats
 
@@ -318,7 +318,7 @@ func (m *machine) execBlock(b *isa.Block, loopIters map[int]int) {
 		ref := isa.InstrRef{Block: b.ID, Index: i}
 		pc := m.lay.Addr(ref)
 		blk := pc / uint64(m.cfg.BlockBytes)
-		hit := m.fetch(ref, pc, blk)
+		hit, first := m.fetch(ref, pc, blk)
 		if m.o.OnFetch != nil {
 			m.o.OnFetch(ref, hit)
 		}
@@ -341,35 +341,36 @@ func (m *machine) execBlock(b *isa.Block, loopIters map[int]int) {
 			}
 		}
 		if m.o.HW != nil {
-			m.triggerHW(b, i, pc, blk, hit, loopIters)
+			m.triggerHW(b, i, pc, blk, hit, first, loopIters)
 		}
 	}
 }
 
 // fetch performs one demand access at the current time and advances the
-// clock.
-func (m *machine) fetch(ref isa.InstrRef, pc, blk uint64) bool {
+// clock. It reports whether the access hit, and whether it is the first
+// demand access to blk since the block was (pre)fetched: the tag bit of
+// tagged prefetching as it was before the access, which the access clears.
+func (m *machine) fetch(ref isa.InstrRef, pc, blk uint64) (hit, first bool) {
 	m.applyFills()
 	if m.o.Locked != nil {
 		// Statically locked cache: no state changes ever.
 		if m.o.Locked[blk] {
 			m.stats.Hits++
 			m.t += m.o.Par.HitCycles
-			return true
+			return true, false
 		}
 		m.stats.Misses++
 		m.stats.DRAMReads++
 		m.t += m.o.Par.MissCycles()
-		return false
+		return false, false
 	}
 	if m.st.Contains(blk) {
 		m.st.Access(blk)
-		if m.firstUse[blk] {
-			delete(m.firstUse, blk)
-		}
+		first = m.firstUse[blk]
+		delete(m.firstUse, blk)
 		m.stats.Hits++
 		m.t += m.o.Par.HitCycles
-		return true
+		return true, first
 	}
 	// In-flight L1 fill?
 	for _, f := range m.fills {
@@ -391,22 +392,25 @@ func (m *machine) fetch(ref isa.InstrRef, pc, blk uint64) bool {
 		} else {
 			m.st.Access(blk)
 		}
+		delete(m.firstUse, blk) // the landed fill tagged it
 		m.stats.Hits++
 		m.t += m.o.Par.HitCycles
-		return true
+		return true, true
 	}
-	// L1 miss: probe the L2 when one is configured.
+	// L1 miss: the demand fetch clears a tag left by a prefetched copy of
+	// blk evicted before its first use. Probe the L2 when one is
+	// configured.
+	delete(m.firstUse, blk)
 	if m.l2 != nil {
-		return m.fetchL2(ref, pc, blk)
+		return m.fetchL2(ref, pc, blk), true
 	}
 	// Full miss straight to memory.
 	m.st.Access(blk)
-	m.firstUse[blk] = true
 	m.stats.Misses++
 	m.stats.DRAMReads++
 	m.stats.CacheFills++
 	m.t += m.o.Par.MissCycles()
-	return false
+	return false, true
 }
 
 // fetchL2 serves a demand L1 miss from the L2, waiting out an in-flight
@@ -435,7 +439,6 @@ func (m *machine) fetchL2(ref isa.InstrRef, pc, blk uint64) bool {
 			m.o.OnFetch2(ref, true)
 		}
 		m.st.Access(blk)
-		m.firstUse[blk] = true
 		m.stats.CacheFills++
 		m.t += m.o.Par.HitCycles + m.o.Par.L2HitCycles
 		return false
@@ -449,7 +452,6 @@ func (m *machine) fetchL2(ref isa.InstrRef, pc, blk uint64) bool {
 	m.l2.Access(blk2)
 	m.stats.L2Fills++
 	m.st.Access(blk)
-	m.firstUse[blk] = true
 	m.stats.CacheFills++
 	m.t += m.o.Par.HitCycles + m.o.Par.L2HitCycles + m.o.Par.MissPenalty
 	return false
@@ -583,13 +585,13 @@ func (m *machine) applyFills() {
 
 // triggerHW builds the prefetcher event for the fetch just performed and
 // enqueues whatever the mechanism requests.
-func (m *machine) triggerHW(b *isa.Block, i int, pc, blk uint64, hit bool, loopIters map[int]int) {
+func (m *machine) triggerHW(b *isa.Block, i int, pc, blk uint64, hit, first bool, loopIters map[int]int) {
 	in := b.Instrs[i]
 	ev := hwpref.Event{
 		PC:       pc,
 		Block:    blk,
 		Hit:      hit,
-		FirstUse: m.firstUse[blk],
+		FirstUse: first,
 		IsBranch: in.Kind == isa.KindBranch,
 	}
 	if ev.IsBranch && len(b.Succs) == 2 {

@@ -225,3 +225,24 @@ func TestLoopTableMatchesLoopOf(t *testing.T) {
 		}
 	}
 }
+
+// TestTaggedPrefetchFollowsPrefetchedBlocks pins the tag bit of tagged
+// next-line prefetching: the first demand access to a prefetched block
+// prefetches the next line too, so on straight-line code whose fills land
+// in time tagged prefetching misses once, like next-line-always, while
+// next-line-on-miss misses on every other block.
+func TestTaggedPrefetchFollowsPrefetchedBlocks(t *testing.T) {
+	p := isa.Build("hw", isa.Code(400))
+	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 1024}
+	par := wcet.Params{HitCycles: 1, MissPenalty: 2, Lambda: 2}
+	misses := func(pol hwpref.NextLinePolicy) int64 {
+		return run(p, cfg, Options{Runs: 1, Par: par, HW: &hwpref.NextLine{Policy: pol}}).Misses
+	}
+	always, onMiss, tagged := misses(hwpref.Always), misses(hwpref.OnMiss), misses(hwpref.Tagged)
+	if always != 1 || tagged != always {
+		t.Fatalf("tagged next-line misses %d times, next-line-always %d; both should miss only the first block", tagged, always)
+	}
+	if onMiss <= tagged {
+		t.Fatalf("next-line-on-miss misses %d times, no more than tagged (%d)", onMiss, tagged)
+	}
+}

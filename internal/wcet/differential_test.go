@@ -2,6 +2,7 @@ package wcet_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 
 // These tests pin the core claim of the incremental path: AnalyzeXHierFrom
 // must be bit-identical — per-level classifications, effectiveness and
-// in-states, Tw, Cost, Extra, Nw, τ_w, L1 and L2 misses, fetches — to a
+// in-states, RefTime, Cost, Extra, Nw, τ_w, L1 and L2 misses, fetches — to a
 // from-scratch AnalyzeXHier after every mutation, across a chain of
 // mutations (each incremental result seeds the next), for single-level
 // configurations and for L1+L2 hierarchies alike.
@@ -65,13 +66,11 @@ func compareResults(t *testing.T, where string, inc, full *wcet.Result) {
 		if inc.Cost[id] != full.Cost[id] || inc.Extra[id] != full.Extra[id] {
 			t.Fatalf("%s: cost/extra[%d] diverge", where, id)
 		}
-		if len(inc.Tw[id]) != len(full.Tw[id]) {
-			t.Fatalf("%s: Tw[%d] length diverges", where, id)
-		}
-		for i := range full.Tw[id] {
-			if inc.Tw[id][i] != full.Tw[id][i] {
-				t.Fatalf("%s: Tw[%d][%d] incremental %d != full %d",
-					where, id, i, inc.Tw[id][i], full.Tw[id][i])
+		for i := range full.AI.Class[id] {
+			ref := vivu.Ref{XB: id, Index: i}
+			if inc.RefTime(ref) != full.RefTime(ref) {
+				t.Fatalf("%s: RefTime(%d, %d) incremental %d != full %d",
+					where, id, i, inc.RefTime(ref), full.RefTime(ref))
 			}
 		}
 		compareLevel(t, where+" L1", id, inc.AI, full.AI)
@@ -90,9 +89,7 @@ func compareLevel(t *testing.T, where string, id int, inc, full *absint.Result) 
 			t.Fatalf("%s: class[%d][%d] incremental %v != full %v",
 				where, id, i, inc.Class[id][i], full.Class[id][i])
 		}
-	}
-	for i := range full.Effective[id] {
-		if inc.Effective[id][i] != full.Effective[id][i] {
+		if inc.Effective(id, i) != full.Effective(id, i) {
 			t.Fatalf("%s: effectiveness[%d][%d] diverges", where, id, i)
 		}
 	}
@@ -262,7 +259,7 @@ func TestDifferentialDirtyPropagationFuzz(t *testing.T) {
 // 8 KiB L2. Accepted results are kept, not retired.
 func TestReleaseDifferential(t *testing.T) {
 	t.Parallel()
-	acceptRejectChains(t, false)
+	acceptRejectChains(t, false, nil)
 }
 
 // TestRetireDifferential is TestReleaseDifferential with the optimizer's
@@ -273,29 +270,93 @@ func TestReleaseDifferential(t *testing.T) {
 // exit state of the live result may sit in either level's pool.
 func TestRetireDifferential(t *testing.T) {
 	t.Parallel()
-	acceptRejectChains(t, true)
+	acceptRejectChains(t, true, nil)
+}
+
+// TestAssembleDifferential holds the assembly — one pricing function, a
+// miss tally per block, totals summed over the blocks on the WCET path — to
+// the reference that stores every t_w and recounts the misses instruction
+// by instruction (wcet.CheckAssemble). It covers random programs and the
+// Mälardalen suite under every replacement policy, on the L1 alone and
+// behind an 8 KiB L2, each analyzed from scratch and re-analyzed after
+// random edits, and the accept/reject chains of TestRetireDifferential,
+// where every re-analysis is checked before it is accepted or rolled back.
+func TestAssembleDifferential(t *testing.T) {
+	t.Parallel()
+	check := func(t *testing.T, where string, r *wcet.Result) {
+		t.Helper()
+		if err := wcet.CheckAssemble(r); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+	}
+	rng := rand.New(rand.NewSource(24))
+	var progs []*isa.Program
+	for i := 0; i < 60; i++ {
+		progs = append(progs, wcet.RandomProgram(rng, fmt.Sprintf("rnd%d", i)))
+	}
+	for _, bm := range malardalen.All() {
+		progs = append(progs, bm.Prog)
+	}
+	checked := 0
+	for _, prog := range progs {
+		for _, pol := range cache.Policies() {
+			for _, h := range chainHierarchies(pol) {
+				par := diffParams(h)
+				where := prog.Name + "/" + h.String()
+				p := prog.Clone()
+				x, err := vivu.Expand(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := wcet.AnalyzeXHier(context.Background(), x, h, par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, where, res)
+				for step := 0; step < 2; step++ {
+					if !mutate(rng, p) {
+						continue
+					}
+					if res, err = wcet.AnalyzeXHierFrom(context.Background(), x, h, par, res); err != nil {
+						t.Fatal(err)
+					}
+					check(t, where+" (edited)", res)
+				}
+				checked++
+			}
+		}
+	}
+	t.Logf("%d program × policy × hierarchy legs checked", checked)
+	acceptRejectChains(t, true, check)
+}
+
+// chainHierarchies are the legs of the accept/reject chains under policy
+// pol: a conflict-heavy L1 (256 B, 16 B blocks, 2-way) alone and behind an
+// 8 KiB 4-way L2 with 32 B blocks.
+func chainHierarchies(pol cache.Policy) []cache.Hierarchy {
+	l1 := cache.Table2()[1]
+	l1.Policy = pol
+	return []cache.Hierarchy{
+		cache.Hier1(l1),
+		{L1: l1, L2: cache.Config{Assoc: 4, BlockBytes: 32, CapacityBytes: 8192, Policy: pol}},
+	}
 }
 
 // acceptRejectChains runs the chains of TestReleaseDifferential and, with
-// retire set, of TestRetireDifferential.
-func acceptRejectChains(t *testing.T, retire bool) {
+// retire set, of TestRetireDifferential. A non-nil check also sees every
+// re-analysis of the chain before it is accepted or rolled back.
+func acceptRejectChains(t *testing.T, retire bool, check func(t *testing.T, where string, r *wcet.Result)) {
 	steps := 12
 	if testing.Short() {
 		steps = 5
 	}
-	l1 := cache.Table2()[1] // 256 B, 16 B blocks, 2-way: conflict-heavy
 	for _, name := range []string{"crc", "fdct", "compress", "statemate"} {
 		bm, ok := malardalen.ByName(name)
 		if !ok {
 			t.Fatalf("unknown program %s", name)
 		}
 		for pi, pol := range cache.Policies() {
-			h1 := l1
-			h1.Policy = pol
-			for _, h := range []cache.Hierarchy{
-				cache.Hier1(h1),
-				{L1: h1, L2: cache.Config{Assoc: 4, BlockBytes: 32, CapacityBytes: 8192, Policy: pol}},
-			} {
+			for _, h := range chainHierarchies(pol) {
 				par := diffParams(h)
 				where := name + "/" + h.String()
 				p := bm.Prog.Clone()
@@ -321,6 +382,9 @@ func acceptRejectChains(t *testing.T, retire bool) {
 					cur, err := wcet.AnalyzeXHierFrom(context.Background(), x, h, par, prev)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if check != nil {
+						check(t, where, cur)
 					}
 					if rng.Intn(2) == 0 {
 						p.Undo()

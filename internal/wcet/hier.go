@@ -15,8 +15,8 @@ import (
 // level gets the same abstract interpretation — the L1 through
 // absint.AnalyzeFrom, the L2 through absint.AnalyzeL2From, gated by the L1
 // verdicts — and both are seeded incrementally from the previous result
-// when one is given. The assembly then prices every reference with three
-// outcomes:
+// when one is given. One function, price, turns a reference's verdicts into
+// its cost with three outcomes:
 //
 //	L1 hit              HitCycles
 //	L1 miss, L2 hit     HitCycles + L2HitCycles
@@ -26,7 +26,8 @@ import (
 // once-per-region-entry extra vector. A single-level analysis is the
 // degenerate hierarchy: there is no L2 result, every L1 miss counts as an
 // L2 miss at zero L2 latency, and L2Misses stays zero — exactly the
-// two-outcome pricing of the paper's model.
+// two-outcome pricing of the paper's model. RefTime and the assembly both
+// price through it; the miss totals are sums of per-block tallies.
 
 // AnalyzeHier expands p and analyzes it against the hierarchy h. With no L2
 // configured it is exactly Analyze on h.L1.
@@ -105,17 +106,79 @@ func unchanged(ai *absint.Result, id int) bool {
 	return ai == nil || (ai.Changed != nil && !ai.Changed[id])
 }
 
+// missRate says how often a reference misses a cache level in the WCET
+// scenario: never, on every execution of its block, or once per entry of
+// its loop region (a first miss).
+type missRate uint8
+
+const (
+	never missRate = iota
+	perExec
+	perEntry
+)
+
+// refPrice is the price of one reference in the WCET scenario: t, its t_w,
+// is charged on every execution and once on each entry of its loop region;
+// l1 says how often it misses the L1, mem how often it goes to memory.
+type refPrice struct {
+	t, once int64
+	l1, mem missRate
+}
+
+// price is the three-outcome pricing of reference i of expanded block xb
+// from its per-level verdicts. Without an L2 every L1 miss goes to memory
+// directly: the L2 verdict is a miss and an L2 access costs nothing.
+func (r *Result) price(xb, i int) refPrice {
+	c1, c2, l2Hit := r.AI.Class[xb][i], absint.NotClassified, int64(0)
+	if r.AI2 != nil {
+		c2, l2Hit = r.AI2.Class[xb][i], r.Par.L2HitCycles
+	}
+	p := refPrice{t: r.Par.HitCycles}
+	switch c1 {
+	case absint.AlwaysHit:
+		// Served by the L1; the L2 never sees the fetch.
+		return p
+	case absint.FirstMiss:
+		// Reaches the L2 once per region entry; the L2 verdict decides
+		// whether that one access also goes to memory.
+		p.once, p.l1 = l2Hit, perEntry
+	default:
+		// May reach the L2 on every execution.
+		p.t, p.l1 = p.t+l2Hit, perExec
+	}
+	switch {
+	case c2 == absint.AlwaysHit:
+	case c1 == absint.FirstMiss || c2 == absint.FirstMiss:
+		p.once, p.mem = p.once+r.Par.MissPenalty, perEntry
+	default:
+		p.t, p.mem = p.t+r.Par.MissPenalty, perExec
+	}
+	return p
+}
+
+// missCount counts one block's references by missRate.
+type missCount [3]int32
+
+// in returns the misses the counted references take in a block executed
+// nw > 0 times: a first miss is taken once however often the block runs.
+func (c missCount) in(nw int64) int64 {
+	return nw*int64(c[perExec]) + int64(c[perEntry])
+}
+
+// tally is one expanded block's miss counts at the L1 and to memory.
+type tally struct{ l1, mem missCount }
+
 // assemble turns the per-level abstract interpretations into a WCET Result
-// (ai2 is nil without an L2), reusing prev's per-block rows for blocks no
-// level changed and prev's solve outputs when the cost vectors are
-// unchanged.
+// (ai2 is nil without an L2), reusing prev's per-block cost, extra and
+// tally for blocks no level changed and prev's solve outputs when the cost
+// vectors are unchanged.
 func assemble(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params, lay *isa.Layout, ai, ai2 *absint.Result, prev *Result) (*Result, error) {
 	n := len(x.Blocks)
 	res := &Result{
-		Prog: x.Prog, X: x, Lay: lay, AI: ai, AI2: ai2,
-		Cfg: h.L1, Hier: h, Par: par,
-		Tw:   make([][]int64, n),
-		Cost: make([]int64, n),
+		Prog: x.Prog, X: x, Lay: lay, AI: ai, AI2: ai2, Hier: h, Par: par,
+		Cost:  make([]int64, n),
+		Extra: make([]int64, n),
+		tally: make([]tally, n),
 	}
 	if prev != nil {
 		res.plan = prev.plan
@@ -125,74 +188,32 @@ func assemble(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params, 
 			return nil, err
 		}
 	}
-	// Without an L2 every L1 miss goes to memory directly: the L2 verdict is
-	// a miss and an L2 access costs nothing.
-	l2Hit := par.L2HitCycles
-	if ai2 == nil {
-		l2Hit = 0
-	}
-	// extra[xb] carries the one-time first-miss charges of the block's
-	// persistence-classified references: each pays its miss once per entry
-	// of its loop region, not per execution.
-	extra := make([]int64, n)
 	costSame := prev != nil
 	for _, xb := range x.Blocks {
 		id := xb.ID
 		if prev != nil && unchanged(ai, id) && unchanged(ai2, id) {
-			res.Tw[id] = prev.Tw[id]
-			res.Cost[id] = prev.Cost[id]
-			extra[id] = prev.Extra[id]
+			res.Cost[id], res.Extra[id], res.tally[id] = prev.Cost[id], prev.Extra[id], prev.tally[id]
 			continue
 		}
-		instrs := x.Prog.Blocks[xb.Orig].Instrs
-		row := make([]int64, len(instrs))
-		total := int64(0)
-		for i := range instrs {
-			c2 := absint.NotClassified
-			if ai2 != nil {
-				c2 = ai2.Class[id][i]
-			}
-			t := par.HitCycles
-			switch ai.Class[id][i] {
-			case absint.AlwaysHit:
-				// Served by the L1; the L2 never sees the fetch.
-			case absint.FirstMiss:
-				// Reaches the L2 once per region entry; the L2 verdict
-				// decides whether that one access also goes to memory.
-				extra[id] += l2Hit
-				if c2 != absint.AlwaysHit {
-					extra[id] += par.MissPenalty
-				}
-			default:
-				// May reach the L2 on every execution.
-				t += l2Hit
-				switch c2 {
-				case absint.AlwaysHit:
-				case absint.FirstMiss:
-					extra[id] += par.MissPenalty
-				default:
-					t += par.MissPenalty
-				}
-			}
-			row[i] = t
-			total += t
+		tl := &res.tally[id]
+		for i := range x.Prog.Blocks[xb.Orig].Instrs {
+			p := res.price(id, i)
+			res.Cost[id] += p.t
+			res.Extra[id] += p.once
+			tl.l1[p.l1]++
+			tl.mem[p.mem]++
 		}
-		res.Tw[id] = row
-		res.Cost[id] = total
-		if costSame && (total != prev.Cost[id] || extra[id] != prev.Extra[id]) {
+		if costSame && (res.Cost[id] != prev.Cost[id] || res.Extra[id] != prev.Extra[id]) {
 			costSame = false
 		}
 	}
-	res.Extra = extra
 
 	// Unchanged cost and extra vectors determine the solve completely, so
-	// the counts and τ_w are prev's. At a single level they also force the
-	// per-block class-category counts to be unchanged (every fetch costs
-	// HitCycles or MissCycles, and each first miss one MissPenalty of
-	// extra), so the miss and fetch totals are prev's as well. With an L2
-	// the per-level split is not determined by the costs alone — a first
-	// miss served by the L2 and an L2 first miss can both hide behind one
-	// extra total — so the totals are recounted.
+	// the counts and τ_w are prev's. A single-level analysis carries prev's
+	// miss and fetch totals over as well. That is not exact: an edit can
+	// lengthen a block and drop misses from it at equal cost (fdct under
+	// FIFO gains 72 fetches and loses 8 misses at MissPenalty 9), but the
+	// pinned pipeline and explain goldens were recorded with the carry-over.
 	if costSame {
 		res.Nw, res.TauW = prev.Nw, prev.TauW
 		if _, sp := obs.Start(ctx, "wcet.solve"); sp != nil {
@@ -206,39 +227,20 @@ func assemble(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params, 
 		}
 	} else {
 		_, sp := obs.Start(ctx, "wcet.solve")
-		nw, tau := res.plan.solve(res.Cost, extra)
+		nw, tau := res.plan.solve(res.Cost, res.Extra)
 		sp.Attr("tau_w", tau)
 		sp.End()
 		res.Nw, res.TauW = nw, tau
 	}
 	for _, xb := range x.Blocks {
-		cnt := res.Nw[xb.ID]
-		if cnt == 0 {
+		nw := res.Nw[xb.ID]
+		if nw == 0 {
 			continue
 		}
-		res.Fetches += cnt * int64(len(x.Prog.Blocks[xb.Orig].Instrs))
-		for i := range x.Prog.Blocks[xb.Orig].Instrs {
-			c1 := ai.Class[xb.ID][i]
-			switch c1 {
-			case absint.AlwaysHit:
-				continue
-			case absint.FirstMiss:
-				res.Misses++ // at most one L1 miss regardless of n_w
-			default:
-				res.Misses += cnt
-			}
-			if ai2 == nil {
-				continue // no L2: L2Misses stays zero
-			}
-			// The fetch reaches the L2 (always, or once per region for a
-			// first miss); count how often it also goes to memory.
-			switch c2 := ai2.Class[xb.ID][i]; {
-			case c2 == absint.AlwaysHit:
-			case c1 == absint.FirstMiss || c2 == absint.FirstMiss:
-				res.L2Misses++
-			default:
-				res.L2Misses += cnt
-			}
+		res.Fetches += nw * int64(len(x.Prog.Blocks[xb.Orig].Instrs))
+		res.Misses += res.tally[xb.ID].l1.in(nw)
+		if ai2 != nil { // without an L2, L2Misses stays zero
+			res.L2Misses += res.tally[xb.ID].mem.in(nw)
 		}
 	}
 	return res, nil

@@ -55,19 +55,15 @@ type Result struct {
 	X    *vivu.Prog
 	Lay  *isa.Layout
 	AI   *absint.Result
-	Cfg  cache.Config
 	Par  Params
 
-	// Hier is the cache hierarchy the result was computed against; for a
-	// single-level analysis it is Hier1(Cfg). AI2 is the L2 abstract
-	// interpretation, nil when no L2 is configured.
+	// Hier is the cache hierarchy the result was computed against. AI2 is
+	// the L2 abstract interpretation, nil when no L2 is configured.
 	Hier cache.Hierarchy
 	AI2  *absint.Result
 
-	// Tw[xb][i] is t_w of the i-th reference of expanded block xb: its
-	// fetch time in the WCET scenario (Section 3.3).
-	Tw [][]int64
-	// Cost[xb] = Σ_i Tw[xb][i], the per-block memory time t_w(bb).
+	// Cost[xb] = Σ_i RefTime of the references of expanded block xb, the
+	// per-block memory time t_w(bb) (Section 3.3).
 	Cost []int64
 	// Extra[xb] is the one-time cost charged once per entry of the
 	// residual loop region containing xb (the first-miss charges of
@@ -87,6 +83,10 @@ type Result struct {
 	L2Misses int64
 	// Fetches is the number of instruction fetches in the WCET scenario.
 	Fetches int64
+
+	// tally[xb] counts the misses of expanded block xb's references;
+	// Misses and L2Misses sum it over the blocks on the WCET path.
+	tally []tally
 
 	// plan is the structural solve's layout of X's regions; it depends only
 	// on the expansion and is shared along the chain of re-analyses.
@@ -156,8 +156,8 @@ func (r *Result) Retire(next *Result) {
 func (r *Result) OnWCETPath(xb int) bool { return r.Nw[xb] > 0 }
 
 // RefTime returns t_w of a reference (the fetch time of one access in the
-// WCET scenario).
-func (r *Result) RefTime(ref vivu.Ref) int64 { return r.Tw[ref.XB][ref.Index] }
+// WCET scenario), priced from its per-level classifications.
+func (r *Result) RefTime(ref vivu.Ref) int64 { return r.price(ref.XB, ref.Index).t }
 
 // RefCount returns n_w of the expanded block containing the reference.
 func (r *Result) RefCount(ref vivu.Ref) int64 { return r.Nw[ref.XB] }
