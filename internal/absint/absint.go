@@ -83,9 +83,11 @@ func mkEntry(blk uint64, age uint8) entry { return entry(blk<<ageBits | uint64(a
 func (e entry) blk() uint64 { return uint64(e) >> ageBits }
 func (e entry) age() uint8  { return uint8(e) }
 
-// setState is the abstract state of a single cache set: blocks paired with
+// setState is a view of one component of one cache set: blocks paired with
 // age bounds (upper bounds in must states, lower bounds in may states),
-// sorted by block for canonical comparison.
+// sorted by block for canonical comparison. The views a State hands out are
+// carved from its arena (see span); the update kernels below work on them in
+// place and never grow one past its capacity.
 type setState []entry
 
 // smallSetScan is the length up to which find and insert use a linear scan
@@ -142,7 +144,7 @@ func (s setState) equal(o setState) bool {
 	return true
 }
 
-// fnv-1a over the entries; used for the State hash and set interning.
+// fnv-1a over the entries; used for the State hash.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -156,43 +158,77 @@ func (s setState) hash() uint64 {
 	return h
 }
 
+// sets holds the three component views of one cache set while a policy
+// transfer (see policy.go) updates them.
+type sets struct{ must, may, pers setState }
+
+// span locates one component of one cache set in a State's arena: the
+// entries are arena[off : off+n], and the slots up to off+cap are the set's
+// own room to grow into.
+type span struct{ off, n, cap int32 }
+
+// Components of a cache set; the span of component c of set si is
+// spans[nComp*si + c], so the three spans a transfer touches are adjacent.
+const (
+	cMust = iota
+	cMay
+	cPers
+	nComp
+)
+
+// satSet is the saturated part of the persistence component: bit b−satLo of
+// sat is set iff block b was loaded on some path and its bound has reached
+// the limit. Words missing at the end read as zero. satLo is the block
+// number of bit 0, fixed per chain of analyses (the first block of the
+// program text), so every state of a chain indexes the same blocks with the
+// same bits. nSat counts the bits set.
+type satSet struct {
+	sat   []uint64
+	satLo uint64
+	nSat  int32
+}
+
 // State is an abstract cache state: a must, a may, and a persistence
 // component per set. The persistence component tracks, for every block ever
 // loaded, an upper bound on its maximal LRU age since that load; a block
 // whose bound stays below the policy's persistence limit can never have been
 // evicted (bounds are capped at the limit, the "maybe evicted" top element).
 //
-// The persistence component is split in two. pers keeps the young bounds,
-// those strictly below the limit, per set like must and may. A bound that
+// The persistence component is split in two. The young bounds, those
+// strictly below the limit, are kept per set like must and may. A bound that
 // reaches the limit can only change again by a reload of its block, so the
-// saturated blocks are kept as one bitset, sat, instead of entry by entry: bit
-// b−satLo is set iff block b was loaded on some path and its bound has
-// reached the limit. A block is therefore young, saturated, or never loaded,
-// and never two of these at once.
+// saturated blocks are kept as one bitset (satSet) instead of entry by
+// entry. A block is therefore young, saturated, or never loaded, and never
+// two of these at once.
+//
+// A state holds no pointer per set: every set lives in one entry arena,
+// located by an integer span table. Copying a state is a bulk
+// copy of the arena and one of the table, and neither store needs a write
+// barrier. A set that outgrows its room moves to the arena's tail (see
+// relocate); it never leaves the arena.
 type State struct {
-	cfg  cache.Config
-	tr   policyTransfer // transfer functions for cfg.Policy (see policy.go)
-	must []setState
-	may  []setState
-	pers []setState
-	// sat is the saturated persistence bitset; words missing at the end
-	// read as zero. satLo is the block number of bit 0, fixed per chain of
-	// analyses (the first block of the program text), so every state of a
-	// chain indexes the same blocks with the same bits.
-	sat   []uint64
-	satLo uint64
-	// nMust/nMay/nPers/nSat cache the total entry (or bit) count per
-	// component so Equal rejects differing states in O(1) — the dominant
-	// outcome inside the fixpoint.
-	nMust, nMay, nPers, nSat int32
+	cfg cache.Config
+	tr  policyTransfer // transfer functions for cfg.Policy (see policy.go)
+	// arena[:len(arena)] holds every span, the room between and after their
+	// entries included; its spare capacity is where relocated sets go.
+	arena []entry
+	spans []span
+	// nsets is cfg.NumSets(), kept so locating a block's spans (see spanOf)
+	// costs a mask, or one division for a set count that is no power of two.
+	nsets uint64
+	satSet
+	// nMust/nMay/nPers (and satSet's nSat) cache the total entry (or bit)
+	// count per component so Equal rejects differing states in O(1) — the
+	// dominant outcome inside the fixpoint.
+	nMust, nMay, nPers int32
 	// hash caches the structural hash; valid only while hashOK. Mutators
-	// clear it, interning (see incremental.go) sets it, and Equal uses a
-	// mismatch of two valid hashes as a second O(1) early exit.
+	// clear it, Intern sets it, and Equal uses a mismatch of two valid hashes
+	// as a second O(1) early exit.
 	hash   uint64
 	hashOK bool
-	// buf is the backing array the per-set slices are carved from; pooled
-	// states reuse it across fixpoint rounds instead of reallocating.
-	buf []entry
+	// interned marks a state Intern compacted into its result's slab: it is
+	// read-only and never recycled.
+	interned bool
 }
 
 // NewState returns the abstract state of an empty cache: nothing is
@@ -203,68 +239,151 @@ func NewState(cfg cache.Config) *State { return newState(cfg, 0) }
 // newState is NewState for a chain whose saturated bitset starts at block
 // satLo.
 func newState(cfg cache.Config, satLo uint64) *State {
-	n := cfg.NumSets()
-	// One header array backs all three components, so a fresh state costs
-	// two allocations instead of four.
-	h := make([]setState, 3*n)
 	return &State{
-		cfg:   cfg,
-		tr:    transferFor(cfg),
-		must:  h[0:n:n],
-		may:   h[n : 2*n : 2*n],
-		pers:  h[2*n:],
-		satLo: satLo,
+		cfg:    cfg,
+		tr:     transferFor(cfg),
+		spans:  make([]span, nComp*cfg.NumSets()),
+		nsets:  uint64(cfg.NumSets()),
+		satSet: satSet{satLo: satLo},
 	}
 }
 
-// cloneHeadroom is the spare capacity carved per set so the following
-// transfer's insertions rarely reallocate.
+// cloneHeadroom is the room a join or a repack leaves after each set's
+// entries, so the following transfer's insertions rarely relocate it.
 const cloneHeadroom = 2
 
-// reserve makes s's backing buffer hold at least total entries. A buffer
-// that is too small grows with a quarter of slack, so a pooled state that
-// is recycled for states of varying size (states after joins of diverging
-// paths hold more entries than those on straight-line code) re-makes its
-// buffer rarely instead of on almost every reuse.
-func (s *State) reserve(total int) {
-	if cap(s.buf) < total {
-		s.buf = make([]entry, total+total/4)
+// spanOf returns the index of the first span of blk's cache set.
+func (s *State) spanOf(blk uint64) int {
+	if s.nsets&(s.nsets-1) == 0 {
+		return nComp * int(blk&(s.nsets-1))
 	}
+	return nComp * int(blk%s.nsets)
 }
 
-// copyFrom makes s an exact copy of src, reusing s's backing buffer when it
-// is large enough. s and src must share a configuration.
+// view returns the entries of span k, with no room to grow: an append to it
+// copies instead of writing into a neighbor's slots.
+func (s *State) view(k int) setState {
+	sp := s.spans[k]
+	return s.arena[sp.off : sp.off+sp.n : sp.off+sp.n]
+}
+
+// slot returns the entries of span k with the span's room as capacity.
+func (s *State) slot(k int) setState {
+	sp := s.spans[k]
+	return s.arena[sp.off : sp.off+sp.n : sp.off+sp.cap]
+}
+
+// live counts the entries of all spans.
+func (s *State) live() int { return int(s.nMust + s.nMay + s.nPers) }
+
+// relocate gives span k room for need entries (and some headroom) at the
+// arena's tail, copying its entries there; the slots it leaves stay unused
+// until the arena is next rebuilt. An arena without that much spare capacity
+// is repacked into a larger one instead.
+func (s *State) relocate(k, need int) {
+	c := need + max(cloneHeadroom, need/2)
+	end := len(s.arena)
+	if end+c > cap(s.arena) {
+		s.repack(k, c)
+		return
+	}
+	sp := &s.spans[k]
+	s.arena = s.arena[:end+c]
+	copy(s.arena[end:], s.arena[sp.off:sp.off+sp.n])
+	sp.off, sp.cap = int32(end), int32(c)
+}
+
+// repack moves every span into a fresh arena, in span order without the
+// holes relocations left, each with cloneHeadroom slots of room and span k
+// with room for c entries. The new arena keeps half its size spare for later
+// relocations and is at least twice as large as the old one, so a pooled
+// state that keeps meeting transfers that relocate many sets stops
+// repacking after a few rounds.
+func (s *State) repack(k, c int) {
+	size := c
+	for _, sp := range s.spans {
+		size += int(sp.n) + cloneHeadroom
+	}
+	arena := make([]entry, 0, max(size+size/2, 2*cap(s.arena)))
+	for i := range s.spans {
+		sp := &s.spans[i]
+		room := int(sp.n) + cloneHeadroom
+		if i == k {
+			room = max(room, c)
+		}
+		off := len(arena)
+		arena = append(arena, s.arena[sp.off:sp.off+sp.n]...)
+		arena = arena[:off+room]
+		sp.off, sp.cap = int32(off), int32(room)
+	}
+	s.arena = arena
+}
+
+// open returns the three component views of the set whose spans start at k,
+// each with room for at least one more entry: a transfer inserts at most one
+// entry per component.
+func (s *State) open(k int) sets {
+	for c := k; c < k+nComp; c++ {
+		if sp := s.spans[c]; sp.n == sp.cap {
+			s.relocate(c, int(sp.n)+1)
+		}
+	}
+	return sets{s.slot(k + cMust), s.slot(k + cMay), s.slot(k + cPers)}
+}
+
+// commit records the views a transfer updated for the set whose spans
+// start at k and updates the cached counts.
+func (s *State) commit(k int, v *sets) {
+	s.nMust += s.setLen(k+cMust, v.must)
+	s.nMay += s.setLen(k+cMay, v.may)
+	s.nPers += s.setLen(k+cPers, v.pers)
+}
+
+// setLen records len(v) as span k's length and returns the change. v must
+// be the span's slot as updated in place; a kernel that appended past the
+// slot's capacity would have moved it off the arena.
+func (s *State) setLen(k int, v setState) int32 {
+	sp := &s.spans[k]
+	if len(v) > 0 && &v[0] != &s.arena[sp.off] {
+		panic("absint: a set update left its arena")
+	}
+	d := int32(len(v)) - sp.n
+	sp.n = int32(len(v))
+	return d
+}
+
+// store overwrites span k's entries with v, relocating the span when v
+// does not fit its room, and returns the change in length.
+func (s *State) store(k int, v setState) int32 {
+	if int(s.spans[k].cap) < len(v) {
+		s.relocate(k, len(v))
+	}
+	sp := &s.spans[k]
+	copy(s.arena[sp.off:], v)
+	d := int32(len(v)) - sp.n
+	sp.n = int32(len(v))
+	return d
+}
+
+// copyFrom makes s an exact copy of src — the same arena contents and the
+// same span table — reusing s's arena when it is large enough. s and src
+// must share a configuration.
 func (s *State) copyFrom(src *State) {
-	n := len(src.must)
-	total := 0
-	for i := 0; i < n; i++ {
-		total += len(src.must[i]) + len(src.may[i]) + len(src.pers[i]) + 3*cloneHeadroom
+	if n := len(src.arena); cap(s.arena) < n {
+		s.arena = make([]entry, n, n+n/4)
+	} else {
+		s.arena = s.arena[:n]
 	}
-	s.reserve(total)
-	buf := s.buf[:cap(s.buf)]
-	off := 0
-	carve := func(from setState) setState {
-		l := len(from)
-		dst := buf[off : off+l : off+l+cloneHeadroom]
-		copy(dst, from)
-		off += l + cloneHeadroom
-		return dst
-	}
-	for i := 0; i < n; i++ {
-		s.must[i] = carve(src.must[i])
-		s.may[i] = carve(src.may[i])
-		s.pers[i] = carve(src.pers[i])
-	}
+	copy(s.arena, src.arena)
+	copy(s.spans, src.spans)
 	s.sat = append(s.sat[:0], src.sat...)
-	s.satLo = src.satLo
-	s.nMust, s.nMay, s.nPers, s.nSat = src.nMust, src.nMay, src.nPers, src.nSat
+	s.satLo, s.nSat = src.satLo, src.nSat
+	s.nMust, s.nMay, s.nPers = src.nMust, src.nMay, src.nPers
 	s.hash, s.hashOK = src.hash, src.hashOK
+	s.interned = false
 }
 
-// Clone deep-copies the state. All per-set slices are carved out of one
-// backing array (with spare slots per set, so the following transfer's
-// insertions rarely reallocate); this keeps the fixpoint from drowning in
-// small allocations.
+// Clone deep-copies the state.
 func (s *State) Clone() *State {
 	c := NewState(s.cfg)
 	c.copyFrom(s)
@@ -290,18 +409,8 @@ func (s *State) Equal(o *State) bool {
 	if !satEqual(s.sat, o.sat) {
 		return false
 	}
-	for i := range s.must {
-		if !s.must[i].equal(o.must[i]) {
-			return false
-		}
-	}
-	for i := range s.may {
-		if !s.may[i].equal(o.may[i]) {
-			return false
-		}
-	}
-	for i := range s.pers {
-		if !s.pers[i].equal(o.pers[i]) {
+	for k := range s.spans {
+		if !s.view(k).equal(o.view(k)) {
 			return false
 		}
 	}
@@ -310,12 +419,12 @@ func (s *State) Equal(o *State) bool {
 
 // MustContains reports whether blk is guaranteed resident.
 func (s *State) MustContains(blk uint64) bool {
-	return s.must[s.cfg.SetOf(blk)].find(blk) >= 0
+	return s.view(s.spanOf(blk)+cMust).find(blk) >= 0
 }
 
 // MayContains reports whether blk may be resident.
 func (s *State) MayContains(blk uint64) bool {
-	return s.may[s.cfg.SetOf(blk)].find(blk) >= 0
+	return s.view(s.spanOf(blk)+cMay).find(blk) >= 0
 }
 
 // Persistent reports whether blk, if it was ever loaded, is guaranteed not
@@ -327,34 +436,34 @@ func (s *State) MayContains(blk uint64) bool {
 func (s *State) Persistent(blk uint64) bool { return !s.satHas(blk) }
 
 // satHas reports whether blk's persistence bound is saturated.
-func (s *State) satHas(blk uint64) bool {
-	i := blk - s.satLo
+func (t *satSet) satHas(blk uint64) bool {
+	i := blk - t.satLo
 	w := i / 64
-	return w < uint64(len(s.sat)) && s.sat[w]&(1<<(i%64)) != 0
+	return w < uint64(len(t.sat)) && t.sat[w]&(1<<(i%64)) != 0
 }
 
 // satAdd marks blk saturated; its bound just reached the limit, so it is not
 // young.
-func (s *State) satAdd(blk uint64) {
-	if blk < s.satLo {
+func (t *satSet) satAdd(blk uint64) {
+	if blk < t.satLo {
 		panic("absint: memory block below the chain's first block")
 	}
-	i := blk - s.satLo
+	i := blk - t.satLo
 	w := int(i / 64)
-	for len(s.sat) <= w {
-		s.sat = append(s.sat, 0)
+	for len(t.sat) <= w {
+		t.sat = append(t.sat, 0)
 	}
-	s.sat[w] |= 1 << (i % 64)
-	s.nSat++
+	t.sat[w] |= 1 << (i % 64)
+	t.nSat++
 }
 
 // satDel clears blk's saturated bit, if set: the block is being reloaded.
-func (s *State) satDel(blk uint64) {
-	i := blk - s.satLo
-	if w := i / 64; w < uint64(len(s.sat)) {
-		if bit := uint64(1) << (i % 64); s.sat[w]&bit != 0 {
-			s.sat[w] &^= bit
-			s.nSat--
+func (t *satSet) satDel(blk uint64) {
+	i := blk - t.satLo
+	if w := i / 64; w < uint64(len(t.sat)) {
+		if bit := uint64(1) << (i % 64); t.sat[w]&bit != 0 {
+			t.sat[w] &^= bit
+			t.nSat--
 		}
 	}
 }
@@ -379,10 +488,11 @@ func satEqual(a, b []uint64) bool {
 
 // Classify returns the classification of an access to blk in this state.
 func (s *State) Classify(blk uint64) Classification {
-	if s.MustContains(blk) {
+	k := s.spanOf(blk)
+	if s.view(k+cMust).find(blk) >= 0 {
 		return AlwaysHit
 	}
-	if !s.MayContains(blk) {
+	if s.view(k+cMay).find(blk) < 0 {
 		return AlwaysMiss
 	}
 	return NotClassified
@@ -392,12 +502,7 @@ func (s *State) Classify(blk uint64) Classification {
 // components (the abstract update function Û) under the configured
 // replacement policy.
 func (s *State) Access(blk uint64) {
-	si := s.cfg.SetOf(blk)
-	m0, y0, p0 := len(s.must[si]), len(s.may[si]), len(s.pers[si])
-	s.tr.access(s, si, blk)
-	s.nMust += int32(len(s.must[si]) - m0)
-	s.nMay += int32(len(s.may[si]) - y0)
-	s.nPers += int32(len(s.pers[si]) - p0)
+	s.tr.access(s, s.spanOf(blk), blk)
 	s.hashOK = false
 }
 
@@ -412,12 +517,7 @@ func (s *State) Access(blk uint64) {
 // age zero — but it may equally still be in flight, so no other block's
 // minimum age grows (the join of the filled and unfilled possibilities).
 func (s *State) PrefetchFill(blk uint64, effective bool) {
-	si := s.cfg.SetOf(blk)
-	m0, y0, p0 := len(s.must[si]), len(s.may[si]), len(s.pers[si])
-	s.tr.fill(s, si, blk, effective)
-	s.nMust += int32(len(s.must[si]) - m0)
-	s.nMay += int32(len(s.may[si]) - y0)
-	s.nPers += int32(len(s.pers[si]) - p0)
+	s.tr.fill(s, s.spanOf(blk), blk, effective)
 	s.hashOK = false
 }
 
@@ -472,7 +572,7 @@ func mayInsertFresh(s setState, blk uint64) setState {
 // whether it could have been evicted. A young block's update keeps its
 // sorted slot: the bounds it ages stay below its old bound, so none
 // saturates.
-func persUpdate(st *State, s setState, m uint64, lim uint8) setState {
+func persUpdate(st *satSet, s setState, m uint64, lim uint8) setState {
 	i := s.find(m)
 	if i < 0 {
 		st.satDel(m)
@@ -490,7 +590,7 @@ func persUpdate(st *State, s setState, m uint64, lim uint8) setState {
 
 // persAgeAll ages every young bound (a fill at an unknown time), moving the
 // ones that reach the limit to the saturated part.
-func persAgeAll(st *State, s setState, lim uint8) setState {
+func persAgeAll(st *satSet, s setState, lim uint8) setState {
 	w := 0
 	for _, e := range s {
 		e++
@@ -508,7 +608,7 @@ func persAgeAll(st *State, s setState, lim uint8) setState {
 // bounds) by appending to dst, which the caller sizes to len(a)+len(b). A
 // block saturated in st, the join result, is dropped: the maximum of a
 // young bound and the limit is the limit.
-func joinPersInto(st *State, dst, a, b setState) setState {
+func joinPersInto(st *satSet, dst, a, b setState) setState {
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
 		var e entry
@@ -558,11 +658,13 @@ func mayUpdate(s setState, m uint64, assoc uint8) setState {
 }
 
 // joinInto sets s to the join of a and b (which must not be s), reusing s's
-// backing buffer: the must component intersects (keeping maximal ages) and
-// the may component unites (keeping minimal ages) — the classical join
-// functions of [8] — without allocating per set. The persistence component
-// unites with maximal bounds: the saturated bitsets OR first, then the young
-// merge drops whatever came out saturated.
+// arena: the must component intersects (keeping maximal ages) and the may
+// component unites (keeping minimal ages) — the classical join functions of
+// [8] — and the persistence component unites with maximal bounds: the
+// saturated bitsets OR first, then the young merge drops whatever came out
+// saturated. Each set is joined straight into the arena behind the one
+// before it, with cloneHeadroom slots of room, so the result is packed
+// without holes.
 func (s *State) joinInto(a, b *State) {
 	long, short := a.sat, b.sat
 	if len(long) < len(short) {
@@ -579,38 +681,32 @@ func (s *State) joinInto(a, b *State) {
 	}
 	s.satLo, s.nSat = a.satLo, int32(ns)
 
-	n := len(a.must)
-	total := 0
-	for i := 0; i < n; i++ {
-		total += min(len(a.must[i]), len(b.must[i])) +
-			len(a.may[i]) + len(b.may[i]) +
-			len(a.pers[i]) + len(b.pers[i])
+	// Every set's join is at most as long as its two inputs together, so
+	// the inputs' entries plus the room bound the arena the packing needs.
+	need := a.live() + b.live() + len(s.spans)*cloneHeadroom
+	if cap(s.arena) < need {
+		s.arena = make([]entry, 0, need+need/4)
 	}
-	s.reserve(total)
-	buf := s.buf[:cap(s.buf)]
+	buf := s.arena[:cap(s.arena)]
 	off := 0
-	var nm, ny, np int32
-	for i := 0; i < n; i++ {
-		bound := min(len(a.must[i]), len(b.must[i]))
-		dst := joinMustInto(buf[off:off:off+bound], a.must[i], b.must[i])
-		s.must[i] = dst
-		nm += int32(len(dst))
-		off += bound
-
-		bound = len(a.may[i]) + len(b.may[i])
-		dst = joinMayInto(buf[off:off:off+bound], a.may[i], b.may[i])
-		s.may[i] = dst
-		ny += int32(len(dst))
-		off += bound
-
-		bound = len(a.pers[i]) + len(b.pers[i])
-		dst = joinPersInto(s, buf[off:off:off+bound], a.pers[i], b.pers[i])
-		s.pers[i] = dst
-		np += int32(len(dst))
-		off += bound
+	s.nMust, s.nMay, s.nPers = 0, 0, 0
+	for k := 0; k < len(s.spans); k += nComp {
+		off = s.place(k+cMust, off, joinMustInto(buf[off:off], a.view(k+cMust), b.view(k+cMust)))
+		off = s.place(k+cMay, off, joinMayInto(buf[off:off], a.view(k+cMay), b.view(k+cMay)))
+		off = s.place(k+cPers, off, joinPersInto(&s.satSet, buf[off:off], a.view(k+cPers), b.view(k+cPers)))
+		s.nMust += s.spans[k+cMust].n
+		s.nMay += s.spans[k+cMay].n
+		s.nPers += s.spans[k+cPers].n
 	}
-	s.nMust, s.nMay, s.nPers = nm, ny, np
+	s.arena = buf[:off]
 	s.hashOK = false
+}
+
+// place records v, just written at arena offset off, as span k with
+// cloneHeadroom slots of room, and returns the offset after that room.
+func (s *State) place(k, off int, v setState) int {
+	s.spans[k] = span{off: int32(off), n: int32(len(v)), cap: int32(len(v) + cloneHeadroom)}
+	return off + len(v) + cloneHeadroom
 }
 
 func joinMustInto(dst, a, b setState) setState {
@@ -700,11 +796,6 @@ type Result struct {
 	// scr carries the reusable analysis buffers along the chain of
 	// incremental re-analyses seeded from this result.
 	scr *scratch
-	// interns is the hash-consing table canonical set states live in. It is
-	// populated lazily by Intern — interning every converged state would
-	// burden the analysis hot path, so only results a caller retains
-	// long-term (e.g. a result cache) pay for the deduplication.
-	interns *internTable
 }
 
 // Effective reports whether instruction i of expanded block xb is a
@@ -841,10 +932,10 @@ type maybeBuf struct {
 // join runs against the ORed bitset, so a bound saturated on either branch
 // stays saturated.
 func (b *maybeBuf) accessMaybe(st *State, blk uint64) {
-	si := st.cfg.SetOf(blk)
-	b.must = append(b.must[:0], st.must[si]...)
-	b.may = append(b.may[:0], st.may[si]...)
-	b.pers = append(b.pers[:0], st.pers[si]...)
+	k := st.spanOf(blk)
+	b.must = append(b.must[:0], st.view(k+cMust)...)
+	b.may = append(b.may[:0], st.view(k+cMay)...)
+	b.pers = append(b.pers[:0], st.view(k+cPers)...)
 	b.sat = append(b.sat[:0], st.sat...)
 	st.Access(blk)
 
@@ -855,16 +946,12 @@ func (b *maybeBuf) accessMaybe(st *State, blk uint64) {
 			st.nSat += int32(bits.OnesCount64(d))
 		}
 	}
-	m0, y0, p0 := len(st.must[si]), len(st.may[si]), len(st.pers[si])
-	b.join = joinMustInto(b.join[:0], b.must, st.must[si])
-	st.must[si] = append(st.must[si][:0], b.join...)
-	b.join = joinMayInto(b.join[:0], b.may, st.may[si])
-	st.may[si] = append(st.may[si][:0], b.join...)
-	b.join = joinPersInto(st, b.join[:0], b.pers, st.pers[si])
-	st.pers[si] = append(st.pers[si][:0], b.join...)
-	st.nMust += int32(len(st.must[si]) - m0)
-	st.nMay += int32(len(st.may[si]) - y0)
-	st.nPers += int32(len(st.pers[si]) - p0)
+	b.join = joinMustInto(b.join[:0], b.must, st.view(k+cMust))
+	st.nMust += st.store(k+cMust, b.join)
+	b.join = joinMayInto(b.join[:0], b.may, st.view(k+cMay))
+	st.nMay += st.store(k+cMay, b.join)
+	b.join = joinPersInto(&st.satSet, b.join[:0], b.pers, st.view(k+cPers))
+	st.nPers += st.store(k+cPers, b.join)
 	st.hashOK = false
 }
 

@@ -11,9 +11,10 @@ import (
 )
 
 // This file implements the incremental re-analysis entry point and the
-// machinery the shared fixpoint needs to stay allocation-light: a per-call
-// state pool, hash-consed interning of converged set states for retained
-// results, and a flat-array replacement for the map-based effectiveness BFS.
+// machinery the shared fixpoint needs to stay allocation-light: a state pool
+// that travels with the chain of results, compaction of the converged states
+// of retained results, and a flat-array replacement for the map-based
+// effectiveness BFS.
 //
 // Soundness of the incremental restart (see DESIGN.md for the long form):
 // the dirty set D is the set of expanded blocks whose transfer function
@@ -174,7 +175,7 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 			}
 		}
 	} else {
-		scope := effScope(x, ops, baseDirty, lambda)
+		scope := effScope(x, ops, baseDirty, lambda, sc)
 		for id, inScope := range scope {
 			if !inScope {
 				continue
@@ -213,7 +214,6 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 		res.sccs = buildSCCPlan(x)
 	} else {
 		res.sccs = prev.sccs
-		res.interns = prev.interns
 	}
 
 	// rowDirty snapshots the transfer-row changes before solve consumes the
@@ -365,15 +365,19 @@ func rowBaseEqual(a, b []opRec) bool {
 // within that horizon. dist[u] below is the minimal number of instruction
 // fetches strictly between u's exit and the entry of some base-dirty block;
 // a prefetch in u (at worst on u's last instruction) reaches dirty
-// instructions iff dist[u] < lambda.
-func effScope(x *vivu.Prog, ops [][]opRec, baseDirty []bool, lambda int) []bool {
+// instructions iff dist[u] < lambda. The distances, the worklist and the
+// returned flags live in the chain's scratch sc.
+func effScope(x *vivu.Prog, ops [][]opRec, baseDirty []bool, lambda int, sc *scratch) []bool {
 	const inf = int32(1) << 30
 	n := len(x.Blocks)
-	dist := make([]int32, n)
+	if cap(sc.dist) < n {
+		sc.dist = make([]int32, n)
+	}
+	dist := sc.dist[:n]
 	for i := range dist {
 		dist[i] = inf
 	}
-	var stack []int32
+	stack := sc.stack[:0]
 	relax := func(u int, v int32) {
 		if v < dist[u] {
 			dist[u] = v
@@ -399,7 +403,8 @@ func effScope(x *vivu.Prog, ops [][]opRec, baseDirty []bool, lambda int) []bool 
 			relax(p, v)
 		}
 	}
-	scope := make([]bool, n)
+	sc.dist, sc.stack = dist, stack
+	scope := flags(&sc.scope, n)
 	for id := range scope {
 		scope[id] = baseDirty[id] || dist[id] < int32(lambda)
 	}
@@ -409,9 +414,9 @@ func effScope(x *vivu.Prog, ops [][]opRec, baseDirty []bool, lambda int) []bool 
 // scratch carries every reusable buffer of the analysis along a chain of
 // incremental re-analyses: the state pool, the effectiveness calculator's
 // flat arrays, the worklist flag slices, and the shared cold-cache entry
-// state. It travels inside the Result (like the interning table) and is
-// shared by every Result of one chain, so a steady-state re-analysis
-// allocates almost nothing beyond the states it actually retains. A chain
+// state. It travels inside the Result and is shared by every Result of one
+// chain, so a steady-state re-analysis allocates almost nothing beyond the
+// states it actually retains. A chain
 // is inherently sequential; two AnalyzeFrom calls seeded from the same
 // chain must not run concurrently.
 type scratch struct {
@@ -419,8 +424,10 @@ type scratch struct {
 	ec    *effCalc
 	empty *State
 	// flag slices, re-cleared per call
-	baseDirty, dirty, rowDirty, ownOut, outChanged, classed []bool
-	row                                                     []opRec
+	baseDirty, dirty, rowDirty, ownOut, outChanged, classed, scope []bool
+	row                                                            []opRec
+	// dist and stack are effScope's distances and worklist.
+	dist, stack []int32
 	// src marks the original blocks whose rows a scoped build re-derives
 	// (see rowSources).
 	src []bool
@@ -479,48 +486,26 @@ func (p *statePool) put(s *State) {
 	}
 }
 
-// internTable hash-conses converged set states so identical per-set states
-// across calling contexts — and across the whole chain of incremental
-// re-analyses, since the table travels inside the Result — share one
-// canonical compact copy.
-type internTable struct {
-	m map[uint64][]setState
-}
-
-func newInternTable() *internTable { return &internTable{m: map[uint64][]setState{}} }
-
-// canon returns the canonical copy of s and its hash.
-func (t *internTable) canon(s setState) (setState, uint64) {
-	h := s.hash()
-	if len(s) == 0 {
-		return nil, h
-	}
-	for _, c := range t.m[h] {
-		if c.equal(s) {
-			return c, h
-		}
-	}
-	c := append(make(setState, 0, len(s)), s...)
-	t.m[h] = append(t.m[h], c)
-	return c, h
-}
-
-// Intern hash-conses the set states of the result so identical per-set
-// states across calling contexts — and across a chain of incremental
-// re-analyses, since the table travels inside the Result — share one
-// canonical compact copy, and the pooled backing buffers (sized with
-// headroom for the fixpoint's in-place updates) are released. It is meant
-// for results retained long-term (a result cache, a baseline kept across a
-// sweep); the analysis itself never pays for it. States already interned by
-// an earlier call in the chain are skipped in O(1). The result must not be
+// Intern compacts the exit states of the result for long-term retention (a
+// result cache, a baseline kept across a sweep): each state's sets move,
+// without the room and holes the fixpoint's in-place updates need, into one
+// slab shared by the result's states, and its structural hash is recorded
+// (giving Equal its O(1) fast path). A compacted state is read-only and is
+// never recycled; a transfer that copies it relocates the sets it grows.
+// The analysis itself never pays for this. States already compacted by an
+// earlier call in the chain are skipped. The result must not be
 // re-analyzed concurrently with Intern.
 func (r *Result) Intern() {
-	if r.interns == nil {
-		r.interns = newInternTable()
-	}
+	total := 0
 	for _, s := range r.out {
-		if s != nil && !s.hashOK {
-			r.interns.internState(s)
+		if s != nil && !s.interned {
+			total += s.live()
+		}
+	}
+	slab := make([]entry, 0, total)
+	for _, s := range r.out {
+		if s != nil && !s.interned {
+			slab = s.compact(slab)
 		}
 	}
 }
@@ -539,7 +524,7 @@ func (r *Result) Release() {
 // Retire ends r's life after next, a result seeded from r, superseded it:
 // the owned exit states next still aliases become next's, the rest go back
 // to the chain's state pool, and r is cleared like Release. Interned states
-// are shared for good and stay where they are. r must not be used, or
+// are read-only for good and stay where they are. r must not be used, or
 // seeded from, afterwards. A nil next releases r. Retire is nil-safe and
 // idempotent.
 func (r *Result) Retire(next *Result) {
@@ -549,7 +534,7 @@ func (r *Result) Retire(next *Result) {
 	for _, id := range r.own {
 		s := r.out[id]
 		switch {
-		case s.interned(): // shared through the intern table for good
+		case s.interned: // compacted into a read-only slab for good
 		case next != nil && next.out[id] == s:
 			next.own = append(next.own, id)
 		default:
@@ -595,43 +580,30 @@ func (r *Result) InState(id int) *State {
 	return in
 }
 
-// interned reports whether s was interned. internState drops the private
-// backing buffer that every state the fixpoint creates carries (a transfer
-// copies into it); an interned state shares canonical set slices and must
-// never be recycled.
-func (s *State) interned() bool { return s.buf == nil }
-
-// internState replaces every set slice of s with its canonical copy, drops
-// the private backing buffer, and records the structural hash (giving Equal
-// its O(1) fast path on interned states). The saturated bitset stays with
-// the state; its non-zero words are folded into the hash with their index,
-// so trailing zero words, which Equal ignores, do not change it. The state
-// must not be mutated afterwards.
-func (t *internTable) internState(s *State) {
+// compact appends s's entries to slab, span after span and without room,
+// points s's arena at them, records the structural hash and marks s
+// interned. The hash folds in each span's hash and the saturated bitset's
+// non-zero words with their index, so trailing zero words, which Equal
+// ignores, do not change it. It returns the extended slab; the state must
+// not be mutated afterwards.
+func (s *State) compact(slab []entry) []entry {
+	start := len(slab)
 	h := uint64(fnvOffset)
-	for i := range s.must {
-		c, ch := t.canon(s.must[i])
-		s.must[i] = c
-		h = (h ^ ch) * fnvPrime
+	for k := range s.spans {
+		v := s.view(k)
+		s.spans[k] = span{off: int32(len(slab) - start), n: int32(len(v)), cap: int32(len(v))}
+		slab = append(slab, v...)
+		h = (h ^ v.hash()) * fnvPrime
 	}
-	for i := range s.may {
-		c, ch := t.canon(s.may[i])
-		s.may[i] = c
-		h = (h ^ ch) * fnvPrime
-	}
-	for i := range s.pers {
-		c, ch := t.canon(s.pers[i])
-		s.pers[i] = c
-		h = (h ^ ch) * fnvPrime
-	}
+	s.arena = slab[start:len(slab):len(slab)]
 	for i, w := range s.sat {
 		if w != 0 {
 			h = (h ^ uint64(i)) * fnvPrime
 			h = (h ^ w) * fnvPrime
 		}
 	}
-	s.buf = nil
-	s.hash, s.hashOK = h, true
+	s.hash, s.hashOK, s.interned = h, true, true
+	return slab
 }
 
 // effCalc answers latency-hiding queries (is every first use of the target

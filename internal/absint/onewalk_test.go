@@ -124,12 +124,8 @@ func sameState(got, want *State) error {
 	if int(got.nSat) != n {
 		return fmt.Errorf("nSat %d, %d bits set", got.nSat, n)
 	}
-	x, y := got.Clone(), want.Clone()
-	tab := newInternTable()
-	tab.internState(x)
-	tab.internState(y)
-	if x.hash != y.hash {
-		return fmt.Errorf("interned hash %x, want %x", x.hash, y.hash)
+	if x, y := internedHash(got), internedHash(want); x != y {
+		return fmt.Errorf("interned hash %x, want %x", x, y)
 	}
 	return nil
 }

@@ -251,15 +251,15 @@ func checkSplit(st *State, r *refState, lo, hi uint64) error {
 	lim := persLimit(st.cfg)
 	var nm, ny, np, young, sat int
 	for i := range r.must {
-		if !st.must[i].equal(r.must[i]) {
-			return fmt.Errorf("must set %d = %v, reference %v", i, st.must[i], r.must[i])
+		if !st.view(nComp*i + cMust).equal(r.must[i]) {
+			return fmt.Errorf("must set %d = %v, reference %v", i, st.view(nComp*i+cMust), r.must[i])
 		}
-		if !st.may[i].equal(r.may[i]) {
-			return fmt.Errorf("may set %d = %v, reference %v", i, st.may[i], r.may[i])
+		if !st.view(nComp*i + cMay).equal(r.may[i]) {
+			return fmt.Errorf("may set %d = %v, reference %v", i, st.view(nComp*i+cMay), r.may[i])
 		}
-		nm += len(st.must[i])
-		ny += len(st.may[i])
-		np += len(st.pers[i])
+		nm += len(st.view(nComp*i + cMust))
+		ny += len(st.view(nComp*i + cMay))
+		np += len(st.view(nComp*i + cPers))
 		for _, e := range r.pers[i] {
 			if e.age() < lim {
 				young++
@@ -271,16 +271,16 @@ func checkSplit(st *State, r *refState, lo, hi uint64) error {
 	for blk := lo; blk < hi; blk++ {
 		si := st.cfg.SetOf(blk)
 		ri := r.pers[si].find(blk)
-		yi := st.pers[si].find(blk)
+		yi := st.view(nComp*si + cPers).find(blk)
 		switch {
 		case ri < 0:
 			if yi >= 0 || st.satHas(blk) {
 				return fmt.Errorf("block %d never loaded, but young %v saturated %v", blk, yi >= 0, st.satHas(blk))
 			}
 		case r.pers[si][ri].age() < lim:
-			if yi < 0 || st.pers[si][yi] != r.pers[si][ri] || st.satHas(blk) {
+			if yi < 0 || st.view(nComp*si + cPers)[yi] != r.pers[si][ri] || st.satHas(blk) {
 				return fmt.Errorf("block %d: reference bound %d, young set %v, saturated %v",
-					blk, r.pers[si][ri].age(), st.pers[si], st.satHas(blk))
+					blk, r.pers[si][ri].age(), st.view(nComp*si+cPers), st.satHas(blk))
 			}
 		default:
 			if yi >= 0 || !st.satHas(blk) {
@@ -382,11 +382,7 @@ func TestPersistenceSplitDifferential(t *testing.T) {
 								t.Fatalf("%s: Equal(state %d) = %v, reference %v", where, o, got, want)
 							}
 							if want && o != k {
-								x, y := sts[k].Clone(), sts[o].Clone()
-								tab := newInternTable()
-								tab.internState(x)
-								tab.internState(y)
-								if x.hash != y.hash {
+								if internedHash(sts[k]) != internedHash(sts[o]) {
 									t.Fatalf("%s: equal states %d and %d intern to different hashes", where, k, o)
 								}
 							}

@@ -7,25 +7,28 @@ import (
 )
 
 // policyTransfer is the seam between the policy-independent abstract-state
-// machinery (packed entries, pooling, interning, joins — see incremental.go)
-// and the policy-specific transfer functions. Implementations mutate the
-// per-set slices of a State directly, and each passes its persistence limit
-// (the bound at which a block may have been evicted) to the persistence
-// updates, which keep the saturated bitset and its count. The entry-count
-// and hash bookkeeping stays in State.Access / State.PrefetchFill, and the
-// join functions stay
-// shared because must/may/persistence joins are lattice operations on age
-// bounds, independent of how the bounds evolve.
+// machinery (packed entries, the entry arena, pooling, joins — see
+// absint.go and incremental.go) and the policy-specific transfer functions.
+// Implementations open the three component views of the accessed set (see
+// State.open: each has room for one more entry, and no transfer inserts more
+// than one per component), update them in place with the kernels, and
+// commit them. Each passes its persistence limit (the bound at which a
+// block may have been evicted) to the persistence updates, which keep the
+// saturated bitset and its count. The join functions stay shared because
+// must/may/persistence joins are lattice operations on age bounds,
+// independent of how the bounds evolve.
 //
 // LRU transfers are the exact classical updates of Ferdinand-style analysis
 // and remain bit-identical to the pre-refactor code path. FIFO and PLRU
 // transfers are sound but deliberately coarser; see DESIGN.md §9.
 type policyTransfer interface {
-	// access applies the abstract update of a reference to blk in set si.
-	access(s *State, si int, blk uint64)
-	// fill applies the abstract effect of a prefetch fill of blk in set si;
-	// effective means the fill provably completes before blk's next use.
-	fill(s *State, si int, blk uint64, effective bool)
+	// access applies the abstract update of a reference to blk, whose set's
+	// spans start at k.
+	access(s *State, k int, blk uint64)
+	// fill applies the abstract effect of a prefetch fill of blk, whose
+	// set's spans start at k; effective means the fill provably completes
+	// before blk's next use.
+	fill(s *State, k int, blk uint64, effective bool)
 }
 
 // transferFor selects the transfer implementation for a configuration.
@@ -54,27 +57,31 @@ func transferFor(cfg cache.Config) policyTransfer {
 // update functions of this package, called in the pre-existing order.
 type lruTransfer struct{ assoc uint8 }
 
-func (t lruTransfer) access(s *State, si int, blk uint64) {
-	s.must[si] = mustUpdate(s.must[si], blk, t.assoc)
-	s.may[si] = mayUpdate(s.may[si], blk, t.assoc)
-	s.pers[si] = persUpdate(s, s.pers[si], blk, t.assoc)
+func (t lruTransfer) access(s *State, k int, blk uint64) {
+	v := s.open(k)
+	v.must = mustUpdate(v.must, blk, t.assoc)
+	v.may = mayUpdate(v.may, blk, t.assoc)
+	v.pers = persUpdate(&s.satSet, v.pers, blk, t.assoc)
+	s.commit(k, &v)
 }
 
-func (t lruTransfer) fill(s *State, si int, blk uint64, effective bool) {
+func (t lruTransfer) fill(s *State, k int, blk uint64, effective bool) {
+	v := s.open(k)
 	if effective {
-		s.must[si] = mustUpdate(s.must[si], blk, t.assoc)
+		v.must = mustUpdate(v.must, blk, t.assoc)
 	} else {
-		s.must[si] = mustAgeAll(s.must[si], t.assoc)
+		v.must = mustAgeAll(v.must, t.assoc)
 	}
-	s.may[si] = mayInsertFresh(s.may[si], blk)
+	v.may = mayInsertFresh(v.may, blk)
 	// The fill may displace any block at an unknown time: age the
 	// persistence bounds; the target itself may land (age 0 is only safe
 	// when effective — otherwise keep whatever bound it had).
 	if effective {
-		s.pers[si] = persUpdate(s, s.pers[si], blk, t.assoc)
+		v.pers = persUpdate(&s.satSet, v.pers, blk, t.assoc)
 	} else {
-		s.pers[si] = persAgeAll(s, s.pers[si], t.assoc)
+		v.pers = persAgeAll(&s.satSet, v.pers, t.assoc)
 	}
+	s.commit(k, &v)
 }
 
 // --- FIFO ----------------------------------------------------------------
@@ -99,34 +106,39 @@ func (t lruTransfer) fill(s *State, si int, blk uint64, effective bool) {
 //     block's position, so its age keeps counting from the original load.
 type fifoTransfer struct{ assoc uint8 }
 
-func (t fifoTransfer) access(s *State, si int, blk uint64) {
-	if s.must[si].find(blk) >= 0 {
+func (t fifoTransfer) access(s *State, k int, blk uint64) {
+	if s.view(k+cMust).find(blk) >= 0 {
 		return // definite hit: FIFO state is untouched
 	}
-	if s.may[si].find(blk) < 0 {
+	v := s.open(k)
+	if v.may.find(blk) < 0 {
 		// Definite miss: exact one-position shift of the whole set.
-		s.must[si] = mustUpdate(s.must[si], blk, t.assoc)
-		s.may[si] = mayUpdate(s.may[si], blk, t.assoc)
-		s.pers[si] = fifoPersMiss(s, s.pers[si], blk, t.assoc)
+		v.must = mustUpdate(v.must, blk, t.assoc)
+		v.may = mayUpdate(v.may, blk, t.assoc)
+		v.pers = fifoPersMiss(&s.satSet, v.pers, blk, t.assoc)
+		s.commit(k, &v)
 		return
 	}
 	// Unknown hit/miss: join of both outcomes.
-	s.must[si] = fifoMustUnknown(s.must[si], blk, t.assoc)
-	s.may[si] = mayInsertFresh(s.may[si], blk)
-	s.pers[si] = fifoPersUnknown(s, s.pers[si], blk, t.assoc)
+	v.must = fifoMustUnknown(v.must, blk, t.assoc)
+	v.may = mayInsertFresh(v.may, blk)
+	v.pers = fifoPersUnknown(&s.satSet, v.pers, blk, t.assoc)
+	s.commit(k, &v)
 }
 
-func (t fifoTransfer) fill(s *State, si int, blk uint64, effective bool) {
+func (t fifoTransfer) fill(s *State, k int, blk uint64, effective bool) {
 	if effective {
 		// An effective fill completes before blk's next use, so it behaves
 		// exactly like an access: a redundant fill of a resident block is
 		// squashed (the definite-hit case), otherwise the block is inserted.
-		t.access(s, si, blk)
+		t.access(s, k, blk)
 		return
 	}
-	s.must[si] = mustAgeAll(s.must[si], t.assoc)
-	s.may[si] = mayInsertFresh(s.may[si], blk)
-	s.pers[si] = persAgeAll(s, s.pers[si], t.assoc)
+	v := s.open(k)
+	v.must = mustAgeAll(v.must, t.assoc)
+	v.may = mayInsertFresh(v.may, blk)
+	v.pers = persAgeAll(&s.satSet, v.pers, t.assoc)
+	s.commit(k, &v)
 }
 
 // fifoMustUnknown is the must update for an access that may hit or miss
@@ -148,7 +160,7 @@ func fifoMustUnknown(s setState, m uint64, assoc uint8) setState {
 // fifoPersMiss is the persistence update for a definite FIFO miss: the
 // insertion shifts the whole set, so every young bound ages (saturating at
 // the limit), and the freshly loaded block restarts at zero.
-func fifoPersMiss(st *State, s setState, m uint64, lim uint8) setState {
+func fifoPersMiss(st *satSet, s setState, m uint64, lim uint8) setState {
 	if i := s.find(m); i >= 0 {
 		s = s.remove(i)
 	} else {
@@ -163,7 +175,7 @@ func fifoPersMiss(st *State, s setState, m uint64, lim uint8) setState {
 // position, so resetting it here would be unsound. A block never tracked
 // before starts at zero (this access is its first load on every path
 // through here).
-func fifoPersUnknown(st *State, s setState, m uint64, lim uint8) setState {
+func fifoPersUnknown(st *satSet, s setState, m uint64, lim uint8) setState {
 	found := false
 	w := 0
 	for _, e := range s {
@@ -194,19 +206,23 @@ func fifoPersUnknown(st *State, s setState, m uint64, lim uint8) setState {
 // claimed only for blocks never loaded in the set.
 type plruTransfer struct{ eff uint8 }
 
-func (t plruTransfer) access(s *State, si int, blk uint64) {
-	s.must[si] = mustUpdate(s.must[si], blk, t.eff)
-	s.may[si] = mayInsertFresh(s.may[si], blk)
-	s.pers[si] = persUpdate(s, s.pers[si], blk, t.eff)
+func (t plruTransfer) access(s *State, k int, blk uint64) {
+	v := s.open(k)
+	v.must = mustUpdate(v.must, blk, t.eff)
+	v.may = mayInsertFresh(v.may, blk)
+	v.pers = persUpdate(&s.satSet, v.pers, blk, t.eff)
+	s.commit(k, &v)
 }
 
-func (t plruTransfer) fill(s *State, si int, blk uint64, effective bool) {
+func (t plruTransfer) fill(s *State, k int, blk uint64, effective bool) {
+	v := s.open(k)
 	if effective {
-		s.must[si] = mustUpdate(s.must[si], blk, t.eff)
-		s.pers[si] = persUpdate(s, s.pers[si], blk, t.eff)
+		v.must = mustUpdate(v.must, blk, t.eff)
+		v.pers = persUpdate(&s.satSet, v.pers, blk, t.eff)
 	} else {
-		s.must[si] = mustAgeAll(s.must[si], t.eff)
-		s.pers[si] = persAgeAll(s, s.pers[si], t.eff)
+		v.must = mustAgeAll(v.must, t.eff)
+		v.pers = persAgeAll(&s.satSet, v.pers, t.eff)
 	}
-	s.may[si] = mayInsertFresh(s.may[si], blk)
+	v.may = mayInsertFresh(v.may, blk)
+	s.commit(k, &v)
 }

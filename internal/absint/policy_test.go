@@ -175,7 +175,7 @@ func TestPolicyFIFOPersistenceNoRefresh(t *testing.T) {
 	cfg := cache.Config{Assoc: 4, BlockBytes: 16, CapacityBytes: 64, Policy: cache.FIFO} // 1 set
 	st := NewState(cfg)
 	s := setState{mkEntry(3, 2), mkEntry(7, 1)}
-	out := fifoPersUnknown(st, s, 3, 4)
+	out := fifoPersUnknown(&st.satSet, s, 3, 4)
 	if i := out.find(3); i < 0 || out[i].age() != 2 {
 		t.Fatalf("block 3's bound must stay at 2, got %v", out)
 	}
@@ -184,7 +184,7 @@ func TestPolicyFIFOPersistenceNoRefresh(t *testing.T) {
 	}
 
 	// A definite miss restarts the block and ages everyone else.
-	out = fifoPersMiss(st, setState{mkEntry(3, 2), mkEntry(7, 1)}, 3, 4)
+	out = fifoPersMiss(&st.satSet, setState{mkEntry(3, 2), mkEntry(7, 1)}, 3, 4)
 	if i := out.find(3); i < 0 || out[i].age() != 0 {
 		t.Fatalf("a definite miss reloads block 3 at bound 0, got %v", out)
 	}
@@ -198,7 +198,7 @@ func TestPolicyFIFOPersistenceNoRefresh(t *testing.T) {
 	// A saturated block hit by an unknown access stays saturated, while the
 	// young bound that reaches the limit saturates beside it.
 	st.satAdd(5)
-	out = fifoPersUnknown(st, setState{mkEntry(7, 3)}, 5, 4)
+	out = fifoPersUnknown(&st.satSet, setState{mkEntry(7, 3)}, 5, 4)
 	if len(out) != 0 || !st.satHas(5) || !st.satHas(7) || st.nSat != 2 {
 		t.Fatalf("block 5 must stay saturated and block 7 saturate, got young %v, %d saturated", out, st.nSat)
 	}
@@ -207,7 +207,7 @@ func TestPolicyFIFOPersistenceNoRefresh(t *testing.T) {
 	}
 
 	// A definite miss reloads the saturated block at bound 0.
-	out = fifoPersMiss(st, out, 5, 4)
+	out = fifoPersMiss(&st.satSet, out, 5, 4)
 	if i := out.find(5); i < 0 || out[i].age() != 0 || st.satHas(5) || st.nSat != 1 {
 		t.Fatalf("a definite miss must reload block 5 at bound 0, got young %v, %d saturated", out, st.nSat)
 	}

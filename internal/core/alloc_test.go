@@ -10,14 +10,16 @@ import (
 )
 
 // validationAllocBudget bounds the bytes allocated per validation of the
-// cell in TestValidationAllocBudget: about 1.5× the 39.3 KB it measures
-// (283 validations; 39.4 KB under -race). Before t_w and effectiveness
-// lost their per-result copies, the same cell allocated 49.1 KB per
-// validation; before a validation undid only the blocks its edit wrote,
-// derived its layout from the previous one and retired the result it
-// replaced, 66.6 KB; before rolled-back re-analyses returned their
-// abstract states to the pool and results stopped retaining in-states,
-// 336 KB.
+// cell in TestValidationAllocBudget: about 1.5× the 39.8 KB it measures
+// (283 validations; 39.9 KB under -race). Abstract states allocate about
+// 3.5 KB of that and the transfer rows of the blocks an edit moved about
+// 18 KB. With one slice header per cache set the cell measured 39.3 KB.
+// Before t_w and effectiveness lost their per-result copies, the same cell
+// allocated 49.1 KB per validation; before a validation undid only the
+// blocks its edit wrote, derived its layout from the previous one and
+// retired the result it replaced, 66.6 KB; before rolled-back re-analyses
+// returned their abstract states to the pool and results stopped retaining
+// in-states, 336 KB.
 const validationAllocBudget = 59_000
 
 // TestValidationAllocBudget guards the allocation cost of the optimizer's
@@ -50,10 +52,10 @@ func TestValidationAllocBudget(t *testing.T) {
 }
 
 // hierValidationAllocBudget bounds the bytes allocated per validation of the
-// L1 + L2 cell in TestHierValidationAllocBudget: about 1.5× the 78.2 KB it
-// measures (63 validations; 78.8 KB under -race; 88.7 KB before t_w and
-// effectiveness lost their per-result copies, 106.0 KB before the
-// edit-scoped validation).
+// L1 + L2 cell in TestHierValidationAllocBudget: about 1.5× the 79.2 KB it
+// measures (63 validations; 79.7 KB under -race; 78.2 KB with one slice
+// header per cache set, 88.7 KB before t_w and effectiveness lost their
+// per-result copies, 106.0 KB before the edit-scoped validation).
 const hierValidationAllocBudget = 118_000
 
 // TestHierValidationAllocBudget is TestValidationAllocBudget behind an

@@ -216,9 +216,9 @@ func OptimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Op
 	}
 	// The seed result's states stay live for the whole optimization (every
 	// incremental re-validation chains from them, aliasing what did not
-	// change), so hash-consing identical converged states across VIVU
-	// contexts here pays once and shrinks the retained set for the entire
-	// run. The intern table travels down the result chain.
+	// change), so compacting them here, without the room the fixpoint's
+	// in-place updates need, pays once and shrinks the retained set for the
+	// entire run.
 	res.AI.Intern()
 	if res.AI2 != nil {
 		res.AI2.Intern()

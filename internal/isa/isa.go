@@ -103,6 +103,12 @@ type Block struct {
 	// the old one. A derived Layout compares stamps to find the blocks whose
 	// contents changed, so a direct write to Instrs goes unseen there.
 	stamp uint64
+	// npft counts the block's prefetch instructions, valid once npftOK:
+	// the first edit of the block (or of any block, see shiftTargets)
+	// counts them, the mutators keep the count, and an undo restores it.
+	// A direct write to Instrs goes unseen here too.
+	npft   int32
+	npftOK bool
 }
 
 // NInstr returns the number of instructions in the block.
@@ -165,6 +171,8 @@ type undoEntry struct {
 	b      *Block
 	instrs []Instr
 	stamp  uint64
+	npft   int32
+	npftOK bool
 }
 
 // NInstr returns the total number of instructions across all blocks.
@@ -277,10 +285,14 @@ func (p *Program) InsertInstrBefore(at InstrRef, in Instr) InstrRef {
 // insert places in at pos, shifting pos and everything after it.
 func (p *Program) insert(pos InstrRef, in Instr) InstrRef {
 	b := p.Blocks[pos.Block]
+	b.prefetches() // count before the edit, so the new one is added once
 	p.touch(b)
 	b.Instrs = append(b.Instrs, Instr{})
 	copy(b.Instrs[pos.Index+1:], b.Instrs[pos.Index:])
 	b.Instrs[pos.Index] = in
+	if in.Kind == KindPrefetch {
+		b.npft++
+	}
 	p.shiftTargets(Edit{At: pos, N: 1})
 	return pos
 }
@@ -295,16 +307,39 @@ func (p *Program) RemoveInstr(ref InstrRef) {
 	if k == KindBranch || k == KindJump {
 		panic("isa: RemoveInstr would delete a terminator")
 	}
+	b.prefetches()
 	p.touch(b)
 	b.Instrs = append(b.Instrs[:ref.Index], b.Instrs[ref.Index+1:]...)
+	if k == KindPrefetch {
+		b.npft--
+	}
 	p.shiftTargets(Edit{At: ref, N: -1})
+}
+
+// prefetches returns the number of prefetch instructions in b, counting
+// them on first use.
+func (b *Block) prefetches() int32 {
+	if !b.npftOK {
+		b.npft = 0
+		for _, in := range b.Instrs {
+			if in.Kind == KindPrefetch {
+				b.npft++
+			}
+		}
+		b.npftOK = true
+	}
+	return b.npft
 }
 
 // shiftTargets moves every prefetch target through e, a just-inserted
 // prefetch's own included (its caller computed the target against the
-// pre-edit indexing). A target naming a removed slot is left alone.
+// pre-edit indexing). A target naming a removed slot is left alone. Only
+// blocks holding a prefetch are walked.
 func (p *Program) shiftTargets(e Edit) {
 	for _, blk := range p.Blocks {
+		if blk.prefetches() == 0 {
+			continue
+		}
 		for i := range blk.Instrs {
 			ins := &blk.Instrs[i]
 			if ins.Kind != KindPrefetch {
@@ -322,7 +357,7 @@ func (p *Program) shiftTargets(e Edit) {
 // first write to b saves b's instructions and stamp before it.
 func (p *Program) touch(b *Block) {
 	if p.recording && b.stamp <= p.undoFrom {
-		p.undo = append(p.undo, undoEntry{b: b, instrs: append([]Instr(nil), b.Instrs...), stamp: b.stamp})
+		p.undo = append(p.undo, undoEntry{b: b, instrs: append([]Instr(nil), b.Instrs...), stamp: b.stamp, npft: b.npft, npftOK: b.npftOK})
 	}
 	p.clock++
 	b.stamp = p.clock
@@ -339,11 +374,13 @@ func (p *Program) BeginUndo() {
 	p.recording = true
 }
 
-// Undo restores every block the open record saved — instructions and
-// stamp — and closes the record. Without an open record it does nothing.
+// Undo restores every block the open record saved — instructions, stamp
+// and prefetch count — and closes the record. Without an open record it
+// does nothing.
 func (p *Program) Undo() {
 	for _, e := range p.undo {
 		e.b.Instrs, e.b.stamp = e.instrs, e.stamp
+		e.b.npft, e.b.npftOK = e.npft, e.npftOK
 	}
 	p.DropUndo()
 }
@@ -372,6 +409,8 @@ func (p *Program) Clone() *Program {
 			Succs:     append([]int(nil), b.Succs...),
 			TakenProb: b.TakenProb,
 			Align:     b.Align,
+			npft:      b.npft,
+			npftOK:    b.npftOK,
 		}
 		q.Blocks[i] = nb
 	}
