@@ -44,7 +44,12 @@ const (
 	NotClassified Classification = iota
 	// AlwaysHit: the must analysis guarantees the block is cached.
 	AlwaysHit
-	// AlwaysMiss: the may analysis guarantees the block is absent.
+	// AlwaysMiss: the may analysis guarantees the block is absent. WCET
+	// pricing charges it like NotClassified; only the L2's access gate
+	// (cacOf), FIFO's transfer and the explain report read it, so an
+	// analysis chain nothing of the kind reads drops the may component and
+	// answers NotClassified instead (see Result.HasAlwaysMiss and
+	// DESIGN.md §9).
 	AlwaysMiss
 	// FirstMiss: the persistence analysis guarantees the block, once
 	// loaded, is never evicted — the reference misses at most on the first
@@ -229,22 +234,29 @@ type State struct {
 	// interned marks a state Intern compacted into its result's slab: it is
 	// read-only and never recycled.
 	interned bool
+	// noAM marks a state without a may component: its transfer skips the
+	// may update, every may span stays empty, and Classify answers
+	// NotClassified where a may component could prove AlwaysMiss. It is
+	// fixed per chain of analyses (see statePool).
+	noAM bool
 }
 
 // NewState returns the abstract state of an empty cache: nothing is
 // guaranteed resident (must = ∅) and nothing may be resident (may = ∅), the
 // cold-start state ĉ_I.
-func NewState(cfg cache.Config) *State { return newState(cfg, 0) }
+func NewState(cfg cache.Config) *State { return newState(cfg, 0, false) }
 
 // newState is NewState for a chain whose saturated bitset starts at block
-// satLo.
-func newState(cfg cache.Config, satLo uint64) *State {
+// satLo; noAM drops the may component, which only a policy whose transfer
+// does not read it allows (see keepsMay).
+func newState(cfg cache.Config, satLo uint64, noAM bool) *State {
 	return &State{
 		cfg:    cfg,
-		tr:     transferFor(cfg),
+		tr:     transferFor(cfg, noAM),
 		spans:  make([]span, nComp*cfg.NumSets()),
 		nsets:  uint64(cfg.NumSets()),
 		satSet: satSet{satLo: satLo},
+		noAM:   noAM,
 	}
 }
 
@@ -321,10 +333,11 @@ func (s *State) repack(k, c int) {
 
 // open returns the three component views of the set whose spans start at k,
 // each with room for at least one more entry: a transfer inserts at most one
-// entry per component.
+// entry per component. A state without a may component leaves its empty may
+// span as it is.
 func (s *State) open(k int) sets {
 	for c := k; c < k+nComp; c++ {
-		if sp := s.spans[c]; sp.n == sp.cap {
+		if sp := s.spans[c]; sp.n == sp.cap && (c != k+cMay || !s.noAM) {
 			s.relocate(c, int(sp.n)+1)
 		}
 	}
@@ -367,7 +380,7 @@ func (s *State) store(k int, v setState) int32 {
 
 // copyFrom makes s an exact copy of src — the same arena contents and the
 // same span table — reusing s's arena when it is large enough. s and src
-// must share a configuration.
+// must share a configuration and a transfer.
 func (s *State) copyFrom(src *State) {
 	if n := len(src.arena); cap(s.arena) < n {
 		s.arena = make([]entry, n, n+n/4)
@@ -383,9 +396,9 @@ func (s *State) copyFrom(src *State) {
 	s.interned = false
 }
 
-// Clone deep-copies the state.
+// Clone deep-copies the state, its transfer included.
 func (s *State) Clone() *State {
-	c := NewState(s.cfg)
+	c := newState(s.cfg, s.satLo, s.noAM)
 	c.copyFrom(s)
 	return c
 }
@@ -422,9 +435,10 @@ func (s *State) MustContains(blk uint64) bool {
 	return s.view(s.spanOf(blk)+cMust).find(blk) >= 0
 }
 
-// MayContains reports whether blk may be resident.
+// MayContains reports whether blk may be resident. A state without a may
+// component cannot rule out any block.
 func (s *State) MayContains(blk uint64) bool {
-	return s.view(s.spanOf(blk)+cMay).find(blk) >= 0
+	return s.noAM || s.view(s.spanOf(blk)+cMay).find(blk) >= 0
 }
 
 // Persistent reports whether blk, if it was ever loaded, is guaranteed not
@@ -486,16 +500,17 @@ func satEqual(a, b []uint64) bool {
 	return true
 }
 
-// Classify returns the classification of an access to blk in this state.
+// Classify returns the classification of an access to blk in this state. A
+// state without a may component never answers AlwaysMiss.
 func (s *State) Classify(blk uint64) Classification {
 	k := s.spanOf(blk)
 	if s.view(k+cMust).find(blk) >= 0 {
 		return AlwaysHit
 	}
-	if s.view(k+cMay).find(blk) < 0 {
-		return AlwaysMiss
+	if s.noAM || s.view(k+cMay).find(blk) >= 0 {
+		return NotClassified
 	}
-	return NotClassified
+	return AlwaysMiss
 }
 
 // Access applies the abstract update for a reference to blk to all
@@ -664,7 +679,8 @@ func mayUpdate(s setState, m uint64, assoc uint8) setState {
 // saturated bitsets OR first, then the young merge drops whatever came out
 // saturated. Each set is joined straight into the arena behind the one
 // before it, with cloneHeadroom slots of room, so the result is packed
-// without holes.
+// without holes. Without a may component (s, a and b share their chain's)
+// the may spans stay empty and get no room.
 func (s *State) joinInto(a, b *State) {
 	long, short := a.sat, b.sat
 	if len(long) < len(short) {
@@ -692,7 +708,11 @@ func (s *State) joinInto(a, b *State) {
 	s.nMust, s.nMay, s.nPers = 0, 0, 0
 	for k := 0; k < len(s.spans); k += nComp {
 		off = s.place(k+cMust, off, joinMustInto(buf[off:off], a.view(k+cMust), b.view(k+cMust)))
-		off = s.place(k+cMay, off, joinMayInto(buf[off:off], a.view(k+cMay), b.view(k+cMay)))
+		if s.noAM {
+			s.spans[k+cMay] = span{off: int32(off)}
+		} else {
+			off = s.place(k+cMay, off, joinMayInto(buf[off:off], a.view(k+cMay), b.view(k+cMay)))
+		}
 		off = s.place(k+cPers, off, joinPersInto(&s.satSet, buf[off:off], a.view(k+cPers), b.view(k+cPers)))
 		s.nMust += s.spans[k+cMust].n
 		s.nMay += s.spans[k+cMay].n
@@ -798,6 +818,12 @@ type Result struct {
 	scr *scratch
 }
 
+// HasAlwaysMiss reports whether r's verdicts include AlwaysMiss: false for
+// a chain started without the may component (see AnalyzeChain), whose
+// would-be AlwaysMiss verdicts read NotClassified. Every re-analysis seeded
+// from r answers the same.
+func (r *Result) HasAlwaysMiss() bool { return !r.scr.sp.noAM }
+
 // Effective reports whether instruction i of expanded block xb is a
 // prefetch filling this level whose fill latency is provably hidden before
 // the first use of the target block (Definition 10, checked with the
@@ -866,7 +892,21 @@ const checkInterval = 256
 // interrupt error (interrupt.ErrCanceled / interrupt.ErrDeadline) and no
 // Result.
 func Analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Config, lambda int) (*Result, error) {
-	return analyze(ctx, x, lay, cfg, lambda, nil, nil)
+	return analyze(ctx, x, lay, cfg, lambda, nil, nil, true)
+}
+
+// AnalyzeChain runs the full analysis that starts a chain of re-analyses
+// (AnalyzeFrom, AnalyzeL2From) of one cache level: the L1 when l1 is nil,
+// otherwise the level behind it, gated by the L1 result l1 (cfg is then the
+// L2's configuration). am says whether a consumer of the chain reads
+// AlwaysMiss verdicts. Without that demand the chain drops the may
+// component wherever the policy's transfer does not need it (LRU and
+// PLRU); every AlwaysMiss verdict then reads NotClassified, and every other
+// verdict, every exit state's must and persistence components, and so
+// every WCET price stay as they are (DESIGN.md §9). Analyze and AnalyzeL2
+// are AnalyzeChain with am set.
+func AnalyzeChain(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Config, lambda int, l1 *Result, am bool) (*Result, error) {
+	return analyze(ctx, x, lay, cfg, lambda, l1, nil, am)
 }
 
 // transferInto pushes src through the instruction sequence of expanded block

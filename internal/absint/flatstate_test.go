@@ -32,7 +32,7 @@ func newSliceState(cfg cache.Config, satLo uint64) *sliceState {
 	h := make([]setState, 3*n)
 	return &sliceState{
 		cfg:    cfg,
-		tr:     transferFor(cfg),
+		tr:     transferFor(cfg, false),
 		must:   h[0:n:n],
 		may:    h[n : 2*n : 2*n],
 		pers:   h[2*n:],
@@ -414,12 +414,12 @@ func TestFlatStateDifferential(t *testing.T) {
 					sts := make([]*State, pop)
 					refs := make([]*sliceState, pop)
 					for k := range sts {
-						sts[k], refs[k] = newState(cfg, satLo), newSliceState(cfg, satLo)
+						sts[k], refs[k] = newState(cfg, satLo, false), newSliceState(cfg, satLo)
 					}
 					// frozen holds interned states: read-only sources.
 					var frozen []*State
 					var frozenRefs []*sliceState
-					spare, spareRef := newState(cfg, satLo), newSliceState(cfg, satLo)
+					spare, spareRef := newState(cfg, satLo, false), newSliceState(cfg, satLo)
 					var mb maybeBuf
 					var rmb sliceMaybeBuf
 					source := func() (*State, *sliceState) {
@@ -533,7 +533,7 @@ func TestFlatStateCopyAllocs(t *testing.T) {
 	cfg := cache.Config{Assoc: 4, BlockBytes: 16, CapacityBytes: 16 * 4 * 64}
 	const satLo = 1000
 	rng := rand.New(rand.NewSource(1))
-	src := newState(cfg, satLo)
+	src := newState(cfg, satLo, false)
 	for i := 0; i < 2000; i++ {
 		blk := satLo + uint64(rng.Intn(1024))
 		if i%5 == 0 {
@@ -544,7 +544,7 @@ func TestFlatStateCopyAllocs(t *testing.T) {
 	}
 	compact := src.Clone()
 	compact.compact(nil)
-	dst := newState(cfg, satLo)
+	dst := newState(cfg, satLo, false)
 	for _, from := range []*State{src, compact} {
 		dst.copyFrom(from) // size the arena and the bitset
 		if n := testing.AllocsPerRun(100, func() { dst.copyFrom(from) }); n != 0 {

@@ -65,17 +65,22 @@ func cacOf(c Classification) cacClass {
 // fills come from memory). The returned Result classifies every reference
 // against the L2 — meaningful only for references whose CAC is not Never;
 // the WCET pricing consults the L1 class first, so the others never matter.
+// The gate reads the L1's AlwaysMiss verdicts, so an l1 without them (see
+// Result.HasAlwaysMiss) is refused with an error.
 func AnalyzeL2(ctx context.Context, x *vivu.Prog, lay *isa.Layout, h cache.Hierarchy, lambda int, l1 *Result) (*Result, error) {
-	return analyze(ctx, x, lay, h.L2, lambda, l1, nil)
+	return analyze(ctx, x, lay, h.L2, lambda, l1, nil, true)
 }
 
 // AnalyzeL2From is the incremental form of AnalyzeL2, seeded from the L2
 // result prev of an earlier analysis of the same expanded program; l1 is the
 // L1 result of the current program. It yields a Result bit-identical to
-// AnalyzeL2 and degrades to it when prev is nil or incompatible.
+// a full analysis with prev's AlwaysMiss demand (see AnalyzeChain) and
+// degrades to one when prev is nil or incompatible. Like AnalyzeL2 it
+// refuses an l1 without AlwaysMiss verdicts.
 func AnalyzeL2From(ctx context.Context, x *vivu.Prog, lay *isa.Layout, h cache.Hierarchy, lambda int, l1, prev *Result) (*Result, error) {
+	am := prev == nil || prev.HasAlwaysMiss()
 	if prev == nil || prev.X != x || prev.Cfg != h.L2 || prev.lambda != lambda || !prev.gated {
 		prev = nil
 	}
-	return analyze(ctx, x, lay, h.L2, lambda, l1, prev)
+	return analyze(ctx, x, lay, h.L2, lambda, l1, prev, am)
 }

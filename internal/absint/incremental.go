@@ -2,6 +2,7 @@ package absint
 
 import (
 	"context"
+	"errors"
 
 	"ucp/internal/cache"
 	"ucp/internal/interrupt"
@@ -48,21 +49,28 @@ import (
 // structural, so in-place instruction edits keep it valid); when prev is
 // nil or incompatible — including a prev whose layout started at a different
 // block, since the saturated persistence bits are numbered from the chain's
-// first block — the call degrades to a full analysis. An aborted call
+// first block — the call degrades to a full analysis. The re-analysis
+// keeps prev's AlwaysMiss demand (see AnalyzeChain): a chain never mixes
+// states with and without the may component. An aborted call
 // (canceled ctx) returns a typed interrupt error and leaves prev fully
 // usable for a later retry.
 func AnalyzeFrom(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Config, lambda int, prev *Result) (*Result, error) {
+	am := prev == nil || prev.HasAlwaysMiss()
 	if prev == nil || prev.X != x || prev.Cfg != cfg || prev.lambda != lambda || prev.gated {
 		prev = nil
 	}
-	return analyze(ctx, x, lay, cfg, lambda, nil, prev)
+	return analyze(ctx, x, lay, cfg, lambda, nil, prev, am)
 }
 
 // analyze is the one fixpoint behind every level: Analyze and AnalyzeFrom
 // run it for the L1 (l1 == nil, every access Always), AnalyzeL2 and
 // AnalyzeL2From for the L2 gated by the L1 result l1. prev == nil means a
-// full analysis.
-func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Config, lambda int, l1, prev *Result) (*Result, error) {
+// full analysis; am is the AlwaysMiss demand (see AnalyzeChain), and a prev
+// whose chain answers it differently is not seeded from.
+func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Config, lambda int, l1, prev *Result, am bool) (*Result, error) {
+	if l1 != nil && !l1.HasAlwaysMiss() {
+		return nil, errors.New("absint: the L2 access gate reads L1 AlwaysMiss verdicts, and the L1 result was computed without them")
+	}
 	// The amortized checker only polls every checkInterval steps, which a
 	// small (or fully clean incremental) analysis may never reach; the
 	// upfront check guarantees an already-dead context is always honored.
@@ -85,8 +93,11 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 		out:    make([]*State, n),
 	}
 	satLo := lay.StartAddr() / uint64(cfg.BlockBytes)
-	if prev != nil && prev.scr.sp.satLo != satLo {
-		prev = nil // the seed's states number their saturated bits differently
+	noAM := !am && !keepsMay(cfg)
+	if prev != nil && (prev.scr.sp.satLo != satLo || prev.scr.sp.noAM != noAM) {
+		// The seed's states number their saturated bits differently, or
+		// differ in having a may component.
+		prev = nil
 	}
 	full := prev == nil
 	var sc *scratch
@@ -94,7 +105,7 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 		sc = prev.scr
 	}
 	if sc == nil {
-		sc = newScratch(cfg, satLo)
+		sc = newScratch(cfg, satLo, noAM)
 	}
 	res.scr = sc
 	made := sc.sp.made // pool misses before this call, for the span
@@ -412,7 +423,8 @@ func effScope(x *vivu.Prog, ops [][]opRec, baseDirty []bool, lambda int, sc *scr
 }
 
 // scratch carries every reusable buffer of the analysis along a chain of
-// incremental re-analyses: the state pool, the effectiveness calculator's
+// incremental re-analyses: the state pool (which also fixes whether the
+// chain's states have a may component), the effectiveness calculator's
 // flat arrays, the worklist flag slices, and the shared cold-cache entry
 // state. It travels inside the Result and is shared by every Result of one
 // chain, so a steady-state re-analysis allocates almost nothing beyond the
@@ -437,8 +449,8 @@ type scratch struct {
 	maybe maybeBuf
 }
 
-func newScratch(cfg cache.Config, satLo uint64) *scratch {
-	return &scratch{sp: statePool{cfg: cfg, satLo: satLo}, empty: newState(cfg, satLo)}
+func newScratch(cfg cache.Config, satLo uint64, noAM bool) *scratch {
+	return &scratch{sp: statePool{cfg: cfg, satLo: satLo, noAM: noAM}, empty: newState(cfg, satLo, noAM)}
 }
 
 // flags returns n cleared bools backed by *buf, growing it as needed.
@@ -465,7 +477,10 @@ type statePool struct {
 	// satLo is the chain's first memory block, bit 0 of every state's
 	// saturated persistence bitset; it is fixed for the chain's lifetime.
 	satLo uint64
-	free  []*State
+	// noAM is fixed for the chain's lifetime too: its states have no may
+	// component (see State.noAM).
+	noAM bool
+	free []*State
 	// made counts pool misses (fresh states) over the chain's lifetime.
 	made int
 }
@@ -477,8 +492,11 @@ func (p *statePool) get() *State {
 		return s
 	}
 	p.made++
-	return newState(p.cfg, p.satLo)
+	return p.fresh()
 }
+
+// fresh returns a new state of the chain outside the pool.
+func (p *statePool) fresh() *State { return newState(p.cfg, p.satLo, p.noAM) }
 
 func (p *statePool) put(s *State) {
 	if s != nil {
@@ -572,8 +590,9 @@ func (r *Result) PooledStates() int {
 // nor walks in-states after the solve; this allocates a fresh one per
 // call, for tests and diagnostics.
 func (r *Result) InState(id int) *State {
-	a := &analyzer{x: r.X, out: r.out, scrA: NewState(r.Cfg), scrB: NewState(r.Cfg), empty: NewState(r.Cfg)}
-	in := NewState(r.Cfg)
+	sp := &r.scr.sp
+	a := &analyzer{x: r.X, out: r.out, scrA: sp.fresh(), scrB: sp.fresh(), empty: sp.fresh()}
+	in := sp.fresh()
 	if st := a.joinPreds(id); st != nil {
 		in.copyFrom(st)
 	}

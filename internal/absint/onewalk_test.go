@@ -18,7 +18,7 @@ import (
 func refAccessMaybe(st *State, blk uint64) *State {
 	acc := st.Clone()
 	acc.Access(blk)
-	jn := newState(st.cfg, st.satLo)
+	jn := newState(st.cfg, st.satLo, false)
 	jn.joinInto(st, acc)
 	return jn
 }
@@ -74,9 +74,9 @@ func TestUncertainAccessSetLocal(t *testing.T) {
 					}
 					sts := make([]*State, pop)
 					for k := range sts {
-						sts[k] = newState(cfg, satLo)
+						sts[k] = newState(cfg, satLo, false)
 					}
-					spare := newState(cfg, satLo)
+					spare := newState(cfg, satLo, false)
 					var mb maybeBuf
 					for step := 0; step < steps; step++ {
 						k := rng.Intn(pop)

@@ -153,7 +153,7 @@ func (r *refState) clone() *refState {
 
 func (r *refState) access(blk uint64) {
 	si := r.cfg.SetOf(blk)
-	switch tr := transferFor(r.cfg).(type) {
+	switch tr := transferFor(r.cfg, false).(type) {
 	case lruTransfer:
 		r.must[si] = refMustUpdate(r.must[si], blk, tr.assoc)
 		r.may[si] = refMayUpdate(r.may[si], blk, tr.assoc)
@@ -180,7 +180,7 @@ func (r *refState) access(blk uint64) {
 
 func (r *refState) fill(blk uint64, effective bool) {
 	si := r.cfg.SetOf(blk)
-	switch tr := transferFor(r.cfg).(type) {
+	switch tr := transferFor(r.cfg, false).(type) {
 	case lruTransfer:
 		if effective {
 			r.must[si] = refMustUpdate(r.must[si], blk, tr.assoc)
@@ -232,7 +232,7 @@ func (r *refState) equal(o *refState) bool {
 // persLimit is the bound at which the transfer for cfg saturates a
 // persistence entry.
 func persLimit(cfg cache.Config) uint8 {
-	switch tr := transferFor(cfg).(type) {
+	switch tr := transferFor(cfg, false).(type) {
 	case lruTransfer:
 		return tr.assoc
 	case fifoTransfer:
@@ -338,9 +338,9 @@ func TestPersistenceSplitDifferential(t *testing.T) {
 					sts := make([]*State, pop)
 					refs := make([]*refState, pop)
 					for k := range sts {
-						sts[k], refs[k] = newState(cfg, satLo), newRefState(cfg)
+						sts[k], refs[k] = newState(cfg, satLo, false), newRefState(cfg)
 					}
-					spare := newState(cfg, satLo)
+					spare := newState(cfg, satLo, false)
 					for step := 0; step < steps; step++ {
 						k := rng.Intn(pop)
 						blk := satLo + uint64(rng.Int63n(int64(span)))

@@ -32,7 +32,10 @@ type policyTransfer interface {
 }
 
 // transferFor selects the transfer implementation for a configuration.
-func transferFor(cfg cache.Config) policyTransfer {
+// noAM drops the may update from the LRU and PLRU transfers, whose must and
+// persistence updates never read it; FIFO's case split reads may, so its
+// transfer always keeps it (see keepsMay).
+func transferFor(cfg cache.Config, noAM bool) policyTransfer {
 	a := uint8(cfg.Assoc)
 	switch cfg.Policy {
 	case cache.FIFO:
@@ -40,27 +43,39 @@ func transferFor(cfg cache.Config) policyTransfer {
 	case cache.PLRU:
 		if cfg.Assoc <= 2 {
 			// Tree-PLRU with one or two ways is exactly LRU.
-			return lruTransfer{assoc: a}
+			return lruTransfer{assoc: a, noMay: noAM}
 		}
 		// Sound must/persistence horizon for tree-PLRU: a block accessed is
 		// guaranteed resident for the next log2(a)+1 distinct-block
 		// insertions (Heckmann et al., "The influence of processor
 		// architecture on the design and the results of WCET tools").
-		return plruTransfer{eff: uint8(bits.Len(uint(cfg.Assoc)))}
+		return plruTransfer{eff: uint8(bits.Len(uint(cfg.Assoc))), noMay: noAM}
 	}
-	return lruTransfer{assoc: a}
+	return lruTransfer{assoc: a, noMay: noAM}
 }
+
+// keepsMay reports whether the analysis of cfg needs the may component
+// whether or not any verdict reads AlwaysMiss: FIFO's transfer tells a
+// definite miss from an unknown access by it.
+func keepsMay(cfg cache.Config) bool { return cfg.Policy == cache.FIFO }
 
 // --- LRU -----------------------------------------------------------------
 
 // lruTransfer is the paper's exact abstract LRU semantics: the pre-existing
-// update functions of this package, called in the pre-existing order.
-type lruTransfer struct{ assoc uint8 }
+// update functions of this package, called in the pre-existing order. With
+// noMay set the may component stays empty: must and persistence never read
+// it.
+type lruTransfer struct {
+	assoc uint8
+	noMay bool
+}
 
 func (t lruTransfer) access(s *State, k int, blk uint64) {
 	v := s.open(k)
 	v.must = mustUpdate(v.must, blk, t.assoc)
-	v.may = mayUpdate(v.may, blk, t.assoc)
+	if !t.noMay {
+		v.may = mayUpdate(v.may, blk, t.assoc)
+	}
 	v.pers = persUpdate(&s.satSet, v.pers, blk, t.assoc)
 	s.commit(k, &v)
 }
@@ -72,7 +87,9 @@ func (t lruTransfer) fill(s *State, k int, blk uint64, effective bool) {
 	} else {
 		v.must = mustAgeAll(v.must, t.assoc)
 	}
-	v.may = mayInsertFresh(v.may, blk)
+	if !t.noMay {
+		v.may = mayInsertFresh(v.may, blk)
+	}
 	// The fill may displace any block at an unknown time: age the
 	// persistence bounds; the target itself may land (age 0 is only safe
 	// when effective — otherwise keep whatever bound it had).
@@ -203,13 +220,19 @@ func fifoPersUnknown(st *satSet, s setState, m uint64, lim uint8) setState {
 // is guaranteed to survive under tree bits (Heckmann et al.). The may
 // component cannot bound evictions usefully (a PLRU victim can be almost
 // any way), so it only accumulates possibly-resident blocks: AlwaysMiss is
-// claimed only for blocks never loaded in the set.
-type plruTransfer struct{ eff uint8 }
+// claimed only for blocks never loaded in the set. noMay drops it, as for
+// LRU.
+type plruTransfer struct {
+	eff   uint8
+	noMay bool
+}
 
 func (t plruTransfer) access(s *State, k int, blk uint64) {
 	v := s.open(k)
 	v.must = mustUpdate(v.must, blk, t.eff)
-	v.may = mayInsertFresh(v.may, blk)
+	if !t.noMay {
+		v.may = mayInsertFresh(v.may, blk)
+	}
 	v.pers = persUpdate(&s.satSet, v.pers, blk, t.eff)
 	s.commit(k, &v)
 }
@@ -223,6 +246,8 @@ func (t plruTransfer) fill(s *State, k int, blk uint64, effective bool) {
 		v.must = mustAgeAll(v.must, t.eff)
 		v.pers = persAgeAll(&s.satSet, v.pers, t.eff)
 	}
-	v.may = mayInsertFresh(v.may, blk)
+	if !t.noMay {
+		v.may = mayInsertFresh(v.may, blk)
+	}
 	s.commit(k, &v)
 }

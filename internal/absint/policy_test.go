@@ -143,11 +143,11 @@ func TestPolicyMustSubsetOfMay(t *testing.T) {
 // to it, and pick the virtual associativity log2(a)+1 for wider PLRU.
 func TestPolicyTransferSelection(t *testing.T) {
 	lru := cache.Config{Assoc: 4, BlockBytes: 16, CapacityBytes: 256}
-	if _, ok := transferFor(lru).(lruTransfer); !ok {
+	if _, ok := transferFor(lru, false).(lruTransfer); !ok {
 		t.Fatal("LRU config did not select the exact LRU transfer")
 	}
 	p2 := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 64, Policy: cache.PLRU}
-	if _, ok := transferFor(p2).(lruTransfer); !ok {
+	if _, ok := transferFor(p2, false).(lruTransfer); !ok {
 		t.Fatal("2-way PLRU must reduce to the exact LRU transfer")
 	}
 	for _, c := range []struct {
@@ -155,13 +155,13 @@ func TestPolicyTransferSelection(t *testing.T) {
 		eff   uint8
 	}{{4, 3}, {8, 4}} {
 		cfg := cache.Config{Assoc: c.assoc, BlockBytes: 16, CapacityBytes: 16 * c.assoc, Policy: cache.PLRU}
-		tr, ok := transferFor(cfg).(plruTransfer)
+		tr, ok := transferFor(cfg, false).(plruTransfer)
 		if !ok || tr.eff != c.eff {
-			t.Fatalf("assoc %d: got %#v, want plruTransfer{eff: %d}", c.assoc, transferFor(cfg), c.eff)
+			t.Fatalf("assoc %d: got %#v, want plruTransfer{eff: %d}", c.assoc, transferFor(cfg, false), c.eff)
 		}
 	}
 	fifo := cache.Config{Assoc: 4, BlockBytes: 16, CapacityBytes: 256, Policy: cache.FIFO}
-	if _, ok := transferFor(fifo).(fifoTransfer); !ok {
+	if _, ok := transferFor(fifo, false).(fifoTransfer); !ok {
 		t.Fatal("FIFO config did not select the FIFO transfer")
 	}
 }

@@ -192,6 +192,21 @@ func Optimize(ctx context.Context, p *isa.Program, cfg cache.Config, opt Options
 // construction, with the joint miss count (L1+L2) taking the role of the
 // WCET-scenario miss count in Condition 2.
 func OptimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Options) (*isa.Program, *Report, error) {
+	return optimizeHier(ctx, p, h, opt, amDemand(h, opt))
+}
+
+// amDemand derives which levels' analyses must resolve AlwaysMiss verdicts.
+// Pricing charges AlwaysMiss like NotClassified, so only two readers in the
+// optimizer need it: the L2's access gate reads the L1's (absint.cacOf),
+// and the explain report prints both levels'. Every other level's chain
+// drops the may component unless its policy's transfer reads it (FIFO),
+// which changes no price and no decision (DESIGN.md §9).
+func amDemand(h cache.Hierarchy, opt Options) wcet.AMDemand {
+	return wcet.AMDemand{L1: h.HasL2() || opt.Explain, L2: opt.Explain}
+}
+
+// optimizeHier is OptimizeHier with the analyses' AlwaysMiss demand am.
+func optimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Options, am wcet.AMDemand) (*isa.Program, *Report, error) {
 	if err := opt.Par.Valid(); err != nil {
 		return nil, nil, err
 	}
@@ -210,7 +225,7 @@ func OptimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Op
 		maxIns = p.NInstr()
 	}
 
-	res, err := wcet.AnalyzeXHier(ctx, x, h, opt.Par)
+	res, err := wcet.AnalyzeXHierSeed(ctx, x, h, opt.Par, am)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -584,8 +599,13 @@ func (o *optimizer) screen(lv *level, r vivu.Ref, evicted uint64) (candidate, bo
 }
 
 // classOf returns the per-level classification strings of a reference, for
-// the explain report; the L2 verdict is empty without a configured L2.
+// the explain report; the L2 verdict is empty without a configured L2. The
+// report prints AlwaysMiss, so every level's analysis must resolve it (see
+// amDemand).
 func (o *optimizer) classOf(use vivu.Ref) (l1, l2 string) {
+	if !o.res.AI.HasAlwaysMiss() || (o.res.AI2 != nil && !o.res.AI2.HasAlwaysMiss()) {
+		panic("core: the explain report reads AlwaysMiss verdicts the analysis did not resolve")
+	}
 	l1 = o.res.AI.Class[use.XB][use.Index].String()
 	if o.res.AI2 != nil {
 		l2 = o.res.AI2.Class[use.XB][use.Index].String()

@@ -19,8 +19,10 @@ import (
 // Decisions included. It covers what the pipeline golden does not — the
 // decision reasons, rcost and positions, and the ablation paths (pads
 // removed by pruning among them). Like the pipeline golden it is never
-// re-recorded to absorb a change in results.
-const explainGoldenFile = "testdata/explain_golden.txt"
+// re-recorded to absorb a change in results, and like it this file is the
+// original recording (explain_golden.txt, unmodified) with the fdct/FIFO/L1
+// line of the default option set corrected for exact miss totals.
+const explainGoldenFile = "testdata/explain_golden_exact_misses.txt"
 
 // explainOptionSet is one option set of the explain golden.
 type explainOptionSet struct {

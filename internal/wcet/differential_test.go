@@ -328,6 +328,60 @@ func TestAssembleDifferential(t *testing.T) {
 	}
 	t.Logf("%d program × policy × hierarchy legs checked", checked)
 	acceptRejectChains(t, true, check)
+
+	// The optimizer's chain on fdct under FIFO at the pinned goldens'
+	// geometry reaches an edit that adds fetches and removes misses at
+	// unchanged block costs, where a carried-over total would go stale.
+	seed, edited := fdctFIFOEqualCostEdit(t, func(seed *wcet.Result) {
+		check(t, "fdct/FIFO optimizer chain seed", seed)
+	})
+	check(t, "fdct/FIFO optimizer chain edit", edited)
+	if edited.TauW != seed.TauW || edited.Misses == seed.Misses {
+		t.Fatalf("fdct/FIFO chain: τ_w %d → %d, misses %d → %d; the edit no longer keeps τ_w and moves the misses",
+			seed.TauW, edited.TauW, seed.Misses, edited.Misses)
+	}
+}
+
+// fdctFIFOEqualCostEdit replays the fifth validation of the optimizer on
+// fdct under FIFO at the pinned goldens' geometry (a 256 B 2-way L1 with 16
+// B blocks, MissPenalty 9, Λ 10): nine prefetches inserted into block 2 of
+// the unoptimized program, eight of them 61 instructions ahead of their
+// targets and one of the entry of block 1. It returns the from-scratch
+// seed, which inspect sees before the edit rewrites the program it was
+// computed for, and the re-analysis seeded from it. The edit leaves every
+// block's cost unchanged and τ_w at 15560, but adds 72 fetches and removes
+// 8 misses (1204 → 1196).
+func fdctFIFOEqualCostEdit(t *testing.T, inspect func(seed *wcet.Result)) (seed, edited *wcet.Result) {
+	t.Helper()
+	bm, ok := malardalen.ByName("fdct")
+	if !ok {
+		t.Fatal("unknown program fdct")
+	}
+	p := bm.Prog.Clone()
+	x, err := vivu.Expand(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := cache.Hier1(cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 256, Policy: cache.FIFO})
+	par := wcet.Params{HitCycles: 1, MissPenalty: 9, Lambda: 10}
+	if seed, err = wcet.AnalyzeXHier(context.Background(), x, h, par); err != nil {
+		t.Fatal(err)
+	}
+	inspect(seed)
+	// Descending program position, like the optimizer's batch: each target
+	// is given in the coordinates of the moment it is inserted, and moves
+	// with the later insertions in front of it.
+	for k := 8; k >= 0; k-- {
+		target := isa.InstrRef{Block: 1, Index: 0}
+		if k < 8 {
+			target = isa.InstrRef{Block: 2, Index: 252 + 4*k + (8 - k)}
+		}
+		p.InsertInstr(isa.InstrRef{Block: 2, Index: 191 + 4*k}, isa.Instr{Kind: isa.KindPrefetch, Target: target})
+	}
+	if edited, err = wcet.AnalyzeXHierFrom(context.Background(), x, h, par, seed); err != nil {
+		t.Fatal(err)
+	}
+	return seed, edited
 }
 
 // chainHierarchies are the legs of the accept/reject chains under policy

@@ -44,12 +44,34 @@ func AnalyzeXHier(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Para
 	return AnalyzeXHierFrom(ctx, x, h, par, nil)
 }
 
+// AMDemand says which levels' verdicts a chain of analyses must resolve to
+// AlwaysMiss: L1 for the L1 result, L2 for the L2 result. A level without
+// the demand may answer NotClassified instead (see absint.AnalyzeChain),
+// which prices the same.
+type AMDemand struct{ L1, L2 bool }
+
+// AnalyzeXHierSeed is AnalyzeXHier for the first result of a chain of
+// re-analyses (AnalyzeXHierFrom seeded from it and from its successors),
+// with the chain's AlwaysMiss demand am. Every re-analysis of the chain
+// keeps that demand. A hierarchy's L2 gate reads the L1's AlwaysMiss
+// verdicts, so am.L1 must be set when h has an L2.
+func AnalyzeXHierSeed(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params, am AMDemand) (*Result, error) {
+	return analyzeHier(ctx, x, h, par, nil, am)
+}
+
 // AnalyzeXHierFrom re-analyzes a mutated program against hierarchy h,
 // seeding every level's abstract interpretation from prev when prev was
 // computed for the same expansion, hierarchy and parameters; otherwise it
 // analyzes from scratch. Either way the result is bit-identical to a
-// from-scratch analysis.
+// from-scratch analysis with prev's AlwaysMiss demand (all of it without a
+// usable prev).
 func AnalyzeXHierFrom(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params, prev *Result) (*Result, error) {
+	return analyzeHier(ctx, x, h, par, prev, AMDemand{L1: true, L2: true})
+}
+
+// analyzeHier is AnalyzeXHierFrom with the AlwaysMiss demand am of a full
+// analysis; a re-analysis keeps prev's.
+func analyzeHier(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params, prev *Result, am AMDemand) (*Result, error) {
 	if err := par.Valid(); err != nil {
 		return nil, err
 	}
@@ -58,6 +80,9 @@ func AnalyzeXHierFrom(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par 
 	}
 	if h.HasL2() && par.L2HitCycles < 1 {
 		return nil, fmt.Errorf("wcet: hierarchy analysis needs L2HitCycles >= 1, have %d", par.L2HitCycles)
+	}
+	if h.HasL2() && !am.L1 {
+		return nil, fmt.Errorf("wcet: the L2 access gate reads the L1's AlwaysMiss verdicts, which the demand %+v drops", am)
 	}
 	mode := "full"
 	if prev != nil && prev.X == x && prev.Hier == h && prev.Par == par {
@@ -86,13 +111,24 @@ func AnalyzeXHierFrom(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par 
 	} else {
 		lay = isa.NewLayout(x.Prog)
 	}
-	ai, err := absint.AnalyzeFrom(ctx, x, lay, h.L1, int(par.Lambda), prevAI)
+	lambda := int(par.Lambda)
+	var ai, ai2 *absint.Result
+	var err error
+	if prev != nil {
+		ai, err = absint.AnalyzeFrom(ctx, x, lay, h.L1, lambda, prevAI)
+	} else {
+		ai, err = absint.AnalyzeChain(ctx, x, lay, h.L1, lambda, nil, am.L1)
+	}
 	if err != nil {
 		return nil, err
 	}
-	var ai2 *absint.Result
 	if h.HasL2() {
-		if ai2, err = absint.AnalyzeL2From(ctx, x, lay, h, int(par.Lambda), ai, prevAI2); err != nil {
+		if prev != nil {
+			ai2, err = absint.AnalyzeL2From(ctx, x, lay, h, lambda, ai, prevAI2)
+		} else {
+			ai2, err = absint.AnalyzeChain(ctx, x, lay, h.L2, lambda, ai, am.L2)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -209,21 +245,13 @@ func assemble(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params, 
 	}
 
 	// Unchanged cost and extra vectors determine the solve completely, so
-	// the counts and τ_w are prev's. A single-level analysis carries prev's
-	// miss and fetch totals over as well. That is not exact: an edit can
-	// lengthen a block and drop misses from it at equal cost (fdct under
-	// FIFO gains 72 fetches and loses 8 misses at MissPenalty 9), but the
-	// pinned pipeline and explain goldens were recorded with the carry-over.
+	// the counts and τ_w are prev's.
 	if costSame {
 		res.Nw, res.TauW = prev.Nw, prev.TauW
 		if _, sp := obs.Start(ctx, "wcet.solve"); sp != nil {
 			sp.Attr("skipped", true)
 			sp.Attr("tau_w", res.TauW)
 			sp.End()
-		}
-		if ai2 == nil {
-			res.Misses, res.Fetches = prev.Misses, prev.Fetches
-			return res, nil
 		}
 	} else {
 		_, sp := obs.Start(ctx, "wcet.solve")

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ucp/internal/absint"
 	"ucp/internal/cache"
 	"ucp/internal/ipet"
 	"ucp/internal/isa"
@@ -297,5 +298,51 @@ func TestRefAccessors(t *testing.T) {
 	}
 	if !res.OnWCETPath(rR.XB) {
 		t.Fatal("loop header R must be on the WCET path")
+	}
+}
+
+// TestMayDemandPublicAnalysesKeepAlwaysMiss pins that the public analyses,
+// whose class counts ucp-wcet and the benchmark's unknown-share probes
+// print, resolve AlwaysMiss at both levels under every policy, and that a
+// re-analysis seeded from one keeps doing so; only an optimizer chain
+// started through AnalyzeXHierSeed may drop it. A seed without demand at
+// an L2's L1 is refused.
+func TestMayDemandPublicAnalysesKeepAlwaysMiss(t *testing.T) {
+	ctx := context.Background()
+	bm, _ := malardalen.ByName("crc")
+	for _, pol := range cache.Policies() {
+		h := cache.Hierarchy{
+			L1: cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 256, Policy: pol},
+			L2: cache.Config{Assoc: 4, BlockBytes: 32, CapacityBytes: 8192, Policy: pol},
+		}
+		par := Params{HitCycles: 1, MissPenalty: 9, Lambda: 10, L2HitCycles: 3}
+		r, err := AnalyzeHier(ctx, bm.Prog.Clone(), h, par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := r.Prog
+		p.InsertInstr(isa.InstrRef{Block: 0, Index: 0}, isa.Instr{Kind: isa.KindPrefetch, Target: isa.InstrRef{Block: 1, Index: 0}})
+		again, err := AnalyzeXHierFrom(ctx, r.X, h, par, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range []*Result{r, again} {
+			for lvl, ai := range []*absint.Result{res.AI, res.AI2} {
+				am := 0
+				for _, row := range ai.Class {
+					for _, c := range row {
+						if c == absint.AlwaysMiss {
+							am++
+						}
+					}
+				}
+				if !ai.HasAlwaysMiss() || am == 0 {
+					t.Errorf("%v L%d: %d AlwaysMiss verdicts (HasAlwaysMiss %v)", pol, lvl+1, am, ai.HasAlwaysMiss())
+				}
+			}
+		}
+		if _, err := AnalyzeXHierSeed(ctx, r.X, h, par, AMDemand{L2: true}); err == nil {
+			t.Errorf("%v: a seed whose L1 drops AlwaysMiss was accepted behind an L2", pol)
+		}
 	}
 }
