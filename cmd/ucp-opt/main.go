@@ -17,7 +17,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"ucp/internal/cache"
 	"ucp/internal/cliutil"
 	"ucp/internal/core"
 	"ucp/internal/energy"
@@ -46,23 +45,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	_, cfg, tn, err := cliutil.ConfigTech(*config, *tech)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if cfg.Policy, err = cliutil.Policy(*policy); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	l2, err := l2Flag()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	h := cache.Hier1(cfg)
-	h.L2 = l2
-	if err := h.Valid(); err != nil {
+	_, h, tn, err := cliutil.Cell(*config, *policy, *tech, l2)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -98,7 +87,7 @@ func main() {
 	fmt.Printf("program   %s: %d instructions, %d blocks, %d loops\n",
 		label, prog.NInstr(), len(prog.Blocks), len(prog.Loops))
 	fmt.Printf("cache     %s %v  (%d sets × %d ways, %dB blocks)\n",
-		*config, cfg, cfg.NumSets(), cfg.Assoc, cfg.BlockBytes)
+		*config, h.L1, h.L1.NumSets(), h.L1.Assoc, h.L1.BlockBytes)
 	if h.HasL2() {
 		fmt.Printf("L2        %v  (%d sets × %d ways, %dB blocks)\n",
 			h.L2, h.L2.NumSets(), h.L2.Assoc, h.L2.BlockBytes)
@@ -189,7 +178,7 @@ func main() {
 					continue
 				}
 				ref := isa.InstrRef{Block: blk.ID, Index: i}
-				bb, level := cfg.BlockBytes, "L1"
+				bb, level := h.L1.BlockBytes, "L1"
 				if in.Level == 2 {
 					bb, level = h.L2.BlockBytes, "L2"
 				}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 
-	"ucp/internal/cache"
 	"ucp/internal/cliutil"
 	"ucp/internal/core"
 	"ucp/internal/energy"
@@ -43,23 +42,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	_, cfg, tn, err := cliutil.ConfigTech(*config, *tech)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if cfg.Policy, err = cliutil.Policy(*policy); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	l2, err := l2Flag()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	h := cache.Hier1(cfg)
-	h.L2 = l2
-	if err := h.Valid(); err != nil {
+	_, h, tn, err := cliutil.Cell(*config, *policy, *tech, l2)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -69,9 +58,9 @@ func main() {
 	base := sim.Options{Par: par, Seed: *seed, Runs: *runs}
 
 	if h.HasL2() {
-		fmt.Printf("program %s on %s %v + L2 %v at %s (%d runs)\n\n", b.Name, *config, cfg, h.L2, tn, *runs)
+		fmt.Printf("program %s on %s %v + L2 %v at %s (%d runs)\n\n", b.Name, *config, h.L1, h.L2, tn, *runs)
 	} else {
-		fmt.Printf("program %s on %s %v at %s (%d runs)\n\n", b.Name, *config, cfg, tn, *runs)
+		fmt.Printf("program %s on %s %v at %s (%d runs)\n\n", b.Name, *config, h.L1, tn, *runs)
 	}
 	report := func(label string, s sim.Stats) {
 		e := mdl.Energy(s.Account())
@@ -117,7 +106,7 @@ func main() {
 	}
 
 	if *locked {
-		sel, err := locking.Select(context.Background(), b.Prog, cfg, par)
+		sel, err := locking.Select(context.Background(), b.Prog, h.L1, par)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "locking:", err)
 			os.Exit(1)

@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"ucp/internal/absint"
-	"ucp/internal/cache"
 	"ucp/internal/cliutil"
 	"ucp/internal/energy"
 	"ucp/internal/ipet"
@@ -44,23 +43,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	_, cfg, tn, err := cliutil.ConfigTech(*config, *tech)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if cfg.Policy, err = cliutil.Policy(*policy); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	l2, err := l2Flag()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	h := cache.Hier1(cfg)
-	h.L2 = l2
-	if err := h.Valid(); err != nil {
+	_, h, tn, err := cliutil.Cell(*config, *policy, *tech, l2)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -95,7 +84,7 @@ func main() {
 
 	fmt.Printf("program    %s (%s): %d instructions, %d expanded references in %d contexts\n",
 		b.Name, b.ID, b.Prog.NInstr(), total, len(res.X.Blocks))
-	fmt.Printf("cache      %s %v\n", *config, cfg)
+	fmt.Printf("cache      %s %v\n", *config, h.L1)
 	if h.HasL2() {
 		fmt.Printf("L2         %v\n", h.L2)
 		fmt.Printf("timing     hit=%d l2hit=%d miss=%d Λ=%d cycles\n",

@@ -1,6 +1,8 @@
-// Package cliutil holds the small argument parsers shared by the command
-// line tools: configuration labels (k1..k36), technology names, and
-// benchmark lookups with helpful error messages.
+// Package cliutil holds the argument parsers shared by the command line
+// tools and the analysis service: configuration labels (k1..k36), policy
+// and technology names, L2 geometries, the resolution of one analysis cell
+// to a validated cache hierarchy, and benchmark lookups with helpful error
+// messages.
 package cliutil
 
 import (
@@ -31,11 +33,57 @@ func Policy(s string) (cache.Policy, error) {
 	return cache.ParsePolicy(strings.ToLower(strings.TrimSpace(s)))
 }
 
+// L2 builds a second cache level from its geometry and policy name and
+// validates it on its own. The zero geometry under the default policy is
+// the single-level marker every layer treats as "no L2" and yields the
+// zero Config. It is the one constructor behind the -l2-* flags, the
+// ASSOCxBLOCKxCAPACITY strings, and the service's l2 blocks and queries;
+// each caller prefixes the error with where the geometry came from.
+func L2(assoc, block, capacity int, policy string) (cache.Config, error) {
+	pol, err := Policy(policy)
+	if err != nil {
+		return cache.Config{}, err
+	}
+	cfg := cache.Config{Assoc: assoc, BlockBytes: block, CapacityBytes: capacity, Policy: pol}
+	if cfg == (cache.Config{}) {
+		return cfg, nil
+	}
+	if err := cfg.Valid(); err != nil {
+		return cache.Config{}, err
+	}
+	return cfg, nil
+}
+
+// Cell resolves the user-facing description of one analysis cell — a
+// Table 2 label, a replacement-policy name, a technology name, and an L2
+// as L2 builds it — to the Table 2 index, the validated hierarchy (the
+// Table 2 L1 under the policy, backed by the L2), and the technology node.
+// The single-shot tools and the analysis service all resolve cells here.
+func Cell(config, policy, tech string, l2 cache.Config) (int, cache.Hierarchy, energy.Tech, error) {
+	ci, err := Config(config)
+	if err != nil {
+		return 0, cache.Hierarchy{}, 0, err
+	}
+	pol, err := Policy(policy)
+	if err != nil {
+		return 0, cache.Hierarchy{}, 0, err
+	}
+	tn, err := Tech(tech)
+	if err != nil {
+		return 0, cache.Hierarchy{}, 0, err
+	}
+	h := cache.Hierarchy{L1: cache.Table2()[ci], L2: l2}
+	h.L1.Policy = pol
+	if err := h.Valid(); err != nil {
+		return 0, cache.Hierarchy{}, 0, err
+	}
+	return ci, h, tn, nil
+}
+
 // L2Flags registers the -l2-assoc, -l2-block-bytes, -l2-capacity-bytes and
 // -l2-policy flags on fs (the default command-line set when nil) and returns
 // a resolver to call after flag parsing. Leaving every flag at its default
-// resolves to the zero Config — the single-level marker every layer treats
-// as "no L2"; setting any geometry flag requires all three.
+// resolves to the zero Config; setting any geometry flag requires all three.
 func L2Flags(fs *flag.FlagSet) func() (cache.Config, error) {
 	if fs == nil {
 		fs = flag.CommandLine
@@ -51,12 +99,8 @@ func L2Flags(fs *flag.FlagSet) func() (cache.Config, error) {
 		if *assoc <= 0 || *block <= 0 || *capacity <= 0 {
 			return cache.Config{}, fmt.Errorf("an L2 needs -l2-assoc, -l2-block-bytes and -l2-capacity-bytes together")
 		}
-		pol, err := Policy(*policy)
+		cfg, err := L2(*assoc, *block, *capacity, *policy)
 		if err != nil {
-			return cache.Config{}, fmt.Errorf("l2: %v", err)
-		}
-		cfg := cache.Config{Assoc: *assoc, BlockBytes: *block, CapacityBytes: *capacity, Policy: pol}
-		if err := cfg.Valid(); err != nil {
 			return cache.Config{}, fmt.Errorf("l2: %v", err)
 		}
 		return cfg, nil
@@ -84,12 +128,8 @@ func L2Geometry(s string) (cache.Config, error) {
 		}
 		dims[i] = n
 	}
-	pol, err := Policy(polName)
+	cfg, err := L2(dims[0], dims[1], dims[2], polName)
 	if err != nil {
-		return cache.Config{}, fmt.Errorf("l2 %q: %v", s, err)
-	}
-	cfg := cache.Config{Assoc: dims[0], BlockBytes: dims[1], CapacityBytes: dims[2], Policy: pol}
-	if err := cfg.Valid(); err != nil {
 		return cache.Config{}, fmt.Errorf("l2 %q: %v", s, err)
 	}
 	return cfg, nil
@@ -122,21 +162,6 @@ func Tech(s string) (energy.Tech, error) {
 		return energy.Tech32, nil
 	}
 	return 0, fmt.Errorf("unknown technology %q (want 45nm or 32nm)", s)
-}
-
-// ConfigTech resolves the (configuration label, technology name) pair the
-// single-shot CLI tools all take, returning the Table 2 index, the
-// concrete configuration, and the technology node.
-func ConfigTech(config, tech string) (int, cache.Config, energy.Tech, error) {
-	ci, err := Config(config)
-	if err != nil {
-		return 0, cache.Config{}, 0, err
-	}
-	tn, err := Tech(tech)
-	if err != nil {
-		return 0, cache.Config{}, 0, err
-	}
-	return ci, cache.Table2()[ci], tn, nil
 }
 
 // Benchmark resolves a benchmark by name.

@@ -51,24 +51,6 @@ type Options struct {
 	// Workers lists worker base URLs ("http://host:port"); at least one is
 	// required. Trailing slashes are trimmed.
 	Workers []string
-	// Client issues the cell requests (nil = a dedicated client with no
-	// global timeout — per-cell bounds come from the request context).
-	Client *http.Client
-	// MaxAttempts bounds tries per cell across all workers (0 = 4).
-	MaxAttempts int
-	// Backoff is the first retry's base delay; it doubles per attempt and
-	// is jittered uniformly over [d/2, 3d/2) so synchronized retriers do
-	// not thunder onto a recovering worker in lockstep (0 = 50ms).
-	Backoff time.Duration
-	// Cooldown is how long an open breaker holds before the worker is
-	// allowed one half-open trial (0 = 1s). Open workers are still used
-	// when every worker is open — a degraded replica beats failing the
-	// sweep.
-	Cooldown time.Duration
-	// FailureThreshold is the consecutive-failure count that trips a
-	// closed breaker open (0 = 3). A failure during half-open reopens
-	// immediately regardless.
-	FailureThreshold int
 	// ProbeInterval enables the background health prober: every interval,
 	// each worker's /readyz is checked; a failure opens its breaker at
 	// once, a success walks it open → half-open → closed. Zero disables
@@ -76,13 +58,42 @@ type Options struct {
 	// prober with Close.
 	ProbeInterval time.Duration
 	// Hedge enables hedged dispatch: a cell still unanswered after the
-	// hedge delay is re-issued to a second healthy worker; the first
-	// result wins and the loser's request is canceled.
+	// hedge delay (the p99 of recent cell latencies, once minHedgeSamples
+	// have been observed, with a floor of minHedgeDelay) is re-issued to a
+	// second healthy worker; the first result wins and the loser's request
+	// is canceled.
 	Hedge bool
-	// HedgeDelay fixes the hedge delay. Zero means adaptive: the p99 of
-	// recent cell latencies (once minHedgeSamples have been observed, with
-	// a floor of minHedgeDelay) — only genuine stragglers get hedged.
-	HedgeDelay time.Duration
+}
+
+// The dispatch defaults every Coordinator built by New runs with.
+const (
+	// defaultMaxAttempts bounds tries per cell across all workers.
+	defaultMaxAttempts = 4
+	// defaultBackoff is the first retry's base delay; it doubles per
+	// attempt and is jittered uniformly over [d/2, 3d/2) so synchronized
+	// retriers do not thunder onto a recovering worker in lockstep.
+	defaultBackoff = 50 * time.Millisecond
+	// defaultCooldown is how long an open breaker holds before the worker
+	// is allowed one half-open trial. Open workers are still used when
+	// every worker is open — a degraded replica beats failing the sweep.
+	defaultCooldown = time.Second
+	// defaultFailureThreshold is the consecutive-failure count that trips
+	// a closed breaker open. A failure during half-open reopens
+	// immediately regardless.
+	defaultFailureThreshold = 3
+)
+
+// tuning holds the dispatch knobs New fixes at their defaults. The
+// in-package tests pass their own to newCoordinator, so every value is in
+// place before the prober goroutine starts; a zero field takes its
+// default.
+type tuning struct {
+	maxAttempts int
+	backoff     time.Duration
+	cooldown    time.Duration
+	threshold   int
+	// hedgeDelay fixes the hedge delay instead of the adaptive p99.
+	hedgeDelay time.Duration
 }
 
 // Cell-level counters are process-global (one coordinator per process in
@@ -221,49 +232,40 @@ func (w *worker) release() {
 // method is an experiment.CellExec. Close stops the background prober (a
 // no-op when none was configured).
 type Coordinator struct {
-	client      *http.Client
-	workers     []*worker
-	maxAttempts int
-	backoff     time.Duration
-	cooldown    time.Duration
-	threshold   int
-	hedge       bool
-	hedgeDelay  time.Duration
-	rr          atomic.Uint64 // rotates tie-breaking across workers
-	lat         latencyWindow
+	tuning
+	// client issues the cell requests and probes: a dedicated client with
+	// no global timeout — per-cell bounds come from the request context.
+	client  *http.Client
+	workers []*worker
+	hedge   bool
+	rr      atomic.Uint64 // rotates tie-breaking across workers
+	lat     latencyWindow
 
 	stopProbe context.CancelFunc
 	probeDone chan struct{}
 }
 
 // New validates the options and builds a Coordinator.
-func New(o Options) (*Coordinator, error) {
+func New(o Options) (*Coordinator, error) { return newCoordinator(o, tuning{}) }
+
+// newCoordinator is New with the dispatch knobs given: zero fields of t
+// take their defaults.
+func newCoordinator(o Options, t tuning) (*Coordinator, error) {
 	if len(o.Workers) == 0 {
 		return nil, fmt.Errorf("dist: no workers configured")
 	}
-	c := &Coordinator{
-		client:      o.Client,
-		maxAttempts: o.MaxAttempts,
-		backoff:     o.Backoff,
-		cooldown:    o.Cooldown,
-		threshold:   o.FailureThreshold,
-		hedge:       o.Hedge,
-		hedgeDelay:  o.HedgeDelay,
-	}
-	if c.client == nil {
-		c.client = &http.Client{}
-	}
+	c := &Coordinator{tuning: t, client: &http.Client{}, hedge: o.Hedge}
 	if c.maxAttempts <= 0 {
-		c.maxAttempts = 4
+		c.maxAttempts = defaultMaxAttempts
 	}
 	if c.backoff <= 0 {
-		c.backoff = 50 * time.Millisecond
+		c.backoff = defaultBackoff
 	}
 	if c.cooldown <= 0 {
-		c.cooldown = time.Second
+		c.cooldown = defaultCooldown
 	}
 	if c.threshold <= 0 {
-		c.threshold = 3
+		c.threshold = defaultFailureThreshold
 	}
 	for _, u := range o.Workers {
 		u = strings.TrimRight(strings.TrimSpace(u), "/")
@@ -362,37 +364,6 @@ func (c *Coordinator) probe(ctx context.Context, w *worker, every time.Duration)
 	}
 }
 
-// cellRequest mirrors the worker endpoint's wire format
-// (service.workerCellRequest).
-type cellRequest struct {
-	Program          string         `json:"program"`
-	Config           string         `json:"config"`
-	Tech             string         `json:"tech"`
-	Policy           string         `json:"policy,omitempty"`
-	Runs             int            `json:"runs,omitempty"`
-	ValidationBudget int            `json:"validation_budget,omitempty"`
-	L2               *cellL2Request `json:"l2,omitempty"`
-	SkipReduced      bool           `json:"skip_reduced,omitempty"`
-	Explain          bool           `json:"explain,omitempty"`
-}
-
-// cellL2Request mirrors service.L2Request: the optional second cache level
-// of a hierarchy cell.
-type cellL2Request struct {
-	Assoc         int    `json:"assoc"`
-	BlockBytes    int    `json:"block_bytes"`
-	CapacityBytes int    `json:"capacity_bytes"`
-	Policy        string `json:"policy,omitempty"`
-}
-
-// cellResponse mirrors the worker endpoint's response envelope
-// (service.workerCellResponse): the measured cell plus, when the dispatch
-// carried a traceparent, the worker's serialized span tree for stitching.
-type cellResponse struct {
-	Cell  experiment.Cell `json:"cell"`
-	Trace *obs.SpanTree   `json:"trace,omitempty"`
-}
-
 // permanentError is a worker answer that retrying cannot change.
 type permanentError struct {
 	status int
@@ -413,18 +384,20 @@ func (c *Coordinator) Exec(ctx context.Context, b malardalen.Benchmark, cfgIdx i
 	span.Attr("config", cache.ConfigID(cfgIdx))
 	defer span.End()
 
-	req := cellRequest{
-		Program:          b.Name,
-		Config:           cache.ConfigID(cfgIdx),
-		Tech:             tech.String(),
-		Policy:           o.Policy.String(),
-		Runs:             o.Runs,
-		ValidationBudget: o.ValidationBudget,
-		SkipReduced:      o.SkipReduced,
-		Explain:          o.Explain,
+	req := experiment.CellRequest{
+		CellSpec: experiment.CellSpec{
+			Program:          b.Name,
+			Config:           cache.ConfigID(cfgIdx),
+			Tech:             tech.String(),
+			Policy:           o.Policy.String(),
+			Runs:             o.Runs,
+			ValidationBudget: o.ValidationBudget,
+		},
+		SkipReduced: o.SkipReduced,
+		Explain:     o.Explain,
 	}
 	if o.L2 != (cache.Config{}) {
-		req.L2 = &cellL2Request{
+		req.L2 = &experiment.L2Request{
 			Assoc:         o.L2.Assoc,
 			BlockBytes:    o.L2.BlockBytes,
 			CapacityBytes: o.L2.CapacityBytes,
@@ -576,7 +549,7 @@ func (c *Coordinator) attempt(ctx context.Context, body []byte, attemptNo int) (
 
 // hedgeAfter decides whether this dispatch hedges and after how long:
 // never with hedging off or fewer than two workers; at the fixed
-// HedgeDelay when configured; otherwise at the p99 of recent latencies
+// hedgeDelay when one is tuned; otherwise at the p99 of recent latencies
 // once the window has enough samples to mean something.
 func (c *Coordinator) hedgeAfter() (time.Duration, bool) {
 	if !c.hedge || len(c.workers) < 2 {
@@ -721,7 +694,7 @@ func (c *Coordinator) post(ctx context.Context, w *worker, body []byte) (experim
 	defer resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		var env cellResponse
+		var env experiment.CellResponse
 		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 			// A torn response (worker died mid-write) is transient: the
 			// cell is deterministic, another replica recomputes it.

@@ -175,11 +175,8 @@ func TestWorkerLossMidSweepRetriesAndCompletes(t *testing.T) {
 	})
 	retriesBefore := distRetries.Value()
 
-	coord, err := New(Options{
-		Workers:  []string{healthy.URL, dying.ts.URL},
-		Backoff:  5 * time.Millisecond,
-		Cooldown: 200 * time.Millisecond,
-	})
+	coord, err := newCoordinator(Options{Workers: []string{healthy.URL, dying.ts.URL}},
+		tuning{backoff: 5 * time.Millisecond, cooldown: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +203,8 @@ func TestAllWorkersDownFailsAfterRetries(t *testing.T) {
 	dead := httptest.NewServer(nil)
 	dead.Close() // nothing listens; every dial is refused
 
-	coord, err := New(Options{
-		Workers:     []string{dead.URL},
-		MaxAttempts: 2,
-		Backoff:     time.Millisecond,
-	})
+	coord, err := newCoordinator(Options{Workers: []string{dead.URL}},
+		tuning{maxAttempts: 2, backoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +229,7 @@ func TestPermanent4xxIsNotRetried(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 
-	coord, err := New(Options{Workers: []string{ts.URL}, Backoff: time.Millisecond})
+	coord, err := newCoordinator(Options{Workers: []string{ts.URL}}, tuning{backoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +255,8 @@ func TestCancellationStopsRetrying(t *testing.T) {
 	dead := httptest.NewServer(nil)
 	dead.Close()
 
-	coord, err := New(Options{
-		Workers:     []string{dead.URL},
-		MaxAttempts: 100,
-		Backoff:     time.Second,
-	})
+	coord, err := newCoordinator(Options{Workers: []string{dead.URL}},
+		tuning{maxAttempts: 100, backoff: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

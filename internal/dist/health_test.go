@@ -61,7 +61,7 @@ func waitState(t *testing.T, c *Coordinator, url string, want breakerState, with
 // [d/2, 3d/2) and actually spread — a degenerate constant would mean the
 // thundering herd is back.
 func TestBackoffJitterSpread(t *testing.T) {
-	c := &Coordinator{backoff: 20 * time.Millisecond}
+	c := &Coordinator{tuning: tuning{backoff: 20 * time.Millisecond}}
 	const attempt = 2 // base doubles once: d = 40ms, window [20ms, 60ms)
 	d := c.backoff << (attempt - 1)
 	lo, hi := d/2, d+d/2
@@ -91,11 +91,8 @@ func TestBackoffJitterSpread(t *testing.T) {
 func TestBreakerOpensOnDeadWorkerAndRecovers(t *testing.T) {
 	w := newWorker(t)
 	const probe = 10 * time.Millisecond
-	c, err := New(Options{
-		Workers:       []string{w.URL},
-		ProbeInterval: probe,
-		Cooldown:      time.Hour,
-	})
+	c, err := newCoordinator(Options{Workers: []string{w.URL}, ProbeInterval: probe},
+		tuning{cooldown: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +137,8 @@ func TestProbeEjectsSaturatedWorker(t *testing.T) {
 	t.Cleanup(proxy.Close)
 
 	const probe = 10 * time.Millisecond
-	c, err := New(Options{Workers: []string{proxy.URL}, ProbeInterval: probe, Cooldown: time.Hour})
+	c, err := newCoordinator(Options{Workers: []string{proxy.URL}, ProbeInterval: probe},
+		tuning{cooldown: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,12 +162,8 @@ func TestBreakerOpensFromCellFailures(t *testing.T) {
 	t.Cleanup(dead.Close)
 	healthy := newWorker(t)
 
-	c, err := New(Options{
-		Workers:          []string{dead.URL, healthy.URL},
-		FailureThreshold: 3,
-		Backoff:          time.Millisecond,
-		Cooldown:         time.Hour,
-	})
+	c, err := newCoordinator(Options{Workers: []string{dead.URL, healthy.URL}},
+		tuning{threshold: 3, backoff: time.Millisecond, cooldown: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +212,8 @@ func TestHedgedDispatchRacesStraggler(t *testing.T) {
 	}))
 	t.Cleanup(slow.Close)
 
-	c, err := New(Options{
-		Workers:    []string{slow.URL, fast.URL},
-		Hedge:      true,
-		HedgeDelay: 20 * time.Millisecond,
-	})
+	c, err := newCoordinator(Options{Workers: []string{slow.URL, fast.URL}, Hedge: true},
+		tuning{hedgeDelay: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +246,7 @@ func TestHedgedDispatchRacesStraggler(t *testing.T) {
 // rather than double-hitting the only replica.
 func TestHedgeRequiresTwoWorkers(t *testing.T) {
 	w := newWorker(t)
-	c, err := New(Options{Workers: []string{w.URL}, Hedge: true, HedgeDelay: time.Millisecond})
+	c, err := newCoordinator(Options{Workers: []string{w.URL}, Hedge: true}, tuning{hedgeDelay: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

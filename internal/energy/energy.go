@@ -64,6 +64,23 @@ func paramsFor(t Tech) techParams {
 	}
 }
 
+// array prices one cache array of geometry c at the node: the dynamic
+// energy of a read and of a block fill, in pJ, and the leakage power, in
+// mW. Every cache level uses these formulas.
+func (tp techParams) array(c cache.Config) (read, fill, leak float64) {
+	capKB := float64(c.CapacityBytes) / 1024
+	// Dynamic read energy: grows sublinearly with capacity (longer word
+	// and bit lines), with associativity (parallel tag/data ways), and
+	// with block size (wider data output).
+	read = 4.2 * math.Pow(capKB, 0.45) * math.Pow(float64(c.Assoc), 0.32) *
+		math.Pow(float64(c.BlockBytes)/16, 0.22) * tp.dynScale
+	// Fill energy: a whole block is written; scales with block size.
+	fill = 6.5 * math.Pow(capKB, 0.30) * math.Pow(float64(c.BlockBytes)/16, 0.85) * tp.dynScale
+	// Leakage: proportional to the number of bits, heavier at 32 nm.
+	leak = 0.011 * capKB * tp.leakScale
+	return read, fill, leak
+}
+
 // Model provides energies and timings for one cache configuration at one
 // technology node.
 type Model struct {
@@ -123,17 +140,6 @@ func NewModelHier(h cache.Hierarchy, tech Tech) Model {
 	}
 	cfg := h.L1
 	tp := paramsFor(tech)
-	capKB := float64(cfg.CapacityBytes) / 1024
-
-	// Dynamic read energy: grows sublinearly with capacity (longer word
-	// and bit lines), with associativity (parallel tag/data ways), and
-	// with block size (wider data output).
-	read := 4.2 * math.Pow(capKB, 0.45) * math.Pow(float64(cfg.Assoc), 0.32) *
-		math.Pow(float64(cfg.BlockBytes)/16, 0.22) * tp.dynScale
-	// Fill energy: a whole block is written; scales with block size.
-	fill := 6.5 * math.Pow(capKB, 0.30) * math.Pow(float64(cfg.BlockBytes)/16, 0.85) * tp.dynScale
-	// Leakage: proportional to the number of bits, heavier at 32 nm.
-	leak := 0.011 * capKB * tp.leakScale
 
 	// DRAM: 128 MB module; energy per block transfer grows mildly with the
 	// block size, and the module's refresh/standby power drains for the
@@ -147,9 +153,6 @@ func NewModelHier(h cache.Hierarchy, tech Tech) Model {
 		Cfg:           cfg,
 		Tech:          tech,
 		Hier:          h,
-		CacheReadPJ:   read,
-		CacheFillPJ:   fill,
-		LeakageMW:     leak,
 		DRAMStandbyMW: standby,
 		DRAMAccessPJ:  dram,
 		CycleNS:       tp.cycleNS,
@@ -157,19 +160,15 @@ func NewModelHier(h cache.Hierarchy, tech Tech) Model {
 		MissPenalty:   tp.missCycles,
 		Lambda:        tp.missCycles,
 	}
+	m.CacheReadPJ, m.CacheFillPJ, m.LeakageMW = tp.array(cfg)
 	if h.HasL2() {
-		l2 := h.L2
-		l2KB := float64(l2.CapacityBytes) / 1024
 		// The L2 is a larger, slower array of the same technology: the same
 		// read/fill/leakage formulas apply to its geometry.
-		m.L2ReadPJ = 4.2 * math.Pow(l2KB, 0.45) * math.Pow(float64(l2.Assoc), 0.32) *
-			math.Pow(float64(l2.BlockBytes)/16, 0.22) * tp.dynScale
-		m.L2FillPJ = 6.5 * math.Pow(l2KB, 0.30) * math.Pow(float64(l2.BlockBytes)/16, 0.85) * tp.dynScale
-		m.L2LeakageMW = 0.011 * l2KB * tp.leakScale
+		m.L2ReadPJ, m.L2FillPJ, m.L2LeakageMW = tp.array(h.L2)
 		// L2 hit latency: 2 cycles of array access plus one per doubling of
 		// capacity, clamped strictly below the memory penalty so an L2 hit
 		// always beats a miss (wcet.Params.Valid enforces the same bound).
-		lat := 2 + int64(math.Round(math.Log2(l2KB)))
+		lat := 2 + int64(math.Round(math.Log2(float64(h.L2.CapacityBytes)/1024)))
 		if lat < 1 {
 			lat = 1
 		}

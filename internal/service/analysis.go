@@ -18,34 +18,10 @@ import (
 )
 
 // AnalyzeRequest selects one use case: a benchmark program, a Table 2
-// cache configuration, and a process technology.
-type AnalyzeRequest struct {
-	Program string `json:"program"`
-	Config  string `json:"config"`
-	Tech    string `json:"tech"`
-	// Policy is the cache replacement policy ("lru", "fifo", "plru");
-	// empty selects LRU, the paper's machine model.
-	Policy string `json:"policy,omitempty"`
-	// Runs is the number of average-case simulations (default 3).
-	Runs int `json:"runs,omitempty"`
-	// ValidationBudget caps the optimizer's re-analyses (0 = default).
-	ValidationBudget int `json:"validation_budget,omitempty"`
-	// L2 backs the selected Table 2 configuration (the L1) with a second
-	// cache level; omitted = the paper's single-level model.
-	L2 *L2Request `json:"l2,omitempty"`
-}
-
-// L2Request is the optional second cache level of a request. The geometry
-// must form a valid hierarchy with the selected L1 (capacity at least the
-// L1's, block size a multiple of the L1's) or the request is rejected with
-// 400.
-type L2Request struct {
-	Assoc         int `json:"assoc"`
-	BlockBytes    int `json:"block_bytes"`
-	CapacityBytes int `json:"capacity_bytes"`
-	// Policy is the L2 replacement policy; empty selects LRU.
-	Policy string `json:"policy,omitempty"`
-}
+// cache configuration, a process technology, and optionally a replacement
+// policy, run count, validation budget and L2. It is the same type a
+// coordinator ships to a worker, so both requests resolve one way.
+type AnalyzeRequest = experiment.CellSpec
 
 // ResultL2 carries the per-L2 measurements of a hierarchy analysis.
 type ResultL2 struct {
@@ -103,31 +79,51 @@ func errorf(status int, format string, args ...any) *httpError {
 type useCase struct {
 	bench  malardalen.Benchmark
 	cfgIdx int
-	cfg    cache.Config
-	// l2 is the second cache level; the zero value means single-level.
-	l2     cache.Config
+	// hier is the Table 2 L1 under the requested policy, backed by the
+	// requested L2 (the zero L2 means single-level).
+	hier   cache.Hierarchy
 	tech   energy.Tech
 	runs   int
 	budget int
 }
 
+// String names the cell in logs, errors and fault keys:
+// "program/config/tech".
+func (uc useCase) String() string {
+	return fmt.Sprintf("%s/%s/%s", uc.bench.Name, cache.ConfigID(uc.cfgIdx), uc.tech)
+}
+
+// options is the experiment configuration that runs uc as one cell under
+// the caller's two execution switches.
+func (uc useCase) options(skipReduced, explain bool) experiment.Options {
+	return experiment.Options{
+		Policy:           uc.hier.L1.Policy,
+		L2:               uc.hier.L2,
+		Runs:             uc.runs,
+		ValidationBudget: uc.budget,
+		SkipReduced:      skipReduced,
+		Explain:          explain,
+	}
+}
+
 // resolve validates an AnalyzeRequest against the benchmark suite and the
 // configuration table. An unknown program is 404 (the resource does not
-// exist); malformed configs, techs, and option values are 400.
+// exist); malformed configs, techs, L2 geometries and option values are
+// 400.
 func (s *Server) resolve(req AnalyzeRequest) (useCase, error) {
 	b, ok := s.benches[req.Program]
 	if !ok {
 		return useCase{}, errorf(404, "unknown benchmark %q", req.Program)
 	}
-	ci, err := cliutil.Config(req.Config)
-	if err != nil {
-		return useCase{}, errorf(400, "%v", err)
+	var l2 cache.Config
+	if req.L2 != nil {
+		var err error
+		l2, err = cliutil.L2(req.L2.Assoc, req.L2.BlockBytes, req.L2.CapacityBytes, req.L2.Policy)
+		if err != nil {
+			return useCase{}, errorf(400, "l2: %v", err)
+		}
 	}
-	policy, err := cliutil.Policy(req.Policy)
-	if err != nil {
-		return useCase{}, errorf(400, "%v", err)
-	}
-	tech, err := cliutil.Tech(req.Tech)
+	ci, h, tech, err := cliutil.Cell(req.Config, req.Policy, req.Tech, l2)
 	if err != nil {
 		return useCase{}, errorf(400, "%v", err)
 	}
@@ -141,38 +137,7 @@ func (s *Server) resolve(req AnalyzeRequest) (useCase, error) {
 	if req.ValidationBudget < 0 {
 		return useCase{}, errorf(400, "validation_budget must be non-negative")
 	}
-	cfg := cache.Table2()[ci]
-	cfg.Policy = policy
-	if err := cfg.Valid(); err != nil {
-		return useCase{}, errorf(400, "%v", err)
-	}
-	var l2 cache.Config
-	if req.L2 != nil {
-		l2pol, err := cliutil.Policy(req.L2.Policy)
-		if err != nil {
-			return useCase{}, errorf(400, "l2: %v", err)
-		}
-		l2 = cache.Config{
-			Assoc:         req.L2.Assoc,
-			BlockBytes:    req.L2.BlockBytes,
-			CapacityBytes: req.L2.CapacityBytes,
-			Policy:        l2pol,
-		}
-		// Degenerate hierarchy geometry (L2 smaller than L1, mismatched
-		// block sizes, an invalid L2 on its own) is a client error.
-		if err := (cache.Hierarchy{L1: cfg, L2: l2}).Valid(); err != nil {
-			return useCase{}, errorf(400, "%v", err)
-		}
-	}
-	return useCase{
-		bench:  b,
-		cfgIdx: ci,
-		cfg:    cfg,
-		l2:     l2,
-		tech:   tech,
-		runs:   runs,
-		budget: req.ValidationBudget,
-	}, nil
+	return useCase{bench: b, cfgIdx: ci, hier: h, tech: tech, runs: runs, budget: req.ValidationBudget}, nil
 }
 
 // maxRuns bounds the per-request simulation count so a single query cannot
@@ -204,7 +169,7 @@ func cacheKey(fp string, cfg cache.Config, tech energy.Tech, runs, budget int, l
 
 // keyFor computes the content address of a resolved use case.
 func (s *Server) keyFor(uc useCase) string {
-	return cacheKey(isa.Fingerprint(uc.bench.Prog), uc.cfg, uc.tech, uc.runs, uc.budget, uc.l2)
+	return cacheKey(isa.Fingerprint(uc.bench.Prog), uc.hier.L1, uc.tech, uc.runs, uc.budget, uc.hier.L2)
 }
 
 // analyze returns the measurement for one resolved use case, serving it
@@ -239,21 +204,12 @@ func (s *Server) analyzeExplain(ctx context.Context, uc useCase, explain bool) (
 		runCell = s.cfg.CellExec
 	}
 	start := time.Now()
-	cell, err := runCell(ctx, uc.bench, uc.cfgIdx, uc.tech, experiment.Options{
-		Policy:           uc.cfg.Policy,
-		L2:               uc.l2,
-		Runs:             uc.runs,
-		ValidationBudget: uc.budget,
-		SkipReduced:      true,
-		Explain:          explain,
-	})
-	s.metrics.observeAnalysis(time.Since(start), err == nil)
-	s.metrics.countPolicy(uc.cfg.Policy.String())
+	cell, err := runCell(ctx, uc.bench, uc.cfgIdx, uc.tech, uc.options(true, explain))
+	s.metrics.observeAnalysis(uc.hier.L1.Policy, time.Since(start), err == nil)
 	if err != nil {
 		// The pipeline is total over the suite, so this is unexpected;
 		// it is not a cacheable result either way.
-		return Result{}, nil, false, fmt.Errorf("analyze %s/%s/%s: %w",
-			uc.bench.Name, cache.ConfigID(uc.cfgIdx), uc.tech, err)
+		return Result{}, nil, false, fmt.Errorf("analyze %v: %w", uc, err)
 	}
 	res = Result{
 		Program:       cell.Program,

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"ucp/internal/experiment"
 	"ucp/internal/pool"
 )
 
@@ -26,7 +27,7 @@ type BatchRequest struct {
 	ValidationBudget int              `json:"validation_budget,omitempty"`
 	// L2 is the default second cache level for cells that carry none of
 	// their own (and for the matrix form).
-	L2 *L2Request `json:"l2,omitempty"`
+	L2 *experiment.L2Request `json:"l2,omitempty"`
 }
 
 // batchCellLine is one NDJSON cell outcome (Result or Error, never both).
@@ -124,7 +125,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	j, pruned, err := s.jobs.tryAdd(SweepRequest{}, cases, s.cfg.MaxQueuedJobs)
 	if err != nil {
-		s.metrics.countBatchRejected()
+		s.metrics.batchRejected.Inc()
 		s.tooMany(w, "server saturated (%d unfinished jobs); retry later", s.cfg.MaxQueuedJobs)
 		return
 	}
@@ -151,12 +152,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				Program: ev.Program,
 				Config:  ev.Config,
 				Tech:    ev.Tech,
-				Policy:  j.cases[i].cfg.Policy.String(),
+				Policy:  j.cases[i].hier.L1.Policy.String(),
 				Error:   ev.Error,
 			}
 			isFailed := ev.Event == "cell_failed"
-			s.metrics.countBatchCell(isFailed)
+			s.metrics.batchCells.Inc()
 			if isFailed {
+				s.metrics.batchFailures.Inc()
 				failed++
 				return line
 			}

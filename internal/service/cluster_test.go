@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ucp/internal/dist"
+	"ucp/internal/experiment"
 	"ucp/internal/journal"
 	"ucp/internal/obs"
 )
@@ -426,7 +427,7 @@ func TestWorkerAdoptsRequestIDAndTraceparent(t *testing.T) {
 		t.Errorf("response X-Request-Id = %q, want the forwarded %q", got, reqID)
 	}
 
-	var env workerCellResponse
+	var env experiment.CellResponse
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +467,7 @@ func TestWorkerAdoptsRequestIDAndTraceparent(t *testing.T) {
 	if resp2.StatusCode != 200 {
 		t.Fatalf("malformed traceparent: %d %s", resp2.StatusCode, b2)
 	}
-	var env2 workerCellResponse
+	var env2 experiment.CellResponse
 	if err := json.Unmarshal(b2, &env2); err != nil {
 		t.Fatal(err)
 	}

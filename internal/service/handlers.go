@@ -206,12 +206,8 @@ func configsL2(r *http.Request) (*cache.Config, error) {
 	if err != nil {
 		return nil, err
 	}
-	pol, err := cliutil.Policy(q.Get("l2_policy"))
+	cfg, err := cliutil.L2(assoc, bb, capacity, q.Get("l2_policy"))
 	if err != nil {
-		return nil, errorf(400, "l2_policy: %v", err)
-	}
-	cfg := cache.Config{Assoc: assoc, BlockBytes: bb, CapacityBytes: capacity, Policy: pol}
-	if err := cfg.Valid(); err != nil {
 		return nil, errorf(400, "l2: %v", err)
 	}
 	return &cfg, nil
@@ -331,7 +327,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return out, perr
 	})
 	if joined {
-		s.metrics.countFlightMerged()
+		s.metrics.flightMerged.Inc()
 	}
 	if err != nil {
 		rec.Root().Attr("error", err.Error())
@@ -449,7 +445,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The backlog is bounded; tell the client when trying again is
 		// likely to succeed rather than letting jobs pile up unbounded.
-		s.metrics.countJobRejected()
+		s.metrics.jobsRejected.Inc()
 		s.tooMany(w, "job queue full (%d unfinished jobs); retry later", s.cfg.MaxQueuedJobs)
 		return
 	}

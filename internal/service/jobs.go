@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ucp/internal/cache"
+	"ucp/internal/experiment"
 	"ucp/internal/interrupt"
 	"ucp/internal/journal"
 	"ucp/internal/obs"
@@ -30,7 +31,7 @@ type SweepRequest struct {
 	ValidationBudget int      `json:"validation_budget,omitempty"`
 	// L2 backs every swept configuration with a second cache level;
 	// omitted keeps the single-level matrix.
-	L2 *L2Request `json:"l2,omitempty"`
+	L2 *experiment.L2Request `json:"l2,omitempty"`
 }
 
 type jobState string
@@ -264,7 +265,7 @@ func (j *job) failCellLocked(uc useCase, err error) {
 	j.failed++
 	if len(j.cellErrors) < maxCellErrors {
 		j.cellErrors = append(j.cellErrors,
-			fmt.Sprintf("%s/%s/%s: %v", uc.bench.Name, cache.ConfigID(uc.cfgIdx), uc.tech, err))
+			fmt.Sprintf("%v: %v", uc, err))
 	}
 }
 
@@ -508,7 +509,7 @@ func (s *Server) startSweep(j *job) {
 			dur := time.Since(start)
 			if aerr != nil {
 				if interrupt.Is(aerr) {
-					s.metrics.countCellCanceled()
+					s.metrics.cellsCanceled.Inc()
 					return interrupt.Wrap(aerr)
 				}
 				msg := sanitizeCellError(aerr)

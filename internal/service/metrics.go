@@ -4,6 +4,7 @@ import (
 	"io"
 	"time"
 
+	"ucp/internal/cache"
 	"ucp/internal/obs"
 )
 
@@ -109,44 +110,11 @@ func (s *Server) registerPulls() {
 	}
 }
 
-// countRequest bumps the per-route request counter.
-func (m *metrics) countRequest(route string) { m.requests.With(route).Inc() }
-
-// countPolicy bumps the per-replacement-policy analysis counter.
-func (m *metrics) countPolicy(policy string) { m.policy.With(policy).Inc() }
-
-// countJobRejected records one sweep submission refused with 429.
-func (m *metrics) countJobRejected() { m.jobsRejected.Inc() }
-
-// countCellCanceled records one sweep cell stopped by a cancellation or
-// deadline rather than by finishing.
-func (m *metrics) countCellCanceled() { m.cellsCanceled.Inc() }
-
-// countFlightMerged records one analyze request that rode another
-// request's in-flight identical execution instead of starting its own.
-func (m *metrics) countFlightMerged() { m.flightMerged.Inc() }
-
-// countBatchCell records one finished batch cell and whether it failed.
-func (m *metrics) countBatchCell(failed bool) {
-	m.batchCells.Inc()
-	if failed {
-		m.batchFailures.Inc()
-	}
-}
-
-// countBatchRejected records one batch refused with 429.
-func (m *metrics) countBatchRejected() { m.batchRejected.Inc() }
-
-// countJobResumed records one journaled job resumed after a restart.
-func (m *metrics) countJobResumed() { m.jobsResumed.Inc() }
-
-// countReplayCell records one cell answered from the journal during
-// replay, with no pipeline run.
-func (m *metrics) countReplayCell() { m.replayCells.Inc() }
-
-// observeAnalysis records one executed (non-cached) analysis.
-func (m *metrics) observeAnalysis(d time.Duration, ok bool) {
+// observeAnalysis records one executed (non-cached) analysis under the
+// L1 replacement policy it ran with.
+func (m *metrics) observeAnalysis(policy cache.Policy, d time.Duration, ok bool) {
 	m.analyses.Inc()
+	m.policy.With(policy.String()).Inc()
 	if !ok {
 		m.failures.Inc()
 	}

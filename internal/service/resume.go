@@ -125,7 +125,7 @@ func (s *Server) adoptDone(j *job, rj journal.Job) {
 		if c.Cached {
 			j.cacheHits++
 		}
-		s.metrics.countReplayCell()
+		s.metrics.replayCells.Inc()
 	}
 	for i := 0; i < rj.Total; i++ {
 		msg, ok := rj.Failures[i]
@@ -175,7 +175,7 @@ func (s *Server) prepareResume(j *job, rj journal.Job) {
 			j.durSumMS += c.DurMS
 			j.durCount++
 		}
-		s.metrics.countReplayCell()
+		s.metrics.replayCells.Inc()
 	}
 	w, err := s.cfg.Journal.Resume(s.baseCtx, j.id)
 	if err != nil {
@@ -183,7 +183,7 @@ func (s *Server) prepareResume(j *job, rj journal.Job) {
 	} else {
 		j.jw = w
 	}
-	s.metrics.countJobResumed()
+	s.metrics.jobsResumed.Inc()
 	s.log.Info("resuming journaled job", "job", j.id,
 		"done", j.done, "total", rj.Total, "skipped_lines", rj.Skipped)
 }

@@ -328,7 +328,7 @@ func (s *Server) logging(next http.Handler) http.Handler {
 				path = "/v1/jobs/{id}"
 			}
 		}
-		s.metrics.countRequest(r.Method + " " + path)
+		s.metrics.requests.With(r.Method + " " + path).Inc()
 		s.log.Info("request",
 			"request_id", id,
 			"method", r.Method,

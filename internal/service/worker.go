@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -12,46 +11,23 @@ import (
 	"ucp/internal/obs"
 )
 
-// workerCellRequest is the coordinator→worker wire format: one sweep cell,
-// selected like an AnalyzeRequest plus the two execution switches a
-// distributed sweep must control. SkipReduced distinguishes the two
-// callers: a coordinator fronting /v1/analyze ships skip_reduced=true
-// (Results carry no reduced-capacity series), while a distributed
-// ucp-bench sweep ships false so the returned Cell feeds Figure 5 and the
-// CSV byte-identically to a local run.
-type workerCellRequest struct {
-	AnalyzeRequest
-	SkipReduced bool `json:"skip_reduced,omitempty"`
-	Explain     bool `json:"explain,omitempty"`
-}
-
-// workerCellResponse is the worker→coordinator envelope. Trace is present
-// only when the request carried a traceparent header: the worker's span
-// tree, rooted in the remote trace context, which the coordinator grafts
-// under its dispatch span so one tree spans both processes. It mirrors
-// internal/dist's cellResponse — the two sides of the same wire format.
-type workerCellResponse struct {
-	Cell  experiment.Cell `json:"cell"`
-	Trace *obs.SpanTree   `json:"trace,omitempty"`
-}
-
-// handleWorkerCell executes one cell in this process and returns the full
-// experiment.Cell as JSON. It is the distributed execution primitive: no
-// result caching (the coordinator owns the cache tiers), no singleflight
-// (the coordinator dedups), just bounded, cancellable, fault-isolated
-// pipeline execution. The endpoint exists only when Config.EnableWorker is
-// set — it belongs on interior replicas behind a coordinator, not on
-// public edges.
+// handleWorkerCell executes one experiment.CellRequest in this process and
+// returns the full experiment.Cell in an experiment.CellResponse. It is the
+// distributed execution primitive: no result caching (the coordinator owns
+// the cache tiers), no singleflight (the coordinator dedups), just bounded,
+// cancellable, fault-isolated pipeline execution. The endpoint exists only
+// when Config.EnableWorker is set — it belongs on interior replicas behind
+// a coordinator, not on public edges.
 func (s *Server) handleWorkerCell(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
 		s.unavailable(w, "server is draining")
 		return
 	}
-	var req workerCellRequest
+	var req experiment.CellRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	uc, err := s.resolve(req.AnalyzeRequest)
+	uc, err := s.resolve(req.CellSpec)
 	if err != nil {
 		s.resolveErr(w, err)
 		return
@@ -91,8 +67,7 @@ func (s *Server) handleWorkerCell(w http.ResponseWriter, r *http.Request) {
 	// The fault site for distributed acceptance tests: UCP_FAULTS rules at
 	// worker.cell can delay, fail, or kill this replica mid-sweep so the
 	// coordinator's retry and failover paths get exercised for real.
-	if err := faults.Fire(ctx, "worker.cell",
-		fmt.Sprintf("%s/%s/%s", uc.bench.Name, cache.ConfigID(uc.cfgIdx), uc.tech)); err != nil {
+	if err := faults.Fire(ctx, "worker.cell", uc.String()); err != nil {
 		span.Attr("error", err.Error())
 		span.End()
 		s.analyzeErr(w, err)
@@ -103,19 +78,11 @@ func (s *Server) handleWorkerCell(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	perr := s.pool.ForEach(ctx, 1, func(ctx context.Context, _ int) error {
 		var aerr error
-		cell, aerr = experiment.RunCell(ctx, uc.bench, uc.cfgIdx, uc.tech, experiment.Options{
-			Policy:           uc.cfg.Policy,
-			L2:               uc.l2,
-			Runs:             uc.runs,
-			ValidationBudget: uc.budget,
-			SkipReduced:      req.SkipReduced,
-			Explain:          req.Explain,
-		})
+		cell, aerr = experiment.RunCell(ctx, uc.bench, uc.cfgIdx, uc.tech, uc.options(req.SkipReduced, req.Explain))
 		return aerr
 	})
 	elapsed := time.Since(start)
-	s.metrics.observeAnalysis(elapsed, perr == nil)
-	s.metrics.countPolicy(uc.cfg.Policy.String())
+	s.metrics.observeAnalysis(uc.hier.L1.Policy, elapsed, perr == nil)
 	s.log.Info("worker cell",
 		"request_id", reqID,
 		"program", uc.bench.Name,
@@ -132,5 +99,5 @@ func (s *Server) handleWorkerCell(w http.ResponseWriter, r *http.Request) {
 	}
 	span.Attr("inserted", cell.Inserted)
 	span.End()
-	s.writeJSON(w, http.StatusOK, workerCellResponse{Cell: cell, Trace: finish()})
+	s.writeJSON(w, http.StatusOK, experiment.CellResponse{Cell: cell, Trace: finish()})
 }
