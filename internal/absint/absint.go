@@ -264,13 +264,16 @@ func newState(cfg cache.Config, satLo uint64, noAM bool) *State {
 // entries, so the following transfer's insertions rarely relocate it.
 const cloneHeadroom = 2
 
-// spanOf returns the index of the first span of blk's cache set.
-func (s *State) spanOf(blk uint64) int {
+// setOf returns the index of blk's cache set.
+func (s *State) setOf(blk uint64) int {
 	if s.nsets&(s.nsets-1) == 0 {
-		return nComp * int(blk&(s.nsets-1))
+		return int(blk & (s.nsets - 1))
 	}
-	return nComp * int(blk%s.nsets)
+	return int(blk % s.nsets)
 }
+
+// spanOf returns the index of the first span of blk's cache set.
+func (s *State) spanOf(blk uint64) int { return nComp * s.setOf(blk) }
 
 // view returns the entries of span k, with no room to grow: an append to it
 // copies instead of writing into a neighbor's slots.
@@ -406,7 +409,13 @@ func (s *State) Clone() *State {
 // Equal reports whether two states are identical. The cached entry counts
 // and (when both are valid) the cached hashes reject unequal states without
 // walking the sets.
-func (s *State) Equal(o *State) bool {
+func (s *State) Equal(o *State) bool { return s.equalIn(o, nil) }
+
+// equalIn is Equal over the cache sets of mask m (every set when m is nil),
+// for two states whose other sets are known to be equal: the cached counts
+// and hashes then still tell the states apart, and only the sets and the
+// saturated bits of m are walked.
+func (s *State) equalIn(o *State, m *setMask) bool {
 	if s == o {
 		return true
 	}
@@ -419,12 +428,25 @@ func (s *State) Equal(o *State) bool {
 	if s.hashOK && o.hashOK && s.hash != o.hash {
 		return false
 	}
-	if !satEqual(s.sat, o.sat) {
+	if m == nil {
+		if !satEqual(s.sat, o.sat) {
+			return false
+		}
+		for k := range s.spans {
+			if !s.view(k).equal(o.view(k)) {
+				return false
+			}
+		}
+		return true
+	}
+	if !m.satEqual(s.sat, o.sat) {
 		return false
 	}
-	for k := range s.spans {
-		if !s.view(k).equal(o.view(k)) {
-			return false
+	for _, si := range m.list {
+		for k := nComp * int(si); k < nComp*int(si)+nComp; k++ {
+			if !s.view(k).equal(o.view(k)) {
+				return false
+			}
 		}
 	}
 	return true
@@ -677,11 +699,20 @@ func mayUpdate(s setState, m uint64, assoc uint8) setState {
 // component unites (keeping minimal ages) — the classical join functions of
 // [8] — and the persistence component unites with maximal bounds: the
 // saturated bitsets OR first, then the young merge drops whatever came out
-// saturated. Each set is joined straight into the arena behind the one
-// before it, with cloneHeadroom slots of room, so the result is packed
-// without holes. Without a may component (s, a and b share their chain's)
-// the may spans stay empty and get no room.
-func (s *State) joinInto(a, b *State) {
+// saturated. A set component whose two inputs are equal is copied, since
+// the join of a set with itself is the set. That holds for the young
+// persistence entries too: a block young on both sides is saturated on
+// neither (a block is never young and saturated at once), so the ORed
+// bitset drops none of them. Each set is joined straight into the arena
+// behind the one before it, with cloneHeadroom slots of room, so the result
+// is packed without holes.
+// Without a may component (s, a and b share their chain's) the may spans
+// stay empty and get no room.
+//
+// A non-nil mask m joins only its sets; every other span of s is left
+// empty, so s is only good for reading m's sets (see setMask). The
+// saturated bitsets still OR whole: that is a few words.
+func (s *State) joinInto(a, b *State, m *setMask) {
 	long, short := a.sat, b.sat
 	if len(long) < len(short) {
 		long, short = short, long
@@ -703,23 +734,48 @@ func (s *State) joinInto(a, b *State) {
 	if cap(s.arena) < need {
 		s.arena = make([]entry, 0, need+need/4)
 	}
-	buf := s.arena[:cap(s.arena)]
-	off := 0
+	s.arena = s.arena[:cap(s.arena)]
 	s.nMust, s.nMay, s.nPers = 0, 0, 0
-	for k := 0; k < len(s.spans); k += nComp {
-		off = s.place(k+cMust, off, joinMustInto(buf[off:off], a.view(k+cMust), b.view(k+cMust)))
-		if s.noAM {
-			s.spans[k+cMay] = span{off: int32(off)}
-		} else {
-			off = s.place(k+cMay, off, joinMayInto(buf[off:off], a.view(k+cMay), b.view(k+cMay)))
+	off := 0
+	if m == nil {
+		for k := 0; k < len(s.spans); k += nComp {
+			off = s.joinSet(k, off, a, b)
 		}
-		off = s.place(k+cPers, off, joinPersInto(&s.satSet, buf[off:off], a.view(k+cPers), b.view(k+cPers)))
-		s.nMust += s.spans[k+cMust].n
-		s.nMay += s.spans[k+cMay].n
-		s.nPers += s.spans[k+cPers].n
+	} else {
+		clear(s.spans)
+		for _, si := range m.list {
+			off = s.joinSet(nComp*int(si), off, a, b)
+		}
 	}
-	s.arena = buf[:off]
+	s.arena = s.arena[:off]
 	s.hashOK = false
+}
+
+// joinSet joins the set whose spans start at k of a and b into s's arena at
+// offset off (see joinInto) and returns the offset after it.
+func (s *State) joinSet(k, off int, a, b *State) int {
+	buf := s.arena
+	if va, vb := a.view(k+cMust), b.view(k+cMust); va.equal(vb) {
+		off = s.place(k+cMust, off, append(buf[off:off], va...))
+	} else {
+		off = s.place(k+cMust, off, joinMustInto(buf[off:off], va, vb))
+	}
+	if s.noAM {
+		s.spans[k+cMay] = span{off: int32(off)}
+	} else if va, vb := a.view(k+cMay), b.view(k+cMay); va.equal(vb) {
+		off = s.place(k+cMay, off, append(buf[off:off], va...))
+	} else {
+		off = s.place(k+cMay, off, joinMayInto(buf[off:off], va, vb))
+	}
+	if va, vb := a.view(k+cPers), b.view(k+cPers); va.equal(vb) {
+		off = s.place(k+cPers, off, append(buf[off:off], va...))
+	} else {
+		off = s.place(k+cPers, off, joinPersInto(&s.satSet, buf[off:off], va, vb))
+	}
+	s.nMust += s.spans[k+cMust].n
+	s.nMay += s.spans[k+cMay].n
+	s.nPers += s.spans[k+cPers].n
+	return off
 }
 
 // place records v, just written at arena offset off, as span k with
@@ -879,6 +935,13 @@ type analyzer struct {
 	// maybe holds the save and join buffers of the set-local Uncertain
 	// access (see maybeBuf).
 	maybe *maybeBuf
+	// mask and base scope a re-analysis to the cache sets an edit reaches
+	// (see setMask): joins, transfers and the value cutoff touch only the
+	// sets of mask, and a block's every other set comes from its exit state
+	// base[id] in the result the call was seeded from. Both are nil when
+	// every set is re-solved.
+	mask *setMask
+	base []*State
 }
 
 // checkInterval is how many fixpoint steps pass between context polls: the
@@ -913,12 +976,29 @@ func AnalyzeChain(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.
 // p into dst, classifying every fetch against the state it meets. The row
 // goes into the scratch buffer cls[p]; the row a block's last transfer
 // recorded is its final classification (see solve).
+//
+// Under a set mask, dst starts as the block's seeded exit state with the
+// masked sets taken from src (from src alone for a block the seed never
+// reached, which edits do not change), and only the events on masked sets
+// are applied; a fetch of an unmasked set gets a placeholder verdict, which
+// the caller replaces by the seed's (see scratch.fillVerdicts).
 func (a *analyzer) transferInto(dst, src *State, p int) {
-	dst.copyFrom(src)
+	if a.mask != nil && a.base[p] != nil {
+		dst.copyFrom(a.base[p])
+		dst.overlay(src, a.mask)
+	} else {
+		dst.copyFrom(src)
+	}
 	ctx := a.x.Blocks[p].Ctx
 	inRest := len(ctx) > 0 && ctx[len(ctx)-1] == 'R'
 	cls := a.cls[p][:0]
 	for _, op := range a.ops[p] {
+		if a.mask != nil && !a.mask.on[dst.setOf(op.acc)] {
+			cls = append(cls, NotClassified)
+			op.cac = cacNever // its set keeps the seed's value
+			a.apply(dst, op)
+			continue
+		}
 		cl := dst.Classify(op.acc)
 		// Persistence upgrade (first-miss classification): a
 		// not-classified reference in an other-iterations context whose
@@ -941,7 +1021,8 @@ func (a *analyzer) transferInto(dst, src *State, p int) {
 // level, with its computed effectiveness. A fill that passes through
 // without targeting this level lands at an unknown time, which the
 // non-effective fill soundly over-approximates (it also covers the fill not
-// happening at all — a redundant prefetch).
+// happening at all — a redundant prefetch). Under a set mask a fill of an
+// unmasked set is skipped: that set keeps the seed's value.
 func (a *analyzer) apply(st *State, op opRec) {
 	switch op.cac {
 	case cacAlways:
@@ -949,7 +1030,7 @@ func (a *analyzer) apply(st *State, op opRec) {
 	case cacUncertain:
 		a.maybe.accessMaybe(st, op.acc)
 	}
-	if op.pft {
+	if op.pft && (a.mask == nil || a.mask.on[st.setOf(op.tgt)]) {
 		st.PrefetchFill(op.tgt, op.eff)
 	}
 }
@@ -999,7 +1080,8 @@ func (b *maybeBuf) accessMaybe(st *State, blk uint64) {
 // the in-state the transfer function is applied to. The returned state may
 // alias a predecessor's out slot (single live predecessor) or one of the
 // scratch states; it is only valid until the next joinPreds call. nil means
-// bottom: no predecessor has produced a state yet.
+// bottom: no predecessor has produced a state yet. Under a set mask a
+// joined state holds the masked sets only.
 func (a *analyzer) joinPreds(id int) *State {
 	if id == a.x.Entry {
 		return a.empty
@@ -1015,7 +1097,7 @@ func (a *analyzer) joinPreds(id int) *State {
 			st = o
 			continue
 		}
-		scr.joinInto(st, o)
+		scr.joinInto(st, o, a.mask)
 		st = scr
 		if scr == a.scrA {
 			scr = a.scrB
@@ -1031,7 +1113,8 @@ func (a *analyzer) joinPreds(id int) *State {
 // differs (marking the successors dirty). Reports whether the exit state
 // changed. When the recomputed state equals the current one the tentative
 // state is recycled and nothing propagates — this is the value cutoff that
-// keeps incremental re-analysis local.
+// keeps incremental re-analysis local. Under a set mask the cutoff compares
+// the masked sets only: every other set is the seed's on both sides.
 func (a *analyzer) processBlock(id int) bool {
 	a.dirty[id] = false
 	st := a.joinPreds(id)
@@ -1042,7 +1125,7 @@ func (a *analyzer) processBlock(id int) bool {
 	}
 	tmp := a.sp.get()
 	a.transferInto(tmp, st, id)
-	if a.out[id] != nil && a.out[id].Equal(tmp) {
+	if a.out[id] != nil && a.out[id].equalIn(tmp, a.mask) {
 		a.sp.put(tmp)
 		return false
 	}
@@ -1139,7 +1222,7 @@ func (a *analyzer) solve(plan *sccPlan) error {
 			switch {
 			case prev == nil:
 				a.outChanged[id] = a.out[id] != nil
-			case a.out[id] != nil && a.out[id].Equal(prev):
+			case a.out[id] != nil && a.out[id].equalIn(prev, a.mask):
 				// Same value: restore the previous pointer and recycle the
 				// recomputed state (downstream consumers keep sharing).
 				if a.ownOut[id] {

@@ -458,7 +458,7 @@ func TestFlatStateDifferential(t *testing.T) {
 							a, ar := source()
 							b, br := source()
 							op, transfer = "join", false
-							spare.joinInto(a, b)
+							spare.joinInto(a, b, nil)
 							spareRef.joinInto(ar, br)
 							spare, sts[k] = sts[k], spare
 							spareRef, refs[k] = refs[k], spareRef

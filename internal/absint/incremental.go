@@ -41,6 +41,14 @@ import (
 // for a post-fixpoint *upper* iteration and could overshoot the least
 // fixpoint; the reset is what makes the result bit-identical, which the
 // differential tests in internal/wcet pin down.)
+//
+// The re-solve is also scoped in space (see setscope.go): the dirty rows
+// name the cache sets whose per-set event sequences changed, and only
+// those sets are joined, transferred, compared and classified. Every other
+// set of a recomputed exit state is copied from the seed's exit state of
+// the same block, and its fetches take the seed's verdicts. Without a mask
+// (a full analysis, or an edit that reaches more than half the sets) the
+// solve takes the whole-state path.
 
 // AnalyzeFrom re-runs the analysis after a program mutation, reusing prev
 // wherever the transfer functions did not change. It yields a Result
@@ -228,11 +236,15 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 	}
 
 	// rowDirty snapshots the transfer-row changes before solve consumes the
-	// dirty flags as its worklist.
+	// dirty flags as its worklist; the rows that changed name the cache sets
+	// the solve re-solves (see setMask).
 	var rowDirty []bool
 	if !full {
 		rowDirty = flags(&sc.rowDirty, n)
 		copy(rowDirty, dirty)
+		if a.mask = sc.scopeSets(prev.ops, ops, rowDirty); a.mask != nil {
+			a.base = prev.out
+		}
 	}
 
 	// Seed the fixpoint with the previous solution (bottom on a cold start)
@@ -252,6 +264,11 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 		span.Attr("incremental", !full)
 		span.Attr("blocks", n)
 		span.Attr("dirty_blocks", nd)
+		if a.mask != nil {
+			span.Attr("mask_sets", len(a.mask.list))
+		} else {
+			span.Attr("mask_sets", cfg.NumSets())
+		}
 	}
 	if !full {
 		copy(a.out, prev.out)
@@ -300,7 +317,8 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 	// Every changed block takes the row its last transfer in the fixpoint
 	// recorded. A block the solve never transferred has no predecessor
 	// state — it is unreachable, and edits never change reachability — so
-	// it is classified against the cold-cache state, like the entry.
+	// it is classified against the cold-cache state, like the entry. Under
+	// a set mask, the fetches on the other sets take the seed's verdicts.
 	for id := range ops {
 		if !full && !res.Changed[id] {
 			res.Class[id] = prev.Class[id]
@@ -310,6 +328,9 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 			a.transferInto(a.scrA, a.empty, id)
 		}
 		res.Class[id] = append([]Classification(nil), a.cls[id]...)
+		if a.mask != nil {
+			sc.fillVerdicts(a.mask, res.Class[id], ops[id], prev.ops[id], prev.Class[id], !rowDirty[id])
+		}
 	}
 	if span != nil {
 		span.Attr("rounds", a.rounds)
@@ -447,6 +468,10 @@ type scratch struct {
 	// (see analyzer.transferInto); maybe the Uncertain access's buffers.
 	cls   [][]Classification
 	maybe maybeBuf
+	// mask is the cache sets a re-analysis re-solves, and prjOld/prjNew
+	// the per-set event lists of a seeded and a new row (see setMask).
+	mask           setMask
+	prjOld, prjNew projection
 }
 
 func newScratch(cfg cache.Config, satLo uint64, noAM bool) *scratch {
@@ -581,6 +606,22 @@ func (r *Result) PooledStates() int {
 		}
 	}
 	return n
+}
+
+// DiffStates returns the first expanded block whose exit states in r and o
+// differ (reached in only one of them, or unequal), or -1 when every exit
+// state is equal. It is for tests and diagnostics.
+func (r *Result) DiffStates(o *Result) int {
+	n := min(len(r.out), len(o.out))
+	for id, s := range r.out[:n] {
+		if t := o.out[id]; (s == nil) != (t == nil) || s != nil && !s.Equal(t) {
+			return id
+		}
+	}
+	if len(r.out) != len(o.out) {
+		return n
+	}
+	return -1
 }
 
 // InState derives the abstract state on entry to expanded block id — the

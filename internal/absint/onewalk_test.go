@@ -19,7 +19,7 @@ func refAccessMaybe(st *State, blk uint64) *State {
 	acc := st.Clone()
 	acc.Access(blk)
 	jn := newState(st.cfg, st.satLo, false)
-	jn.joinInto(st, acc)
+	jn.joinInto(st, acc, nil)
 	return jn
 }
 
@@ -88,7 +88,7 @@ func TestUncertainAccessSetLocal(t *testing.T) {
 							sts[k].PrefetchFill(blk, r < 10)
 						case r < 13:
 							a, b := rng.Intn(pop), rng.Intn(pop)
-							spare.joinInto(sts[a], sts[b])
+							spare.joinInto(sts[a], sts[b], nil)
 							spare, sts[k] = sts[k], spare
 						default:
 							want := refAccessMaybe(sts[k], blk)

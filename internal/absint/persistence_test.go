@@ -360,7 +360,7 @@ func TestPersistenceSplitDifferential(t *testing.T) {
 							op = fmt.Sprintf("join(%d, %d)", a, b)
 							// The spare is a recycled state whose buffers
 							// still hold an older state's contents.
-							spare.joinInto(sts[a], sts[b])
+							spare.joinInto(sts[a], sts[b], nil)
 							spare, sts[k] = sts[k], spare
 							refs[k] = refJoin(refs[a], refs[b])
 						default:

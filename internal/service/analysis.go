@@ -106,11 +106,23 @@ func (uc useCase) options(skipReduced, explain bool) experiment.Options {
 	}
 }
 
-// resolve validates an AnalyzeRequest against the benchmark suite and the
-// configuration table. An unknown program is 404 (the resource does not
-// exist); malformed configs, techs, L2 geometries and option values are
-// 400.
+// resolve validates a public AnalyzeRequest: resolveCell, and a runs count
+// within maxRuns (400 beyond it).
 func (s *Server) resolve(req AnalyzeRequest) (useCase, error) {
+	uc, err := s.resolveCell(req)
+	if err == nil && uc.runs > maxRuns {
+		return useCase{}, errorf(400, "runs %d out of range [1,%d]", req.Runs, maxRuns)
+	}
+	return uc, err
+}
+
+// resolveCell validates an AnalyzeRequest against the benchmark suite and
+// the configuration table. An unknown program is 404 (the resource does not
+// exist); malformed configs, techs, L2 geometries and option values are
+// 400. It leaves the runs count unbounded, as a local sweep does: the
+// worker endpoint, which a coordinator feeds the cells of such a sweep,
+// resolves through it directly.
+func (s *Server) resolveCell(req AnalyzeRequest) (useCase, error) {
 	b, ok := s.benches[req.Program]
 	if !ok {
 		return useCase{}, errorf(404, "unknown benchmark %q", req.Program)
@@ -131,8 +143,8 @@ func (s *Server) resolve(req AnalyzeRequest) (useCase, error) {
 	if runs == 0 {
 		runs = 3
 	}
-	if runs < 0 || runs > maxRuns {
-		return useCase{}, errorf(400, "runs %d out of range [1,%d]", req.Runs, maxRuns)
+	if runs < 0 {
+		return useCase{}, errorf(400, "runs %d must be positive", req.Runs)
 	}
 	if req.ValidationBudget < 0 {
 		return useCase{}, errorf(400, "validation_budget must be non-negative")
@@ -140,8 +152,8 @@ func (s *Server) resolve(req AnalyzeRequest) (useCase, error) {
 	return useCase{bench: b, cfgIdx: ci, hier: h, tech: tech, runs: runs, budget: req.ValidationBudget}, nil
 }
 
-// maxRuns bounds the per-request simulation count so a single query cannot
-// monopolize a worker for long.
+// maxRuns bounds the per-request simulation count of the public routes so
+// a single query cannot monopolize a server for long.
 const maxRuns = 64
 
 // cacheKey is the content address of a use-case result: a SHA-256 over the

@@ -3,19 +3,23 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"ucp/internal/dist"
+	"ucp/internal/energy"
 	"ucp/internal/experiment"
 	"ucp/internal/journal"
+	"ucp/internal/malardalen"
 	"ucp/internal/obs"
 )
 
@@ -489,5 +493,38 @@ func TestResumedJobSeedsETAFromJournal(t *testing.T) {
 	}
 	if eta != 6*1000 {
 		t.Fatalf("eta = %dms, want 6000 (6 cells × 1000ms mean)", eta)
+	}
+}
+
+// TestDistributedCellBeyondQueryRunsCap pins that the worker endpoint runs
+// the cells of any sweep a local run accepts: a cell of 65 runs, above the
+// public routes' maxRuns, dispatched through a coordinator to a worker,
+// returns exactly the locally computed cell, while /v1/analyze still
+// refuses the same count.
+func TestDistributedCellBeyondQueryRunsCap(t *testing.T) {
+	w, _ := testServer(t, Config{EnableWorker: true})
+	coord, err := dist.New(dist.Options{Workers: []string{w.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	b, _ := malardalen.ByName("fibcall")
+	o := experiment.Options{Runs: maxRuns + 1, ValidationBudget: 20}
+	got, err := coord.Exec(context.Background(), b, 0, energy.Tech45, o)
+	if err != nil {
+		t.Fatalf("distributed cell of %d runs: %v", o.Runs, err)
+	}
+	want, err := experiment.RunCell(context.Background(), b, 0, energy.Tech45, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("distributed cell %+v\nlocal cell %+v", got, want)
+	}
+
+	resp, body := postJSON(t, w.URL+"/v1/analyze",
+		fmt.Sprintf(`{"program":"fibcall","config":"k1","tech":"45nm","runs":%d,"validation_budget":20}`, maxRuns+1))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("/v1/analyze with %d runs: %d %s, want 400", maxRuns+1, resp.StatusCode, body)
 	}
 }

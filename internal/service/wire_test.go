@@ -111,7 +111,7 @@ func TestWorkerCellWireFormat(t *testing.T) {
 			if !s.decodeBody(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/cell", strings.NewReader(c.want)), &req) {
 				t.Fatalf("worker refuses the request: %d %s", rec.Code, rec.Body)
 			}
-			uc, err := s.resolve(req.CellSpec)
+			uc, err := s.resolveCell(req.CellSpec)
 			if err != nil {
 				t.Fatal(err)
 			}

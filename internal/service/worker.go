@@ -27,7 +27,7 @@ func (s *Server) handleWorkerCell(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	uc, err := s.resolve(req.CellSpec)
+	uc, err := s.resolveCell(req.CellSpec)
 	if err != nil {
 		s.resolveErr(w, err)
 		return

@@ -259,7 +259,7 @@ func TestDifferentialDirtyPropagationFuzz(t *testing.T) {
 // 8 KiB L2. Accepted results are kept, not retired.
 func TestReleaseDifferential(t *testing.T) {
 	t.Parallel()
-	acceptRejectChains(t, false, nil)
+	acceptRejectChains(context.Background(), t, false, nil)
 }
 
 // TestRetireDifferential is TestReleaseDifferential with the optimizer's
@@ -270,7 +270,7 @@ func TestReleaseDifferential(t *testing.T) {
 // exit state of the live result may sit in either level's pool.
 func TestRetireDifferential(t *testing.T) {
 	t.Parallel()
-	acceptRejectChains(t, true, nil)
+	acceptRejectChains(context.Background(), t, true, nil)
 }
 
 // TestAssembleDifferential holds the assembly — one pricing function, a
@@ -327,7 +327,7 @@ func TestAssembleDifferential(t *testing.T) {
 		}
 	}
 	t.Logf("%d program × policy × hierarchy legs checked", checked)
-	acceptRejectChains(t, true, check)
+	acceptRejectChains(context.Background(), t, true, check)
 
 	// The optimizer's chain on fdct under FIFO at the pinned goldens'
 	// geometry reaches an edit that adds fetches and removes misses at
@@ -397,9 +397,10 @@ func chainHierarchies(pol cache.Policy) []cache.Hierarchy {
 }
 
 // acceptRejectChains runs the chains of TestReleaseDifferential and, with
-// retire set, of TestRetireDifferential. A non-nil check also sees every
-// re-analysis of the chain before it is accepted or rolled back.
-func acceptRejectChains(t *testing.T, retire bool, check func(t *testing.T, where string, r *wcet.Result)) {
+// retire set, of TestRetireDifferential, every re-analysis under ctx. A
+// non-nil check also sees every re-analysis of the chain before it is
+// accepted or rolled back.
+func acceptRejectChains(ctx context.Context, t *testing.T, retire bool, check func(t *testing.T, where string, r *wcet.Result)) {
 	steps := 12
 	if testing.Short() {
 		steps = 5
@@ -433,7 +434,7 @@ func acceptRejectChains(t *testing.T, retire bool, check func(t *testing.T, wher
 					for k := 0; k < 1+rng.Intn(3); k++ {
 						mutate(rng, p)
 					}
-					cur, err := wcet.AnalyzeXHierFrom(context.Background(), x, h, par, prev)
+					cur, err := wcet.AnalyzeXHierFrom(ctx, x, h, par, prev)
 					if err != nil {
 						t.Fatal(err)
 					}
