@@ -47,8 +47,8 @@ import (
 // those sets are joined, transferred, compared and classified. Every other
 // set of a recomputed exit state is copied from the seed's exit state of
 // the same block, and its fetches take the seed's verdicts. Without a mask
-// (a full analysis, or an edit that reaches more than half the sets) the
-// solve takes the whole-state path.
+// (a full analysis, or an edit that reaches more than half the sets, the
+// measured cutoff of scopeSets) the solve takes the whole-state path.
 
 // AnalyzeFrom re-runs the analysis after a program mutation, reusing prev
 // wherever the transfer functions did not change. It yields a Result

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ucp/internal/cache"
+	"ucp/internal/cache/cachetest"
 	"ucp/internal/isa"
 	"ucp/internal/malardalen"
 )
@@ -107,7 +108,7 @@ func TestMayDemandStatesDifferential(t *testing.T) {
 	}
 	ctx := context.Background()
 	dropped := 0
-	for _, pol := range policiesUnderTest(t) {
+	for _, pol := range cachetest.Policies(t) {
 		h := cache.Hierarchy{
 			L1: cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 256, Policy: pol},
 			L2: cache.Config{Assoc: 4, BlockBytes: 32, CapacityBytes: 2048, Policy: pol},
@@ -161,7 +162,7 @@ func TestMayDemandStatesDifferential(t *testing.T) {
 		}
 	}
 	if dropped == 0 {
-		for _, pol := range policiesUnderTest(t) {
+		for _, pol := range cachetest.Policies(t) {
 			if pol != cache.FIFO {
 				t.Fatal("no AlwaysMiss verdict was dropped; the differential is vacuous")
 			}

@@ -2,32 +2,14 @@ package absint
 
 import (
 	"math/rand"
-	"os"
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"ucp/internal/cache"
+	"ucp/internal/cache/cachetest"
 	"ucp/internal/isa"
 	"ucp/internal/vivu"
 )
-
-// policiesUnderTest returns the replacement policies the TestPolicy* tests
-// should cover: every supported policy, or just the one named by the
-// UCP_POLICY environment variable (the CI policy matrix runs the suite once
-// per policy that way).
-func policiesUnderTest(t *testing.T) []cache.Policy {
-	t.Helper()
-	s := strings.ToLower(strings.TrimSpace(os.Getenv("UCP_POLICY")))
-	if s == "" || s == "all" {
-		return cache.Policies()
-	}
-	p, err := cache.ParsePolicy(s)
-	if err != nil {
-		t.Fatalf("UCP_POLICY: %v", err)
-	}
-	return []cache.Policy{p}
-}
 
 // TestPolicyClassificationSoundness is TestClassificationSoundness run under
 // every replacement policy: the concrete driver replays the program against
@@ -46,7 +28,7 @@ func TestPolicyClassificationSoundness(t *testing.T) {
 		{Assoc: 2, BlockBytes: 16, CapacityBytes: 256},
 		{Assoc: 4, BlockBytes: 32, CapacityBytes: 512},
 	}
-	for _, pol := range policiesUnderTest(t) {
+	for _, pol := range cachetest.Policies(t) {
 		for _, p := range programs {
 			for _, base := range cfgs {
 				cfg := base
@@ -111,7 +93,7 @@ func TestPolicyClassificationSoundness(t *testing.T) {
 // Property: must ⊆ may under every policy, through accesses and both kinds
 // of prefetch fills.
 func TestPolicyMustSubsetOfMay(t *testing.T) {
-	for _, pol := range policiesUnderTest(t) {
+	for _, pol := range cachetest.Policies(t) {
 		cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 64, Policy: pol}
 		f := func(ops []uint8) bool {
 			st := NewState(cfg)

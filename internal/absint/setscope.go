@@ -154,8 +154,12 @@ func sameOn(po, pn *projection, ro, rn []opRec, si int) bool {
 // scopeSets returns the mask of a re-analysis whose rows are ops, seeded
 // from a result whose rows were prevOps: the sets onto which some row-dirty
 // block projects differently from its seeded row. It returns nil, for the
-// whole-state path, when that is more than half the sets: copying the few
-// clean sets in from the seed then costs about what re-solving them does.
+// whole-state path, when that is more than half the sets. A masked transfer
+// copies the seed's exit state and overlays every masked set, so it gains
+// less the larger the mask. Timed on both paths, half was the cheapest
+// single cutoff for BenchmarkFigure3's L1 re-analyses and within 1 % of
+// the cheapest for BenchmarkHierarchyFrontier's; leaving the mask on up to
+// a full mask cost 4 to 6 % more (DESIGN.md §8).
 func (sc *scratch) scopeSets(prevOps, ops [][]opRec, rowDirty []bool) *setMask {
 	st := sc.empty
 	nsets := int(st.nsets)

@@ -4,34 +4,17 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
 	"reflect"
-	"strings"
 	"testing"
 
 	"ucp/internal/absint"
 	"ucp/internal/cache"
+	"ucp/internal/cache/cachetest"
 	"ucp/internal/isa"
 	"ucp/internal/malardalen"
 	"ucp/internal/vivu"
 	"ucp/internal/wcet"
 )
-
-// policiesUnderTest returns the replacement policies a policy-matrix test
-// covers: every supported policy, or just the one named by the UCP_POLICY
-// environment variable (the CI policy matrix runs it once per policy).
-func policiesUnderTest(t *testing.T) []cache.Policy {
-	t.Helper()
-	s := strings.ToLower(strings.TrimSpace(os.Getenv("UCP_POLICY")))
-	if s == "" || s == "all" {
-		return cache.Policies()
-	}
-	p, err := cache.ParsePolicy(s)
-	if err != nil {
-		t.Fatalf("UCP_POLICY: %v", err)
-	}
-	return []cache.Policy{p}
-}
 
 // TestMayDemandDifferential runs the optimizer's chains with the AlwaysMiss
 // demand OptimizeHier derives (amDemand: the may component dropped at every
@@ -63,7 +46,7 @@ func TestMayDemandDifferential(t *testing.T) {
 	}
 	defer func() { testRefreshCheck = nil }()
 	dropped, runs := 0, 0
-	for _, pol := range policiesUnderTest(t) {
+	for _, pol := range cachetest.Policies(t) {
 		for _, leg := range []goldenLeg{legL1, legL1L2} {
 			h, par := goldenHierarchy(pol, leg.l2)
 			opt := Options{Par: par, ValidationBudget: 25}
@@ -112,7 +95,7 @@ func TestMayDemandDifferential(t *testing.T) {
 		}
 	}
 	if dropped == 0 {
-		for _, pol := range policiesUnderTest(t) {
+		for _, pol := range cachetest.Policies(t) {
 			if pol != cache.FIFO {
 				t.Fatal("no seed analysis dropped an AlwaysMiss verdict; the differential is vacuous")
 			}

@@ -6,6 +6,7 @@ import (
 
 	"ucp/internal/absint"
 	"ucp/internal/cache"
+	"ucp/internal/cache/cachetest"
 	"ucp/internal/isa"
 	"ucp/internal/malardalen"
 	"ucp/internal/wcet"
@@ -43,7 +44,7 @@ func TestHierarchySoundnessCrossLayer(t *testing.T) {
 	if testing.Short() {
 		benches = benches[:8]
 	}
-	for _, pol := range policiesUnderTest(t) {
+	for _, pol := range cachetest.Policies(t) {
 		for _, v := range variants(pol) {
 			if err := v.h.Valid(); err != nil {
 				t.Fatalf("%s: %v", v.name, err)
@@ -112,7 +113,7 @@ func TestHierarchySoundnessCrossLayer(t *testing.T) {
 // must reconcile with the aggregate L2 Stats on a prefetch-free program.
 func TestHierarchyOnFetch2Accounting(t *testing.T) {
 	p := isa.Build("acct2", isa.Loop(6, 4, isa.Code(30)), isa.Code(9))
-	for _, pol := range policiesUnderTest(t) {
+	for _, pol := range cachetest.Policies(t) {
 		h := cache.Hierarchy{
 			L1: cache.Config{Assoc: 1, BlockBytes: 16, CapacityBytes: 64, Policy: pol},
 			L2: cache.Config{Assoc: 2, BlockBytes: 32, CapacityBytes: 256, Policy: pol},

@@ -2,33 +2,15 @@ package sim
 
 import (
 	"context"
-	"os"
-	"strings"
 	"testing"
 
 	"ucp/internal/absint"
 	"ucp/internal/cache"
+	"ucp/internal/cache/cachetest"
 	"ucp/internal/isa"
 	"ucp/internal/malardalen"
 	"ucp/internal/wcet"
 )
-
-// policiesUnderTest returns the replacement policies the TestPolicy* tests
-// should cover: every supported policy, or just the one named by the
-// UCP_POLICY environment variable (the CI policy matrix runs the suite once
-// per policy that way).
-func policiesUnderTest(t *testing.T) []cache.Policy {
-	t.Helper()
-	s := strings.ToLower(strings.TrimSpace(os.Getenv("UCP_POLICY")))
-	if s == "" || s == "all" {
-		return cache.Policies()
-	}
-	p, err := cache.ParsePolicy(s)
-	if err != nil {
-		t.Fatalf("UCP_POLICY: %v", err)
-	}
-	return []cache.Policy{p}
-}
 
 // soundnessConfigs samples the Table 2 axis: one configuration per
 // associativity, small enough that the benchmarks actually contend for sets.
@@ -52,7 +34,7 @@ func TestPolicySoundnessCrossLayer(t *testing.T) {
 	if testing.Short() {
 		benches = benches[:8]
 	}
-	for _, pol := range policiesUnderTest(t) {
+	for _, pol := range cachetest.Policies(t) {
 		for _, base := range soundnessConfigs {
 			cfg := base
 			cfg.Policy = pol
@@ -106,7 +88,7 @@ func TestPolicySoundnessCrossLayer(t *testing.T) {
 func TestPolicyOnFetchAccounting(t *testing.T) {
 	par := wcet.Params{HitCycles: 1, MissPenalty: 9, Lambda: 10}
 	p := isa.Build("acct", isa.Loop(6, 4, isa.Code(10)), isa.Code(5))
-	for _, pol := range policiesUnderTest(t) {
+	for _, pol := range cachetest.Policies(t) {
 		cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 128, Policy: pol}
 		var calls, misses int64
 		st := Run(p, cfg, Options{Par: par, Seed: 3, Runs: 2, OnFetch: func(_ isa.InstrRef, hit bool) {

@@ -4,36 +4,19 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ucp/internal/absint"
 	"ucp/internal/cache"
+	"ucp/internal/cache/cachetest"
 	"ucp/internal/isa"
 	"ucp/internal/malardalen"
 	"ucp/internal/obs"
 	"ucp/internal/vivu"
 	"ucp/internal/wcet"
 )
-
-// policiesUnderTest returns every replacement policy, or only the one the
-// UCP_POLICY environment variable names (the CI policy matrix runs the
-// set-scoped differential once per policy).
-func policiesUnderTest(t *testing.T) []cache.Policy {
-	t.Helper()
-	s := strings.ToLower(strings.TrimSpace(os.Getenv("UCP_POLICY")))
-	if s == "" || s == "all" {
-		return cache.Policies()
-	}
-	p, err := cache.ParsePolicy(s)
-	if err != nil {
-		t.Fatalf("UCP_POLICY: %v", err)
-	}
-	return []cache.Policy{p}
-}
 
 // sameLevel compares one level of a re-analysis with a from-scratch
 // analysis of the same program: every exit state, every verdict and every
@@ -145,7 +128,7 @@ func TestSetScopedDifferential(t *testing.T) {
 	}
 	ctx := context.Background()
 	for pi, prog := range progs {
-		for _, pol := range policiesUnderTest(t) {
+		for _, pol := range cachetest.Policies(t) {
 			for _, h := range chainHierarchies(pol) {
 				par := diffParams(h)
 				am := wcet.AMDemand{L1: true, L2: true}
