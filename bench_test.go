@@ -36,7 +36,7 @@ func benchSweep(b *testing.B, programs []string, configs []int, techs []energy.T
 	var suite *experiment.Suite
 	for i := 0; i < b.N; i++ {
 		var err error
-		suite, err = experiment.Run(experiment.Options{
+		suite, err = experiment.Sweep(context.Background(), experiment.Options{
 			Programs:         programs,
 			Configs:          configs,
 			Techs:            techs,
@@ -84,7 +84,7 @@ func BenchmarkHierarchyFrontier(b *testing.B) {
 	var suite *experiment.Suite
 	for i := 0; i < b.N; i++ {
 		var err error
-		suite, err = experiment.Run(experiment.Options{
+		suite, err = experiment.Sweep(context.Background(), experiment.Options{
 			Programs:         benchPrograms,
 			Configs:          benchConfigs,
 			Techs:            []energy.Tech{energy.Tech45},
@@ -141,17 +141,17 @@ func BenchmarkAblationHardwarePrefetch(b *testing.B) {
 	par := mdl.WCETParams()
 	out := benchOut(b)
 	for i := 0; i < b.N; i++ {
-		base := sim.Run(prog.Prog, cfg, sim.Options{Par: par, Runs: 1, Seed: 3})
+		base := sim.RunHier(prog.Prog, cache.Hier1(cfg), sim.Options{Par: par, Runs: 1, Seed: 3})
 		fmt.Fprintf(out, "%-18s missrate=%5.2f%% dram=%d\n", "on-demand", 100*base.MissRate(), base.DRAMReads)
 		for _, hw := range hwpref.All() {
-			s := sim.Run(prog.Prog, cfg, sim.Options{Par: par, Runs: 1, Seed: 3, HW: hw})
+			s := sim.RunHier(prog.Prog, cache.Hier1(cfg), sim.Options{Par: par, Runs: 1, Seed: 3, HW: hw})
 			fmt.Fprintf(out, "%-18s missrate=%5.2f%% dram=%d\n", hw.Name(), 100*s.MissRate(), s.DRAMReads)
 		}
-		opt, _, err := core.Optimize(context.Background(), prog.Prog, cfg, core.Options{Par: par, ValidationBudget: 120})
+		opt, _, err := core.OptimizeHier(context.Background(), prog.Prog, cache.Hier1(cfg), core.Options{Par: par, ValidationBudget: 120})
 		if err != nil {
 			b.Fatal(err)
 		}
-		s := sim.Run(opt, cfg, sim.Options{Par: par, Runs: 1, Seed: 3})
+		s := sim.RunHier(opt, cache.Hier1(cfg), sim.Options{Par: par, Runs: 1, Seed: 3})
 		fmt.Fprintf(out, "%-18s missrate=%5.2f%% dram=%d\n", "sw-prefetch (ours)", 100*s.MissRate(), s.DRAMReads)
 	}
 }
@@ -169,8 +169,8 @@ func BenchmarkAblationLocking(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		locked := sim.Run(prog.Prog, cfg, sim.Options{Par: par, Runs: 1, Seed: 3, Locked: sel.Blocks})
-		unlocked := sim.Run(prog.Prog, cfg, sim.Options{Par: par, Runs: 1, Seed: 3})
+		locked := sim.RunHier(prog.Prog, cache.Hier1(cfg), sim.Options{Par: par, Runs: 1, Seed: 3, Locked: sel.Blocks})
+		unlocked := sim.RunHier(prog.Prog, cache.Hier1(cfg), sim.Options{Par: par, Runs: 1, Seed: 3})
 		eL := mdl.Energy(locked.Account()).TotalPJ()
 		eU := mdl.Energy(unlocked.Account()).TotalPJ()
 		fmt.Fprintf(out, "locked:   acet=%d energy=%.0fnJ (bound %d, exact)\n", locked.Cycles, eL/1e3, sel.TauW)
@@ -197,7 +197,7 @@ func BenchmarkAblationCriterion(b *testing.B) {
 	out := benchOut(b)
 	for i := 0; i < b.N; i++ {
 		for _, v := range variants {
-			_, rep, err := core.Optimize(context.Background(), prog.Prog, cfg, v.opt)
+			_, rep, err := core.OptimizeHier(context.Background(), prog.Prog, cache.Hier1(cfg), v.opt)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -36,13 +36,13 @@ func main() {
 		mdl := energy.NewModel(cfg, energy.Tech45)
 		par := mdl.WCETParams()
 
-		opt, rep, err := core.Optimize(context.Background(), b.Prog, cfg, core.Options{Par: par})
+		opt, rep, err := core.OptimizeHier(context.Background(), b.Prog, cache.Hier1(cfg), core.Options{Par: par})
 		if err != nil {
 			log.Fatal(err)
 		}
 		so := sim.Options{Par: par, Seed: 7, Runs: 3}
-		orig := sim.Run(b.Prog, cfg, so)
-		after := sim.Run(opt, cfg, so)
+		orig := sim.RunHier(b.Prog, cache.Hier1(cfg), so)
+		after := sim.RunHier(opt, cache.Hier1(cfg), so)
 		eOrig := mdl.Energy(orig.Account()).TotalPJ()
 		eOpt := mdl.Energy(after.Account()).TotalPJ()
 

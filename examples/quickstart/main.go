@@ -2,6 +2,8 @@
 // builder, run the cache-aware WCET analysis, optimize it with
 // unlocked-cache prefetching, and verify the paper's guarantee — the memory
 // contribution to the WCET never grows (Theorem 1) while misses drop.
+// Every pipeline entry point takes a cache hierarchy; the task's one-level
+// cache is the degenerate hierarchy cache.Hier1(cfg).
 package main
 
 import (
@@ -33,13 +35,13 @@ func main() {
 	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 256}
 	par := wcet.Params{HitCycles: 1, MissPenalty: 16, Lambda: 16}
 
-	before, err := wcet.Analyze(context.Background(), task, cfg, par)
+	before, err := wcet.AnalyzeHier(context.Background(), task, cache.Hier1(cfg), par)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("original:  τ_w = %d cycles, %d WCET-scenario misses\n", before.TauW, before.Misses)
 
-	optimized, report, err := core.Optimize(context.Background(), task, cfg, core.Options{Par: par})
+	optimized, report, err := core.OptimizeHier(context.Background(), task, cache.Hier1(cfg), core.Options{Par: par})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,8 +56,8 @@ func main() {
 
 	// The average case follows along (the paper's Condition 3).
 	so := sim.Options{Par: par, Seed: 1, Runs: 5}
-	a := sim.Run(task, cfg, so)
-	b := sim.Run(optimized, cfg, so)
+	a := sim.RunHier(task, cache.Hier1(cfg), so)
+	b := sim.RunHier(optimized, cache.Hier1(cfg), so)
 	fmt.Printf("simulated: ACET %.0f -> %.0f cycles (%.1f%%), miss rate %.2f%% -> %.2f%%\n",
 		a.ACETCycles(), b.ACETCycles(), 100*(1-b.ACETCycles()/a.ACETCycles()),
 		100*a.MissRate(), 100*b.MissRate())

@@ -47,11 +47,11 @@ func main() {
 		mdl := energy.NewModel(tk.slice, energy.Tech32)
 		par := mdl.WCETParams()
 
-		before, err := wcet.Analyze(context.Background(), b.Prog, tk.slice, par)
+		before, err := wcet.AnalyzeHier(context.Background(), b.Prog, cache.Hier1(tk.slice), par)
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, rep, err := core.Optimize(context.Background(), b.Prog, tk.slice, core.Options{Par: par})
+		_, rep, err := core.OptimizeHier(context.Background(), b.Prog, cache.Hier1(tk.slice), core.Options{Par: par})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -42,14 +42,14 @@ func main() {
 		mFull := energy.NewModel(full, energy.Tech45)
 		mHalf := energy.NewModel(half, energy.Tech45)
 
-		orig := sim.Run(b.Prog, full, sim.Options{Par: mFull.WCETParams(), Seed: 9, Runs: 3})
+		orig := sim.RunHier(b.Prog, cache.Hier1(full), sim.Options{Par: mFull.WCETParams(), Seed: 9, Runs: 3})
 		eOrig := mFull.Energy(orig.Account()).TotalPJ()
 
-		opt, rep, err := core.Optimize(context.Background(), b.Prog, half, core.Options{Par: mHalf.WCETParams()})
+		opt, rep, err := core.OptimizeHier(context.Background(), b.Prog, cache.Hier1(half), core.Options{Par: mHalf.WCETParams()})
 		if err != nil {
 			log.Fatal(err)
 		}
-		small := sim.Run(opt, half, sim.Options{Par: mHalf.WCETParams(), Seed: 9, Runs: 3})
+		small := sim.RunHier(opt, cache.Hier1(half), sim.Options{Par: mHalf.WCETParams(), Seed: 9, Runs: 3})
 		eSmall := mHalf.Energy(small.Account()).TotalPJ()
 
 		acetRatio := small.ACETCycles() / orig.ACETCycles()

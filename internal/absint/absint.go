@@ -15,11 +15,12 @@
 // paper's Definition 10); otherwise the fill only ages the target set in the
 // must state and joins the may state.
 //
-// Besides the from-scratch Analyze, the package offers AnalyzeFrom, an
-// incremental re-analysis seeded from a previous Result (see
-// incremental.go): only the blocks whose transfer function actually changed
-// — and the region reachable from them — are re-solved, which is what makes
-// the optimizer's validate-and-commit loop affordable.
+// Besides the one-shot Analyze (and AnalyzeL2 behind it, see hier.go), the
+// package offers AnalyzeChain, which also re-analyzes incrementally from a
+// previous Result of the same level (see incremental.go): only the blocks
+// whose transfer function actually changed — and the region reachable from
+// them — are re-solved, which is what makes the optimizer's
+// validate-and-commit loop affordable.
 package absint
 
 import (
@@ -837,7 +838,7 @@ type Result struct {
 	// Changed[xb] reports whether block xb's transfer row or in-state value
 	// differs from the previous result's, i.e. whether anything derived
 	// from the block could differ. It is nil after a full analysis (every
-	// block counts as changed) and set by AnalyzeFrom, so downstream
+	// block counts as changed) and set by a seeded AnalyzeChain, so downstream
 	// consumers (the WCET assembly) can reuse per-block derivatives of
 	// unchanged blocks.
 	Changed []bool
@@ -953,23 +954,35 @@ const checkInterval = 256
 // lay on cache configuration cfg, with a prefetch latency of lambda cycles.
 // Cancelling ctx aborts the fixpoint cooperatively: the call returns a typed
 // interrupt error (interrupt.ErrCanceled / interrupt.ErrDeadline) and no
-// Result.
+// Result. It starts an L1 chain with the AlwaysMiss demand set (see
+// AnalyzeChain), as AnalyzeL2 does behind it.
 func Analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Config, lambda int) (*Result, error) {
 	return analyze(ctx, x, lay, cfg, lambda, nil, nil, true)
 }
 
-// AnalyzeChain runs the full analysis that starts a chain of re-analyses
-// (AnalyzeFrom, AnalyzeL2From) of one cache level: the L1 when l1 is nil,
-// otherwise the level behind it, gated by the L1 result l1 (cfg is then the
-// L2's configuration). am says whether a consumer of the chain reads
-// AlwaysMiss verdicts. Without that demand the chain drops the may
+// AnalyzeChain is the one chain entry of every cache level: the L1 when l1
+// is nil, otherwise the level behind it, gated by the L1 result l1 (cfg is
+// then the L2's configuration). am says whether a consumer of the chain
+// reads AlwaysMiss verdicts. Without that demand the chain drops the may
 // component wherever the policy's transfer does not need it (LRU and
 // PLRU); every AlwaysMiss verdict then reads NotClassified, and every other
 // verdict, every exit state's must and persistence components, and so
-// every WCET price stay as they are (DESIGN.md §9). Analyze and AnalyzeL2
-// are AnalyzeChain with am set.
-func AnalyzeChain(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Config, lambda int, l1 *Result, am bool) (*Result, error) {
-	return analyze(ctx, x, lay, cfg, lambda, l1, nil, am)
+// every WCET price stay as they are (DESIGN.md §9).
+//
+// A nil prev starts a chain with a full analysis. Otherwise prev is the
+// result of the same level for an earlier version of the program, mutated
+// in place since (the expansion is structural, so instruction edits keep
+// it valid): the call re-solves only what the mutation changed (see
+// incremental.go) and yields a Result bit-identical to a full analysis.
+// A prev of another expansion, configuration, λ, level or demand, or one
+// whose layout started at a different block (the saturated persistence
+// bits are numbered from the chain's first block), is not seeded from: the
+// call runs a full analysis instead. An aborted call (canceled ctx) returns
+// a typed interrupt error and leaves prev fully usable for a later retry.
+// An L2 call refuses an l1 without AlwaysMiss verdicts (see
+// Result.HasAlwaysMiss) with an error.
+func AnalyzeChain(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Config, lambda int, l1, prev *Result, am bool) (*Result, error) {
+	return analyze(ctx, x, lay, cfg, lambda, l1, prev, am)
 }
 
 // transferInto pushes src through the instruction sequence of expanded block

@@ -133,10 +133,10 @@ func TestAnalyzeFromAbortLeavesPrevUsable(t *testing.T) {
 	prev := testAnalyze(t, x, lay, cfg, 10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if res, err := AnalyzeFrom(ctx, x, lay, cfg, 10, prev); res != nil || err == nil {
-		t.Fatalf("aborted AnalyzeFrom = (%v, %v), want (nil, error)", res, err)
+	if res, err := AnalyzeChain(ctx, x, lay, cfg, 10, nil, prev, true); res != nil || err == nil {
+		t.Fatalf("aborted AnalyzeChain = (%v, %v), want (nil, error)", res, err)
 	}
-	retry, err := AnalyzeFrom(context.Background(), x, lay, cfg, 10, prev)
+	retry, err := AnalyzeChain(context.Background(), x, lay, cfg, 10, nil, prev, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func TestAnalyzeFromRebasedLayoutRunsFull(t *testing.T) {
 	if moved.StartAddr()/uint64(cfg.BlockBytes) == lay.StartAddr()/uint64(cfg.BlockBytes) {
 		t.Fatal("the start block did not move")
 	}
-	got, err := AnalyzeFrom(context.Background(), x, moved, cfg, lambda, prev)
+	got, err := AnalyzeChain(context.Background(), x, moved, cfg, lambda, nil, prev, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,6 +545,75 @@ func TestAnalyzeFromRebasedLayoutRunsFull(t *testing.T) {
 		}
 		if !got.InState(id).Equal(want.InState(id)) {
 			t.Fatalf("in-state of block %d diverges from a fresh analysis", id)
+		}
+	}
+}
+
+// TestChainSeedCompatibilityDifferential pins AnalyzeChain's rule for
+// seeding from prev. A seed of another level, λ, configuration or AlwaysMiss
+// demand must run a full analysis (Changed == nil) equal to a fresh one;
+// a compatible seed re-analyzes incrementally (Changed != nil) to the same
+// result. Both levels use one configuration, so only the level tells an L1
+// seed from an L2 one.
+func TestChainSeedCompatibilityDifferential(t *testing.T) {
+	p := isa.Build("compat",
+		isa.Code(6),
+		isa.Loop(10, 8, isa.Code(40), isa.If(0.5, isa.S(isa.Code(20)), isa.S(isa.Code(30)))),
+		isa.Code(12))
+	x, lay := mustExpand(t, p)
+	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 256}
+	other := cache.Config{Assoc: 4, BlockBytes: 16, CapacityBytes: 256}
+	const lambda = 10
+	ctx := context.Background()
+	chain := func(lay *isa.Layout, cfg cache.Config, lambda int, l1, prev *Result, am bool) *Result {
+		t.Helper()
+		r, err := AnalyzeChain(ctx, x, lay, cfg, lambda, l1, prev, am)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	s1 := chain(lay, cfg, lambda, nil, nil, true)
+	s2 := chain(lay, cfg, lambda, s1, nil, true)
+
+	insertRandomPrefetch(rand.New(rand.NewSource(3)), p)
+	lay = isa.NewLayout(p)
+	l1 := chain(lay, cfg, lambda, nil, nil, true)
+	for _, tc := range []struct {
+		name   string
+		cfg    cache.Config
+		lambda int
+		l1     *Result
+		prev   *Result
+		am     bool
+		seeded bool
+	}{
+		{"L1 seed at the L2", cfg, lambda, l1, s1, true, false},
+		{"L2 seed at the L1", cfg, lambda, nil, s2, true, false},
+		{"another λ", cfg, lambda + 5, nil, s1, true, false},
+		{"another config", other, lambda, nil, s1, true, false},
+		{"another demand", cfg, lambda, nil, s1, false, false},
+		{"compatible L1", cfg, lambda, nil, s1, true, true},
+		{"compatible L2", cfg, lambda, l1, s2, true, true},
+	} {
+		got := chain(lay, tc.cfg, tc.lambda, tc.l1, tc.prev, tc.am)
+		if seeded := got.Changed != nil; seeded != tc.seeded {
+			t.Fatalf("%s: seeded %v, want %v", tc.name, seeded, tc.seeded)
+		}
+		want := chain(lay, tc.cfg, tc.lambda, tc.l1, nil, tc.am)
+		if got.HasAlwaysMiss() != want.HasAlwaysMiss() {
+			t.Fatalf("%s: HasAlwaysMiss %v, want %v", tc.name, got.HasAlwaysMiss(), want.HasAlwaysMiss())
+		}
+		for id := range want.Class {
+			for i := range want.Class[id] {
+				if got.Class[id][i] != want.Class[id][i] || got.Effective(id, i) != want.Effective(id, i) {
+					t.Fatalf("%s: block %d ref %d: %v/%v, want %v/%v", tc.name, id, i,
+						got.Class[id][i], got.Effective(id, i), want.Class[id][i], want.Effective(id, i))
+				}
+			}
+			if g, w := got.out[id], want.out[id]; (g == nil) != (w == nil) || g != nil && !g.Equal(w) {
+				t.Fatalf("%s: exit state of block %d diverges from a fresh analysis", tc.name, id)
+			}
 		}
 	}
 }

@@ -26,9 +26,10 @@ import (
 // fill of an L1 prefetch passes through the L2 on its way at an unknown
 // time, so at the L2 it is applied as a non-effective (age-only) fill; only
 // Level-2 prefetches may be effective there. Since both levels share the
-// fixpoint, the L2 also shares its incremental re-analysis: AnalyzeL2From
-// diffs the CAC-gated rows against the previous L2 result and re-solves only
-// what a mutation (or a shifted L1 classification) actually changed.
+// fixpoint, the L2 also shares its incremental re-analysis: AnalyzeChain
+// seeded from the previous L2 result diffs the CAC-gated rows against it and
+// re-solves only what a mutation (or a shifted L1 classification) actually
+// changed.
 
 // cacClass is Hardy & Puaut's cache access classification: whether a
 // reference reaches the analyzed cache level.
@@ -69,18 +70,4 @@ func cacOf(c Classification) cacClass {
 // Result.HasAlwaysMiss) is refused with an error.
 func AnalyzeL2(ctx context.Context, x *vivu.Prog, lay *isa.Layout, h cache.Hierarchy, lambda int, l1 *Result) (*Result, error) {
 	return analyze(ctx, x, lay, h.L2, lambda, l1, nil, true)
-}
-
-// AnalyzeL2From is the incremental form of AnalyzeL2, seeded from the L2
-// result prev of an earlier analysis of the same expanded program; l1 is the
-// L1 result of the current program. It yields a Result bit-identical to
-// a full analysis with prev's AlwaysMiss demand (see AnalyzeChain) and
-// degrades to one when prev is nil or incompatible. Like AnalyzeL2 it
-// refuses an l1 without AlwaysMiss verdicts.
-func AnalyzeL2From(ctx context.Context, x *vivu.Prog, lay *isa.Layout, h cache.Hierarchy, lambda int, l1, prev *Result) (*Result, error) {
-	am := prev == nil || prev.HasAlwaysMiss()
-	if prev == nil || prev.X != x || prev.Cfg != h.L2 || prev.lambda != lambda || !prev.gated {
-		prev = nil
-	}
-	return analyze(ctx, x, lay, h.L2, lambda, l1, prev, am)
 }

@@ -50,31 +50,10 @@ import (
 // (a full analysis, or an edit that reaches more than half the sets, the
 // measured cutoff of scopeSets) the solve takes the whole-state path.
 
-// AnalyzeFrom re-runs the analysis after a program mutation, reusing prev
-// wherever the transfer functions did not change. It yields a Result
-// bit-identical to Analyze on the mutated program. prev must come from an
-// Analyze/AnalyzeFrom call on the same expanded program (the expansion is
-// structural, so in-place instruction edits keep it valid); when prev is
-// nil or incompatible — including a prev whose layout started at a different
-// block, since the saturated persistence bits are numbered from the chain's
-// first block — the call degrades to a full analysis. The re-analysis
-// keeps prev's AlwaysMiss demand (see AnalyzeChain): a chain never mixes
-// states with and without the may component. An aborted call
-// (canceled ctx) returns a typed interrupt error and leaves prev fully
-// usable for a later retry.
-func AnalyzeFrom(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Config, lambda int, prev *Result) (*Result, error) {
-	am := prev == nil || prev.HasAlwaysMiss()
-	if prev == nil || prev.X != x || prev.Cfg != cfg || prev.lambda != lambda || prev.gated {
-		prev = nil
-	}
-	return analyze(ctx, x, lay, cfg, lambda, nil, prev, am)
-}
-
-// analyze is the one fixpoint behind every level: Analyze and AnalyzeFrom
-// run it for the L1 (l1 == nil, every access Always), AnalyzeL2 and
-// AnalyzeL2From for the L2 gated by the L1 result l1. prev == nil means a
-// full analysis; am is the AlwaysMiss demand (see AnalyzeChain), and a prev
-// whose chain answers it differently is not seeded from.
+// analyze is the one fixpoint behind every level: the L1 when l1 is nil
+// (every access Always), otherwise the L2 gated by the L1 result l1. A nil
+// or incompatible prev means a full analysis with the AlwaysMiss demand am
+// (see AnalyzeChain); a compatible prev seeds an incremental re-analysis.
 func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Config, lambda int, l1, prev *Result, am bool) (*Result, error) {
 	if l1 != nil && !l1.HasAlwaysMiss() {
 		return nil, errors.New("absint: the L2 access gate reads L1 AlwaysMiss verdicts, and the L1 result was computed without them")
@@ -102,9 +81,11 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 	}
 	satLo := lay.StartAddr() / uint64(cfg.BlockBytes)
 	noAM := !am && !keepsMay(cfg)
-	if prev != nil && (prev.scr.sp.satLo != satLo || prev.scr.sp.noAM != noAM) {
-		// The seed's states number their saturated bits differently, or
-		// differ in having a may component.
+	if prev != nil && (prev.X != x || prev.Cfg != cfg || prev.lambda != lambda || prev.gated != res.gated ||
+		prev.scr.sp.satLo != satLo || prev.scr.sp.noAM != noAM) {
+		// Another expansion, configuration, latency or level; or the
+		// seed's states number their saturated bits differently, or differ
+		// in having a may component.
 		prev = nil
 	}
 	full := prev == nil
@@ -450,7 +431,7 @@ func effScope(x *vivu.Prog, ops [][]opRec, baseDirty []bool, lambda int, sc *scr
 // state. It travels inside the Result and is shared by every Result of one
 // chain, so a steady-state re-analysis allocates almost nothing beyond the
 // states it actually retains. A chain
-// is inherently sequential; two AnalyzeFrom calls seeded from the same
+// is inherently sequential; two AnalyzeChain calls seeded from the same
 // chain must not run concurrently.
 type scratch struct {
 	sp    statePool

@@ -9,6 +9,7 @@ import (
 	"ucp/internal/cache"
 	"ucp/internal/cache/cachetest"
 	"ucp/internal/isa"
+	"ucp/internal/isa/isatest"
 	"ucp/internal/malardalen"
 )
 
@@ -101,7 +102,7 @@ func TestMayDemandStatesDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	var progs []*isa.Program
 	for i := 0; i < 24; i++ {
-		progs = append(progs, diffRandomProgram(rng, fmt.Sprintf("rnd%d", i)))
+		progs = append(progs, isatest.RandomProgram(rng, fmt.Sprintf("rnd%d", i)))
 	}
 	for _, b := range malardalen.All() {
 		progs = append(progs, b.Prog)
@@ -132,14 +133,14 @@ func TestMayDemandStatesDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				if step == 0 {
-					leanL1, err = AnalyzeChain(ctx, x, lay, h.L1, 10, nil, false)
+					leanL1, err = AnalyzeChain(ctx, x, lay, h.L1, 10, nil, nil, false)
 					if err == nil {
-						leanL2, err = AnalyzeChain(ctx, x, lay, h.L2, 10, full, false)
+						leanL2, err = AnalyzeChain(ctx, x, lay, h.L2, 10, full, nil, false)
 					}
 				} else {
-					// The re-analyses inherit the chains' missing demand.
-					if leanL1, err = AnalyzeFrom(ctx, x, lay, h.L1, 10, leanL1); err == nil {
-						leanL2, err = AnalyzeL2From(ctx, x, lay, h, 10, full, leanL2)
+					// The re-analyses keep the chains' missing demand.
+					if leanL1, err = AnalyzeChain(ctx, x, lay, h.L1, 10, nil, leanL1, false); err == nil {
+						leanL2, err = AnalyzeChain(ctx, x, lay, h.L2, 10, full, leanL2, false)
 					}
 				}
 				if err != nil {
@@ -183,7 +184,7 @@ func TestMayDemandGuards(t *testing.T) {
 		L1: cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 128},
 		L2: cache.Config{Assoc: 4, BlockBytes: 32, CapacityBytes: 1024},
 	}
-	lean, err := AnalyzeChain(ctx, x, lay, h.L1, 10, nil, false)
+	lean, err := AnalyzeChain(ctx, x, lay, h.L1, 10, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,16 +199,16 @@ func TestMayDemandGuards(t *testing.T) {
 	if _, err := AnalyzeL2(ctx, x, lay, h, 10, lean); err == nil {
 		t.Error("AnalyzeL2 accepted an L1 result without AlwaysMiss verdicts")
 	}
-	if _, err := AnalyzeL2From(ctx, x, lay, h, 10, lean, prev); err == nil {
-		t.Error("AnalyzeL2From accepted an L1 result without AlwaysMiss verdicts")
+	if _, err := AnalyzeChain(ctx, x, lay, h.L2, 10, lean, prev, true); err == nil {
+		t.Error("a seeded AnalyzeChain accepted an L1 result without AlwaysMiss verdicts for the L2")
 	}
-	if _, err := AnalyzeChain(ctx, x, lay, h.L2, 10, lean, false); err == nil {
+	if _, err := AnalyzeChain(ctx, x, lay, h.L2, 10, lean, nil, false); err == nil {
 		t.Error("AnalyzeChain accepted an L1 result without AlwaysMiss verdicts for the L2")
 	}
 
 	fifo := h.L1
 	fifo.Policy = cache.FIFO
-	if r, err := AnalyzeChain(ctx, x, lay, fifo, 10, nil, false); err != nil || !r.HasAlwaysMiss() {
+	if r, err := AnalyzeChain(ctx, x, lay, fifo, 10, nil, nil, false); err != nil || !r.HasAlwaysMiss() {
 		t.Fatalf("a FIFO chain must keep may whatever the demand (err %v)", err)
 	}
 

@@ -9,6 +9,7 @@ import (
 
 	"ucp/internal/cache"
 	"ucp/internal/isa"
+	"ucp/internal/isa/isatest"
 	"ucp/internal/malardalen"
 	"ucp/internal/vivu"
 )
@@ -149,31 +150,6 @@ func refClassify(r *Result, id int) []Classification {
 	return cls
 }
 
-// diffRandomProgram builds a random structured program with nested loops
-// and branches, the shape of the generator the wcet differentials use.
-func diffRandomProgram(rng *rand.Rand, name string) *isa.Program {
-	var gen func(depth int) []isa.Node
-	gen = func(depth int) []isa.Node {
-		var nodes []isa.Node
-		n := 1 + rng.Intn(3)
-		for i := 0; i < n; i++ {
-			switch k := rng.Intn(6); {
-			case k < 3 || depth >= 3:
-				nodes = append(nodes, isa.Code(1+rng.Intn(18)))
-			case k == 3:
-				nodes = append(nodes, isa.If(rng.Float64(), gen(depth+1), gen(depth+1)))
-			case k == 4:
-				nodes = append(nodes, isa.IfThen(rng.Float64(), gen(depth+1)...))
-			default:
-				b := 1 + rng.Intn(6)
-				nodes = append(nodes, isa.Loop(b, float64(rng.Intn(b))+rng.Float64()*0.5, gen(depth+1)...))
-			}
-		}
-		return nodes
-	}
-	return isa.Build(name, gen(0)...)
-}
-
 // diffMutate applies one random edit of the kinds the optimizer performs:
 // a prefetch insertion (at either level) or removal, or a pad insertion
 // that shifts the layout.
@@ -217,8 +193,8 @@ func diffMutate(rng *rand.Rand, p *isa.Program) bool {
 // TestClassifyInFixpointDifferential pins the classification rows the
 // fixpoint records against the post-solve walk they replaced: on random
 // programs and on looped Mälardalen programs, at the L1 and at the gated
-// L2, for full analyses and along AnalyzeFrom / AnalyzeL2From chains of
-// random edits, every block's Class row must equal the walk of its derived
+// L2, for full analyses and along seeded AnalyzeChain chains of random
+// edits, every block's Class row must equal the walk of its derived
 // in-state. A row recorded before a cyclic component converged (a member's
 // first round instead of its last) fails here.
 func TestClassifyInFixpointDifferential(t *testing.T) {
@@ -230,7 +206,7 @@ func TestClassifyInFixpointDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var progs []*isa.Program
 	for i := 0; i < 10; i++ {
-		progs = append(progs, diffRandomProgram(rng, fmt.Sprintf("rnd%d", i)))
+		progs = append(progs, isatest.RandomProgram(rng, fmt.Sprintf("rnd%d", i)))
 	}
 	for _, name := range []string{"crc", "fdct", "bs"} {
 		bm, ok := malardalen.ByName(name)
@@ -281,10 +257,10 @@ func TestClassifyInFixpointDifferential(t *testing.T) {
 					continue
 				}
 				lay := isa.NewLayout(p)
-				if r1, err = AnalyzeFrom(ctx, x, lay, h.L1, lambda, r1); err != nil {
+				if r1, err = AnalyzeChain(ctx, x, lay, h.L1, lambda, nil, r1, true); err != nil {
 					t.Fatal(err)
 				}
-				if r2, err = AnalyzeL2From(ctx, x, lay, h, lambda, r1, r2); err != nil {
+				if r2, err = AnalyzeChain(ctx, x, lay, h.L2, lambda, r1, r2, true); err != nil {
 					t.Fatal(err)
 				}
 				where := fmt.Sprintf("%s %v step %d", p.Name, h, step)

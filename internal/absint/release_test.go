@@ -64,7 +64,7 @@ func TestReleaseRecyclesOnlyOwnStates(t *testing.T) {
 	ctx := context.Background()
 	analyzeFrom := func(prev *Result) *Result {
 		t.Helper()
-		r, err := AnalyzeFrom(ctx, x, isa.NewLayout(p), cfg, lambda, prev)
+		r, err := AnalyzeChain(ctx, x, isa.NewLayout(p), cfg, lambda, nil, prev, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,15 +10,16 @@ import (
 
 	"ucp/internal/cache"
 	"ucp/internal/isa"
+	"ucp/internal/isa/isatest"
 	"ucp/internal/vivu"
 )
 
 // TestSCCPlanDifferential holds the region-derived fixpoint plan to the
 // Tarjan condensation it replaced. Each chain starts from a full analysis,
-// swaps in Tarjan's plan, and carries it through AnalyzeFrom and
-// AnalyzeL2From re-analyses of random edits; after every edit each level's
+// swaps in Tarjan's plan, and carries it through seeded AnalyzeChain
+// re-analyses of random edits at both levels; after every edit each level's
 // Class, Effective and InState rows must equal a full analysis under the
-// region plan. The programs are the first 16 of diffRandomProgram under
+// region plan. The programs are the first 16 of isatest.RandomProgram under
 // seed 2 and the first 27 under seed 11. The last of them has a bound-1
 // inner loop whose dead-end latch lies inside the outer region but outside
 // its strongly-connected component, so there the two plans differ.
@@ -32,7 +33,7 @@ func TestSCCPlanDifferential(t *testing.T) {
 	for _, set := range []struct{ seed, n int64 }{{2, 16}, {11, 27}} {
 		rng := rand.New(rand.NewSource(set.seed))
 		for i := int64(0); i < set.n; i++ {
-			progs = append(progs, diffRandomProgram(rng, fmt.Sprintf("rnd%d.%d", set.seed, i)))
+			progs = append(progs, isatest.RandomProgram(rng, fmt.Sprintf("rnd%d.%d", set.seed, i)))
 		}
 	}
 	rng := rand.New(rand.NewSource(22))
@@ -80,11 +81,11 @@ func TestSCCPlanDifferential(t *testing.T) {
 			}
 			plan := tarjanPlan(x)
 			lay := isa.NewLayout(p)
-			r1, err := AnalyzeFrom(ctx, x, lay, h.L1, lambda, nil)
+			r1, err := AnalyzeChain(ctx, x, lay, h.L1, lambda, nil, nil, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := AnalyzeL2From(ctx, x, lay, h, lambda, r1, nil)
+			r2, err := AnalyzeChain(ctx, x, lay, h.L2, lambda, r1, nil, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,20 +95,20 @@ func TestSCCPlanDifferential(t *testing.T) {
 					continue
 				}
 				lay = isa.NewLayout(p)
-				if r1, err = AnalyzeFrom(ctx, x, lay, h.L1, lambda, r1); err != nil {
+				if r1, err = AnalyzeChain(ctx, x, lay, h.L1, lambda, nil, r1, true); err != nil {
 					t.Fatal(err)
 				}
-				if r2, err = AnalyzeL2From(ctx, x, lay, h, lambda, r1, r2); err != nil {
+				if r2, err = AnalyzeChain(ctx, x, lay, h.L2, lambda, r1, r2, true); err != nil {
 					t.Fatal(err)
 				}
 				if r1.sccs != plan || r2.sccs != plan {
 					t.Fatalf("%s step %d: the chain dropped Tarjan's plan", p.Name, step)
 				}
-				f1, err := AnalyzeFrom(ctx, x, lay, h.L1, lambda, nil)
+				f1, err := AnalyzeChain(ctx, x, lay, h.L1, lambda, nil, nil, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				f2, err := AnalyzeL2From(ctx, x, lay, h, lambda, f1, nil)
+				f2, err := AnalyzeChain(ctx, x, lay, h.L2, lambda, f1, nil, true)
 				if err != nil {
 					t.Fatal(err)
 				}

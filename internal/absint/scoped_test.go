@@ -70,11 +70,11 @@ func TestScopedRowsDifferential(t *testing.T) {
 	}
 	const lambda = 8
 	ctx := context.Background()
-	r1, err := AnalyzeFrom(ctx, x, lay, h.L1, lambda, nil)
+	r1, err := AnalyzeChain(ctx, x, lay, h.L1, lambda, nil, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := AnalyzeL2From(ctx, x, lay, h, lambda, r1, nil)
+	r2, err := AnalyzeChain(ctx, x, lay, h.L2, lambda, r1, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestScopedRowsDifferential(t *testing.T) {
 	if src := rowSources(p, d, &buf); !src[0] || !src[1] {
 		t.Fatal("rowSources misses a block whose prefetch target moved")
 	}
-	n1, err := AnalyzeFrom(ctx, x, d, h.L1, lambda, r1)
+	n1, err := AnalyzeChain(ctx, x, d, h.L1, lambda, nil, r1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := AnalyzeL2From(ctx, x, d, h, lambda, n1, r2)
+	n2, err := AnalyzeChain(ctx, x, d, h.L2, lambda, n1, r2, true)
 	if err != nil {
 		t.Fatal(err)
 	}

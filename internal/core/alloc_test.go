@@ -36,7 +36,7 @@ func TestValidationAllocBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, rep, err := Optimize(context.Background(), bm.Prog, cfg, Options{Par: testPar})
+	_, rep, err := OptimizeHier(context.Background(), bm.Prog, cache.Hier1(cfg), Options{Par: testPar})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

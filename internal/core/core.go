@@ -66,7 +66,7 @@ type Options struct {
 	// counterproductive: the alignment boundaries already confine the
 	// relocation, and the pads only add fetch pressure.
 	PadToBlock bool
-	// ValidationBudget caps the number of sound re-analyses one Optimize
+	// ValidationBudget caps the number of sound re-analyses one OptimizeHier
 	// call may spend (0 means the default of 700). Candidates are proposed
 	// in reverse execution order — synergistic chains stay contiguous, so
 	// the batched bisection accepts them in few analyses and the budget
@@ -168,29 +168,24 @@ type Report struct {
 	Decisions []Decision `json:"decisions,omitempty"`
 }
 
-// Optimize returns a prefetch-equivalent optimized copy of p for the given
-// cache configuration (Problem 1). The input program is not modified.
+// OptimizeHier returns a prefetch-equivalent optimized copy of p for the
+// cache hierarchy h (Problem 1); a single-level cache is cache.Hier1(cfg).
+// The input program is not modified. With an L2, the classic L1 candidate
+// phase runs first against the hierarchical analysis (fetch outcomes priced
+// per level), then a second phase proposes prefetch-into-L2 candidates:
+// Level-2 prefetches whose fill installs into the L2 only, converting
+// guaranteed future L2 misses into L2 hits. Both phases commit through the
+// same validate-or-rollback machinery, so Theorem 1 (τ_w never increases)
+// holds for the hierarchy by the same construction, with the joint miss
+// count (L1+L2) taking the role of the WCET-scenario miss count in
+// Condition 2.
 //
-// Optimize is cooperatively cancellable: when ctx is canceled or its
+// OptimizeHier is cooperatively cancellable: when ctx is canceled or its
 // deadline passes, the current pass (reverse walk or validation analysis)
 // unwinds and the call returns a typed interrupt error with no program and
 // no report. A canceled optimization therefore never produces output —
 // Theorem 1 is all-or-nothing, there is no partially validated result to
 // misuse (see DESIGN.md §10).
-func Optimize(ctx context.Context, p *isa.Program, cfg cache.Config, opt Options) (*isa.Program, *Report, error) {
-	return OptimizeHier(ctx, p, cache.Hier1(cfg), opt)
-}
-
-// OptimizeHier optimizes p for the cache hierarchy h. With no L2 configured
-// it is exactly Optimize on h.L1 — same analyses, same decisions, same
-// output bits. With an L2, the classic L1 candidate phase runs first against
-// the hierarchical analysis (fetch outcomes priced per level), then a second
-// phase proposes prefetch-into-L2 candidates: Level-2 prefetches whose fill
-// installs into the L2 only, converting guaranteed future L2 misses into L2
-// hits. Both phases commit through the same validate-or-rollback machinery,
-// so Theorem 1 (τ_w never increases) holds for the hierarchy by the same
-// construction, with the joint miss count (L1+L2) taking the role of the
-// WCET-scenario miss count in Condition 2.
 func OptimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Options) (*isa.Program, *Report, error) {
 	return optimizeHier(ctx, p, h, opt, amDemand(h, opt))
 }

@@ -14,9 +14,9 @@ var testPar = wcet.Params{HitCycles: 1, MissPenalty: 9, Lambda: 10}
 
 func optimize(t *testing.T, p *isa.Program, cfg cache.Config) (*isa.Program, *Report) {
 	t.Helper()
-	q, rep, err := Optimize(context.Background(), p, cfg, Options{Par: testPar})
+	q, rep, err := OptimizeHier(context.Background(), p, cache.Hier1(cfg), Options{Par: testPar})
 	if err != nil {
-		t.Fatalf("Optimize(context.Background(), %s): %v", p.Name, err)
+		t.Fatalf("OptimizeHier(%s): %v", p.Name, err)
 	}
 	return q, rep
 }
@@ -112,7 +112,7 @@ func TestTheorem1Property(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		p := randomProgram(rng, "t1")
 		for _, cfg := range cfgs {
-			q, rep, err := Optimize(context.Background(), p, cfg, Options{Par: testPar})
+			q, rep, err := OptimizeHier(context.Background(), p, cache.Hier1(cfg), Options{Par: testPar})
 			if err != nil {
 				t.Fatalf("program %d: %v", i, err)
 			}
@@ -126,11 +126,11 @@ func TestTheorem1Property(t *testing.T) {
 				t.Fatalf("program %d: WCET misses increased", i)
 			}
 			// Independent re-verification with a fresh analysis.
-			before, err := wcet.Analyze(context.Background(), p, cfg, testPar)
+			before, err := wcet.AnalyzeHier(context.Background(), p, cache.Hier1(cfg), testPar)
 			if err != nil {
 				t.Fatal(err)
 			}
-			after, err := wcet.Analyze(context.Background(), q, cfg, testPar)
+			after, err := wcet.AnalyzeHier(context.Background(), q, cache.Hier1(cfg), testPar)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,12 +174,12 @@ func TestInputProgramUnmodified(t *testing.T) {
 	orig := p.Clone()
 	optimize(t, p, thrashCfg())
 	if p.NInstr() != orig.NInstr() {
-		t.Fatal("Optimize mutated its input")
+		t.Fatal("OptimizeHier mutated its input")
 	}
 	for bi := range p.Blocks {
 		for ii := range p.Blocks[bi].Instrs {
 			if p.Blocks[bi].Instrs[ii] != orig.Blocks[bi].Instrs[ii] {
-				t.Fatal("Optimize mutated input instructions")
+				t.Fatal("OptimizeHier mutated input instructions")
 			}
 		}
 	}
@@ -187,7 +187,7 @@ func TestInputProgramUnmodified(t *testing.T) {
 
 func TestMaxInsertionsCap(t *testing.T) {
 	p := thrasher()
-	q, rep, err := Optimize(context.Background(), p, thrashCfg(), Options{Par: testPar, MaxInsertions: 2})
+	q, rep, err := OptimizeHier(context.Background(), p, cache.Hier1(thrashCfg()), Options{Par: testPar, MaxInsertions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestMaxInsertionsCap(t *testing.T) {
 
 func TestDisableValidationStillEquivalent(t *testing.T) {
 	p := thrasher()
-	q, _, err := Optimize(context.Background(), p, thrashCfg(), Options{Par: testPar, DisableValidation: true, MaxInsertions: 8})
+	q, _, err := OptimizeHier(context.Background(), p, cache.Hier1(thrashCfg()), Options{Par: testPar, DisableValidation: true, MaxInsertions: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestExplainDecisionsMatchProgram(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown program %s", tc.prog)
 		}
-		q, rep, err := Optimize(context.Background(), bm.Prog, configs[tc.cfg],
+		q, rep, err := OptimizeHier(context.Background(), bm.Prog, cache.Hier1(configs[tc.cfg]),
 			Options{Par: par, Explain: true, ValidationBudget: 150})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.prog, err)

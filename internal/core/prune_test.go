@@ -20,14 +20,14 @@ func TestPruneRemovesHandInsertedParasite(t *testing.T) {
 
 	// Optimize normally first: the output must not contain prefetches whose
 	// removal would be free.
-	q, rep, err := Optimize(context.Background(), p, cfg, Options{Par: testPar})
+	q, rep, err := OptimizeHier(context.Background(), p, cache.Hier1(cfg), Options{Par: testPar})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Inserted == 0 {
 		t.Skip("no insertions to check")
 	}
-	before, err := wcet.Analyze(context.Background(), q, cfg, testPar)
+	before, err := wcet.AnalyzeHier(context.Background(), q, cache.Hier1(cfg), testPar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestPruneRemovesHandInsertedParasite(t *testing.T) {
 			}
 			trial := q.Clone()
 			trial.RemoveInstr(isa.InstrRef{Block: bi, Index: i})
-			after, err := wcet.Analyze(context.Background(), trial, cfg, testPar)
+			after, err := wcet.AnalyzeHier(context.Background(), trial, cache.Hier1(cfg), testPar)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestPlacementHoistsOutOfLoop(t *testing.T) {
 		isa.Code(60), // tail, overlapping the loop's sets
 	)
 	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 256}
-	q, rep, err := Optimize(context.Background(), p, cfg, Options{Par: testPar})
+	q, rep, err := OptimizeHier(context.Background(), p, cache.Hier1(cfg), Options{Par: testPar})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestPlacementHoistsOutOfLoop(t *testing.T) {
 	}
 	// Count dynamic prefetch executions: with hoisting they must be far
 	// fewer than (insertions × loop bound).
-	s := sim.Run(q, cfg, sim.Options{Par: testPar, Runs: 1, Seed: 1})
+	s := sim.RunHier(q, cache.Hier1(cfg), sim.Options{Par: testPar, Runs: 1, Seed: 1})
 	perIteration := int64(rep.Inserted) * 36
 	if s.PrefetchExecuted >= perIteration {
 		t.Fatalf("prefetches executed %d times — placement did not hoist (bound was %d)",
@@ -97,7 +97,7 @@ func TestDisableEffectivenessFindsMoreCandidates(t *testing.T) {
 }
 
 func count(p *isa.Program, o Options) (*Report, error) {
-	_, rep, err := Optimize(context.Background(), p, thrashCfg(), o)
+	_, rep, err := OptimizeHier(context.Background(), p, cache.Hier1(thrashCfg()), o)
 	return rep, err
 }
 
@@ -110,7 +110,7 @@ func TestBackwardWindowMatchesAssociativity(t *testing.T) {
 	// 3 blocks in each set — one over the ways.
 	p := isa.Build("bw", isa.Code(22))
 	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 64}
-	_, rep, err := Optimize(context.Background(), p, cfg, Options{Par: par})
+	_, rep, err := OptimizeHier(context.Background(), p, cache.Hier1(cfg), Options{Par: par})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestBackwardWindowMatchesAssociativity(t *testing.T) {
 	// Same program, 4-way 1-set cache of the same capacity: 6 blocks still
 	// overflow; but a tiny program that fits (2 blocks per set) must not.
 	small := isa.Build("bw2", isa.Code(10)) // 12 instrs = 3 blocks over 2 sets
-	_, rep2, err := Optimize(context.Background(), small, cfg, Options{Par: par})
+	_, rep2, err := OptimizeHier(context.Background(), small, cache.Hier1(cfg), Options{Par: par})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestOptimizeAcrossTable2(t *testing.T) {
 		isa.Code(25),
 	)
 	for i, cfg := range cache.Table2() {
-		q, rep, err := Optimize(context.Background(), p, cfg, Options{Par: testPar, ValidationBudget: 30})
+		q, rep, err := OptimizeHier(context.Background(), p, cache.Hier1(cfg), Options{Par: testPar, ValidationBudget: 30})
 		if err != nil {
 			t.Fatalf("k%d: %v", i+1, err)
 		}
@@ -160,7 +160,7 @@ func TestExpansionReusedAcrossInsertions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, rep, err := Optimize(context.Background(), p, thrashCfg(), Options{Par: testPar})
+	q, rep, err := OptimizeHier(context.Background(), p, cache.Hier1(thrashCfg()), Options{Par: testPar})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,11 +132,6 @@ type Suite struct {
 	Cells []Cell
 }
 
-// Run executes the sweep. It is Sweep with a background context.
-func Run(o Options) (*Suite, error) {
-	return Sweep(context.Background(), o)
-}
-
 // unit is one (program, configuration, technology) cell of the sweep
 // matrix, in its deterministic output position.
 type unit struct {
@@ -249,6 +244,9 @@ func ratio(a, b float64) float64 {
 // through ctx; an interrupted cell returns a typed interrupt error and no
 // measurements.
 func RunCell(ctx context.Context, b malardalen.Benchmark, cfgIdx int, tech energy.Tech, o Options) (Cell, error) {
+	if o.Runs <= 0 {
+		o.Runs = 3 // the simulations here and in reducedRun
+	}
 	cfg := cache.Table2()[cfgIdx]
 	cfg.Policy = o.Policy
 	if err := cfg.Valid(); err != nil {
@@ -300,11 +298,7 @@ func RunCell(ctx context.Context, b malardalen.Benchmark, cfgIdx int, tech energ
 	cell.MissWOrig, cell.MissWOpt = rep.MissesBefore, rep.MissesAfter
 	cell.L2MissWOrig, cell.L2MissWOpt = rep.L2MissesBefore, rep.L2MissesAfter
 
-	runs := o.Runs
-	if runs <= 0 {
-		runs = 3
-	}
-	so := sim.Options{Par: par, Seed: 7, Runs: runs}
+	so := sim.Options{Par: par, Seed: 7, Runs: o.Runs}
 	phase = time.Now()
 	sOrig := sim.RunHier(b.Prog, h, so)
 	sOpt := sim.RunHier(opt, h, so)
@@ -393,11 +387,7 @@ func reducedRun(ctx context.Context, b malardalen.Benchmark, h cache.Hierarchy, 
 		}
 		return 0, 0, 0, false, nil
 	}
-	runs := o.Runs
-	if runs <= 0 {
-		runs = 3
-	}
-	s := sim.RunHier(opt, h2, sim.Options{Par: par, Seed: 7, Runs: runs})
+	s := sim.RunHier(opt, h2, sim.Options{Par: par, Seed: 7, Runs: o.Runs})
 	return rep.TauAfter, s.ACETCycles(), mdl.Energy(s.Account()).TotalPJ(), true, nil
 }
 

@@ -14,7 +14,7 @@ import (
 
 func smallSweep(t *testing.T) *Suite {
 	t.Helper()
-	s, err := Run(Options{
+	s, err := Sweep(context.Background(), Options{
 		Programs:         []string{"fdct", "crc", "minmax"},
 		Configs:          []int{0, 13, 32}, // 256B, 1KB, 8KB samples
 		Techs:            []energy.Tech{energy.Tech45},

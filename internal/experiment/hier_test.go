@@ -17,7 +17,7 @@ func testL2() cache.Config {
 
 func hierSweep(t *testing.T) *Suite {
 	t.Helper()
-	s, err := Run(Options{
+	s, err := Sweep(context.Background(), Options{
 		Programs:         []string{"fdct", "crc"},
 		Configs:          []int{0, 13}, // 256B and 1KB L1s
 		Techs:            []energy.Tech{energy.Tech45},
@@ -67,7 +67,7 @@ func TestSweepHierarchyAxis(t *testing.T) {
 // CSV and figures included.
 func TestSweepSingleLevelByteIdentical(t *testing.T) {
 	a := smallSweep(t)
-	b, err := Run(Options{
+	b, err := Sweep(context.Background(), Options{
 		Programs:         []string{"fdct", "crc", "minmax"},
 		Configs:          []int{0, 13, 32},
 		Techs:            []energy.Tech{energy.Tech45},

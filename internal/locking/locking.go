@@ -48,7 +48,7 @@ func Select(ctx context.Context, p *isa.Program, cfg cache.Config, par wcet.Para
 	// A cost vector of all-miss times yields the execution counts of the
 	// worst-case path of the *locked* machine, where every reference costs
 	// the same; the actual lock selection then fixes per-block costs.
-	res, err := wcet.AnalyzeX(ctx, x, cfg, par)
+	res, err := wcet.AnalyzeXHier(ctx, x, cache.Hier1(cfg), par)
 	if err != nil {
 		return nil, err
 	}

@@ -58,7 +58,7 @@ func TestLockedWCETConsistentWithSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := sim.Run(p, cfg, sim.Options{Par: testPar, Runs: 1, Locked: s.Blocks})
+	st := sim.RunHier(p, cache.Hier1(cfg), sim.Options{Par: testPar, Runs: 1, Locked: s.Blocks})
 	if st.Cycles != s.TauW {
 		t.Fatalf("locked sim %d cycles vs locked WCET %d", st.Cycles, s.TauW)
 	}
@@ -77,8 +77,8 @@ func TestLockingGivesUpACET(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	locked := sim.Run(p, cfg, sim.Options{Par: testPar, Runs: 1, Locked: sel.Blocks})
-	unlocked := sim.Run(p, cfg, sim.Options{Par: testPar, Runs: 1})
+	locked := sim.RunHier(p, cache.Hier1(cfg), sim.Options{Par: testPar, Runs: 1, Locked: sel.Blocks})
+	unlocked := sim.RunHier(p, cache.Hier1(cfg), sim.Options{Par: testPar, Runs: 1})
 	if locked.Cycles <= unlocked.Cycles {
 		t.Fatalf("locked ACET (%d) should exceed unlocked ACET (%d) on an overflowing loop",
 			locked.Cycles, unlocked.Cycles)
@@ -96,7 +96,7 @@ func TestLockedBoundCanBeatUnlockedBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unlocked, err := wcet.Analyze(context.Background(), p, cfg, testPar)
+	unlocked, err := wcet.AnalyzeHier(context.Background(), p, cache.Hier1(cfg), testPar)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestEveryProgramAnalyzesAndRuns(t *testing.T) {
 	par := wcet.Params{HitCycles: 1, MissPenalty: 16, Lambda: 16}
 	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 1024}
 	for _, b := range All() {
-		res, err := wcet.Analyze(context.Background(), b.Prog, cfg, par)
+		res, err := wcet.AnalyzeHier(context.Background(), b.Prog, cache.Hier1(cfg), par)
 		if err != nil {
 			t.Errorf("%s: %v", b.Name, err)
 			continue
@@ -58,7 +58,7 @@ func TestEveryProgramAnalyzesAndRuns(t *testing.T) {
 		if res.TauW <= 0 {
 			t.Errorf("%s: non-positive WCET", b.Name)
 		}
-		st := sim.Run(b.Prog, cfg, sim.Options{Par: par, Runs: 1, Seed: 3})
+		st := sim.RunHier(b.Prog, cache.Hier1(cfg), sim.Options{Par: par, Runs: 1, Seed: 3})
 		if st.Fetches == 0 {
 			t.Errorf("%s: simulated zero fetches", b.Name)
 		}
@@ -101,7 +101,7 @@ func TestMissRateBandAcrossConfigs(t *testing.T) {
 		var sum float64
 		n := 0
 		for _, b := range All() {
-			st := sim.Run(b.Prog, cfg, sim.Options{Par: par, Runs: 1, Seed: 5})
+			st := sim.RunHier(b.Prog, cache.Hier1(cfg), sim.Options{Par: par, Runs: 1, Seed: 5})
 			sum += st.MissRate()
 			n++
 		}

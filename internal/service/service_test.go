@@ -181,7 +181,7 @@ func TestAnalyzeAndCacheHit(t *testing.T) {
 	}
 	// The analysis-mode counters are process-wide (they also count other
 	// tests in this binary), so assert presence and a sane floor: the one
-	// executed analysis performed at least one from-scratch AnalyzeX.
+	// executed analysis performed at least one from-scratch AnalyzeXHier.
 	if full := metricValue(t, m, "ucp_analysis_full_reanalyses_total"); full < 1 {
 		t.Errorf("ucp_analysis_full_reanalyses_total = %g, want >= 1", full)
 	}

@@ -39,7 +39,7 @@ func TestPolicySoundnessCrossLayer(t *testing.T) {
 			cfg := base
 			cfg.Policy = pol
 			for _, b := range benches {
-				res, err := wcet.Analyze(context.Background(), b.Prog, cfg, par)
+				res, err := wcet.AnalyzeHier(context.Background(), b.Prog, cache.Hier1(cfg), par)
 				if err != nil {
 					t.Fatalf("%s/%v: %v", b.Name, cfg, err)
 				}
@@ -60,7 +60,7 @@ func TestPolicySoundnessCrossLayer(t *testing.T) {
 				}
 
 				missed := map[ref]bool{}
-				Run(b.Prog, cfg, Options{
+				RunHier(b.Prog, cache.Hier1(cfg), Options{
 					Par:  par,
 					Seed: 13,
 					Runs: 3,
@@ -91,7 +91,7 @@ func TestPolicyOnFetchAccounting(t *testing.T) {
 	for _, pol := range cachetest.Policies(t) {
 		cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 128, Policy: pol}
 		var calls, misses int64
-		st := Run(p, cfg, Options{Par: par, Seed: 3, Runs: 2, OnFetch: func(_ isa.InstrRef, hit bool) {
+		st := RunHier(p, cache.Hier1(cfg), Options{Par: par, Seed: 3, Runs: 2, OnFetch: func(_ isa.InstrRef, hit bool) {
 			calls++
 			if !hit {
 				misses++

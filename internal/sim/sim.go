@@ -34,9 +34,6 @@ type Options struct {
 	Runs int
 	// HW optionally attaches a hardware prefetcher baseline.
 	HW hwpref.Prefetcher
-	// MaxOutstanding bounds the fill queue (default 4); further prefetch
-	// requests are dropped, as a real prefetch buffer would.
-	MaxOutstanding int
 	// Locked, when non-nil, switches the cache to statically locked
 	// operation: accesses to locked blocks always hit, every other access
 	// goes to memory without allocating (the cache-locking baseline of
@@ -118,6 +115,10 @@ func (s Stats) Account() energy.Account {
 	}
 }
 
+// maxOutstanding bounds the fill queue: a software prefetch waits for a
+// slot, a hardware request is dropped, as a real prefetch buffer would.
+const maxOutstanding = 4
+
 type fill struct {
 	block uint64
 	ready int64
@@ -151,22 +152,14 @@ type machine struct {
 	head  []bool
 }
 
-// Run simulates the program on a single-level cache and returns the
-// aggregated statistics.
-func Run(p *isa.Program, cfg cache.Config, o Options) Stats {
-	return RunHier(p, cache.Hier1(cfg), o)
-}
-
-// RunHier simulates the program on the cache hierarchy h. With no L2
-// configured it is exactly Run on h.L1. The Locked mode stays single-level:
+// RunHier simulates the program on the cache hierarchy h and returns the
+// aggregated statistics; a single-level cache is cache.Hier1(cfg), and every
+// L2 branch is then skipped. The Locked mode stays single-level:
 // the locking baseline of the paper locks the L1 and bypasses allocation
 // entirely, so a configured L2 is rejected there.
 func RunHier(p *isa.Program, h cache.Hierarchy, o Options) Stats {
 	if o.Runs <= 0 {
 		o.Runs = 1
-	}
-	if o.MaxOutstanding <= 0 {
-		o.MaxOutstanding = 4
 	}
 	if err := o.Par.Valid(); err != nil {
 		panic(err)
@@ -465,11 +458,11 @@ func (m *machine) issueSoftware(blk, blk2 uint64) {
 	if m.o.Locked != nil {
 		return // locked cache cannot be refilled
 	}
-	if m.st.Contains(blk) || m.pending(blk) {
+	if m.st.Contains(blk) || m.pending(blk, false) {
 		m.stats.PrefetchRedundant++
 		return
 	}
-	if len(m.fills) >= m.o.MaxOutstanding {
+	if len(m.fills) >= maxOutstanding {
 		m.waitForSlot()
 	}
 	ready := m.t + m.o.Par.Lambda
@@ -500,11 +493,11 @@ func (m *machine) issueL2(blk uint64) {
 		m.stats.PrefetchRedundant++
 		return
 	}
-	if m.pendingL2(blk) {
+	if m.pending(blk, true) {
 		m.stats.PrefetchRedundant++
 		return
 	}
-	if len(m.fills) >= m.o.MaxOutstanding {
+	if len(m.fills) >= maxOutstanding {
 		m.waitForSlot()
 	}
 	m.fills = append(m.fills, fill{block: blk, ready: m.t + m.o.Par.Lambda, l2: true})
@@ -530,10 +523,10 @@ func (m *machine) waitForSlot() {
 
 // issueHW enqueues a hardware prefetch fill, dropping on a full queue.
 func (m *machine) issueHW(blk uint64) {
-	if m.st.Contains(blk) || m.pending(blk) {
+	if m.st.Contains(blk) || m.pending(blk, false) {
 		return
 	}
-	if len(m.fills) >= m.o.MaxOutstanding {
+	if len(m.fills) >= maxOutstanding {
 		m.stats.HWDropped++
 		return
 	}
@@ -542,18 +535,11 @@ func (m *machine) issueHW(blk uint64) {
 	m.stats.DRAMReads++
 }
 
-func (m *machine) pending(blk uint64) bool {
+// pending reports whether a fill of blk into the L2 (l2) or the L1 is in
+// flight.
+func (m *machine) pending(blk uint64, l2 bool) bool {
 	for _, f := range m.fills {
-		if !f.l2 && f.block == blk {
-			return true
-		}
-	}
-	return false
-}
-
-func (m *machine) pendingL2(blk uint64) bool {
-	for _, f := range m.fills {
-		if f.l2 && f.block == blk {
+		if f.l2 == l2 && f.block == blk {
 			return true
 		}
 	}

@@ -17,7 +17,7 @@ func run(p *isa.Program, cfg cache.Config, o Options) Stats {
 	if o.Par == (wcet.Params{}) {
 		o.Par = testPar
 	}
-	return Run(p, cfg, o)
+	return RunHier(p, cache.Hier1(cfg), o)
 }
 
 func TestStraightLineDeterministic(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"ucp/internal/absint"
 	"ucp/internal/cache"
 	"ucp/internal/isa"
+	"ucp/internal/isa/isatest"
 	"ucp/internal/malardalen"
 	"ucp/internal/vivu"
 	"ucp/internal/wcet"
@@ -292,7 +293,7 @@ func TestAssembleDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	var progs []*isa.Program
 	for i := 0; i < 60; i++ {
-		progs = append(progs, wcet.RandomProgram(rng, fmt.Sprintf("rnd%d", i)))
+		progs = append(progs, isatest.RandomProgram(rng, fmt.Sprintf("rnd%d", i)))
 	}
 	for _, bm := range malardalen.All() {
 		progs = append(progs, bm.Prog)

@@ -12,11 +12,10 @@ import (
 )
 
 // This file is the one analysis path of the package. Each configured cache
-// level gets the same abstract interpretation — the L1 through
-// absint.AnalyzeFrom, the L2 through absint.AnalyzeL2From, gated by the L1
-// verdicts — and both are seeded incrementally from the previous result
-// when one is given. One function, price, turns a reference's verdicts into
-// its cost with three outcomes:
+// level gets the same abstract interpretation, absint.AnalyzeChain — the L2
+// gated by the L1 verdicts — seeded incrementally from the same level of
+// the previous result when one is given. One function, price, turns a
+// reference's verdicts into its cost with three outcomes:
 //
 //	L1 hit              HitCycles
 //	L1 miss, L2 hit     HitCycles + L2HitCycles
@@ -29,8 +28,11 @@ import (
 // two-outcome pricing of the paper's model. RefTime and the assembly both
 // price through it; the miss totals are sums of per-block tallies.
 
-// AnalyzeHier expands p and analyzes it against the hierarchy h. With no L2
-// configured it is exactly Analyze on h.L1.
+// AnalyzeHier expands p and analyzes it against the hierarchy h; a
+// single-level cache is cache.Hier1(cfg). The analysis is cooperatively
+// cancellable: when ctx is canceled or its deadline passes, the fixpoint
+// unwinds and the call returns a typed interrupt error
+// (interrupt.ErrCanceled / interrupt.ErrDeadline).
 func AnalyzeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, par Params) (*Result, error) {
 	x, err := vivu.ExpandCtx(ctx, p)
 	if err != nil {
@@ -39,7 +41,10 @@ func AnalyzeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, par Par
 	return AnalyzeXHier(ctx, x, h, par)
 }
 
-// AnalyzeXHier analyzes a pre-expanded program against the hierarchy h.
+// AnalyzeXHier analyzes a pre-expanded program against the hierarchy h. The
+// expansion depends only on the control-flow structure, not on the
+// instruction sequences, so the optimizer reuses one expansion across its
+// insertion iterations.
 func AnalyzeXHier(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params) (*Result, error) {
 	return AnalyzeXHierFrom(ctx, x, h, par, nil)
 }
@@ -102,33 +107,26 @@ func analyzeHier(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Param
 	defer span.End()
 	// A re-analysis derives the layout from prev's: only the rows of blocks
 	// an edit moved or rewrote are recomputed, and the change record lets
-	// each level rebuild only the transfer rows those blocks reach.
+	// each level rebuild only the transfer rows those blocks reach. It
+	// keeps prev's AlwaysMiss demand: AnalyzeChain does not seed from a
+	// level computed under another.
 	var lay *isa.Layout
 	var prevAI, prevAI2 *absint.Result
 	if prev != nil {
 		lay = prev.Lay.Derive()
 		prevAI, prevAI2 = prev.AI, prev.AI2
+		am = AMDemand{L1: prevAI.HasAlwaysMiss(), L2: prevAI2 != nil && prevAI2.HasAlwaysMiss()}
 	} else {
 		lay = isa.NewLayout(x.Prog)
 	}
 	lambda := int(par.Lambda)
-	var ai, ai2 *absint.Result
-	var err error
-	if prev != nil {
-		ai, err = absint.AnalyzeFrom(ctx, x, lay, h.L1, lambda, prevAI)
-	} else {
-		ai, err = absint.AnalyzeChain(ctx, x, lay, h.L1, lambda, nil, am.L1)
-	}
+	ai, err := absint.AnalyzeChain(ctx, x, lay, h.L1, lambda, nil, prevAI, am.L1)
 	if err != nil {
 		return nil, err
 	}
+	var ai2 *absint.Result
 	if h.HasL2() {
-		if prev != nil {
-			ai2, err = absint.AnalyzeL2From(ctx, x, lay, h, lambda, ai, prevAI2)
-		} else {
-			ai2, err = absint.AnalyzeChain(ctx, x, lay, h.L2, lambda, ai, am.L2)
-		}
-		if err != nil {
+		if ai2, err = absint.AnalyzeChain(ctx, x, lay, h.L2, lambda, ai, prevAI2, am.L2); err != nil {
 			return nil, err
 		}
 	}

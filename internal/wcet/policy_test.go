@@ -8,7 +8,7 @@ import (
 	"ucp/internal/isa"
 )
 
-// Analyze is an entry point for unvalidated configurations, so it must
+// AnalyzeHier is an entry point for unvalidated configurations, so it must
 // reject them instead of dividing by zero or analyzing nonsense.
 func TestPolicyAnalyzeValidatesConfig(t *testing.T) {
 	p := isa.Build("v", isa.Code(8))
@@ -20,8 +20,8 @@ func TestPolicyAnalyzeValidatesConfig(t *testing.T) {
 		{Assoc: 2, BlockBytes: 16, CapacityBytes: 64, Policy: cache.Policy(9)},
 	}
 	for _, cfg := range bad {
-		if _, err := Analyze(context.Background(), p, cfg, par); err == nil {
-			t.Errorf("Analyze accepted invalid config %v", cfg)
+		if _, err := AnalyzeHier(context.Background(), p, cache.Hier1(cfg), par); err == nil {
+			t.Errorf("AnalyzeHier accepted invalid config %v", cfg)
 		}
 	}
 }
@@ -35,7 +35,7 @@ func TestPolicyAnalyzeCompletes(t *testing.T) {
 	bounds := map[cache.Policy]int64{}
 	for _, pol := range cache.Policies() {
 		cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 256, Policy: pol}
-		res, err := Analyze(context.Background(), p, cfg, par)
+		res, err := AnalyzeHier(context.Background(), p, cache.Hier1(cfg), par)
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}

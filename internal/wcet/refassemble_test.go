@@ -2,10 +2,8 @@ package wcet
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ucp/internal/absint"
-	"ucp/internal/isa"
 	"ucp/internal/vivu"
 )
 
@@ -127,6 +125,3 @@ func CheckAssemble(r *Result) error {
 	}
 	return nil
 }
-
-// RandomProgram exports randomProgram to the external differential tests.
-func RandomProgram(rng *rand.Rand, name string) *isa.Program { return randomProgram(rng, name) }

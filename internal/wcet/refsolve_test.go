@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ucp/internal/isa"
+	"ucp/internal/isa/isatest"
 	"ucp/internal/malardalen"
 	"ucp/internal/vivu"
 )
@@ -59,7 +60,7 @@ func TestSolvePlanDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var progs []*isa.Program
 	for i := 0; i < 300; i++ {
-		progs = append(progs, randomProgram(rng, fmt.Sprintf("rnd%d", i)))
+		progs = append(progs, isatest.RandomProgram(rng, fmt.Sprintf("rnd%d", i)))
 	}
 	for _, b := range malardalen.All() {
 		progs = append(progs, b.Prog)

@@ -12,6 +12,7 @@ import (
 	"ucp/internal/cache"
 	"ucp/internal/cache/cachetest"
 	"ucp/internal/isa"
+	"ucp/internal/isa/isatest"
 	"ucp/internal/malardalen"
 	"ucp/internal/obs"
 	"ucp/internal/vivu"
@@ -47,7 +48,7 @@ func sameAsScratch(r *wcet.Result) error {
 	ctx := context.Background()
 	lay := isa.NewLayout(r.X.Prog)
 	lambda := int(r.Par.Lambda)
-	l1, err := absint.AnalyzeChain(ctx, r.X, lay, r.Hier.L1, lambda, nil, r.AI.HasAlwaysMiss())
+	l1, err := absint.AnalyzeChain(ctx, r.X, lay, r.Hier.L1, lambda, nil, nil, r.AI.HasAlwaysMiss())
 	if err != nil {
 		return err
 	}
@@ -57,7 +58,7 @@ func sameAsScratch(r *wcet.Result) error {
 	if r.AI2 == nil {
 		return nil
 	}
-	l2, err := absint.AnalyzeChain(ctx, r.X, lay, r.Hier.L2, lambda, l1, r.AI2.HasAlwaysMiss())
+	l2, err := absint.AnalyzeChain(ctx, r.X, lay, r.Hier.L2, lambda, l1, nil, r.AI2.HasAlwaysMiss())
 	if err != nil {
 		return err
 	}
@@ -121,7 +122,7 @@ func TestSetScopedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	var progs []*isa.Program
 	for i := 0; i < 60; i++ {
-		progs = append(progs, wcet.RandomProgram(rng, fmt.Sprintf("rnd%d", i)))
+		progs = append(progs, isatest.RandomProgram(rng, fmt.Sprintf("rnd%d", i)))
 	}
 	for _, bm := range malardalen.All() {
 		progs = append(progs, bm.Prog)

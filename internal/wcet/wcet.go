@@ -7,7 +7,6 @@
 package wcet
 
 import (
-	"context"
 	"fmt"
 
 	"ucp/internal/absint"
@@ -91,26 +90,6 @@ type Result struct {
 	// plan is the structural solve's layout of X's regions; it depends only
 	// on the expansion and is shared along the chain of re-analyses.
 	plan *solvePlan
-}
-
-// Analyze expands p and analyzes it on cfg with parameters par. The analysis
-// is cooperatively cancellable: when ctx is canceled or its deadline passes,
-// the fixpoint unwinds and the call returns a typed interrupt error
-// (interrupt.ErrCanceled / interrupt.ErrDeadline).
-func Analyze(ctx context.Context, p *isa.Program, cfg cache.Config, par Params) (*Result, error) {
-	x, err := vivu.ExpandCtx(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeX(ctx, x, cfg, par)
-}
-
-// AnalyzeX analyzes a pre-expanded program. The expansion depends only on
-// the control-flow structure, not on the instruction sequences, so the
-// optimizer reuses one expansion across its insertion iterations. It is the
-// single-level case of AnalyzeXHier.
-func AnalyzeX(ctx context.Context, x *vivu.Prog, cfg cache.Config, par Params) (*Result, error) {
-	return AnalyzeXHier(ctx, x, cache.Hier1(cfg), par)
 }
 
 // SolveCounts runs the structural WCET-scenario solver for externally

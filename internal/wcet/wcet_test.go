@@ -9,6 +9,7 @@ import (
 	"ucp/internal/cache"
 	"ucp/internal/ipet"
 	"ucp/internal/isa"
+	"ucp/internal/isa/isatest"
 	"ucp/internal/malardalen"
 	"ucp/internal/vivu"
 )
@@ -17,9 +18,9 @@ var testPar = Params{HitCycles: 1, MissPenalty: 9, Lambda: 10}
 
 func analyze(t *testing.T, p *isa.Program, cfg cache.Config) *Result {
 	t.Helper()
-	res, err := Analyze(context.Background(), p, cfg, testPar)
+	res, err := AnalyzeHier(context.Background(), p, cache.Hier1(cfg), testPar)
 	if err != nil {
-		t.Fatalf("Analyze(context.Background(), %s): %v", p.Name, err)
+		t.Fatalf("AnalyzeHier(%s): %v", p.Name, err)
 	}
 	return res
 }
@@ -134,30 +135,6 @@ func TestTauEqualsCostDotNw(t *testing.T) {
 	}
 }
 
-// randomProgram builds a random structured program for the cross-check.
-func randomProgram(rng *rand.Rand, name string) *isa.Program {
-	var gen func(depth int) []isa.Node
-	gen = func(depth int) []isa.Node {
-		var nodes []isa.Node
-		n := 1 + rng.Intn(3)
-		for i := 0; i < n; i++ {
-			switch k := rng.Intn(6); {
-			case k < 3 || depth >= 3:
-				nodes = append(nodes, isa.Code(1+rng.Intn(18)))
-			case k == 3:
-				nodes = append(nodes, isa.If(rng.Float64(), gen(depth+1), gen(depth+1)))
-			case k == 4:
-				nodes = append(nodes, isa.IfThen(rng.Float64(), gen(depth+1)...))
-			default:
-				b := 1 + rng.Intn(6)
-				nodes = append(nodes, isa.Loop(b, float64(rng.Intn(b))+rng.Float64()*0.5, gen(depth+1)...))
-			}
-		}
-		return nodes
-	}
-	return isa.Build(name, gen(0)...)
-}
-
 // The load-bearing cross-check: the fast structural solver must agree with
 // the IPET integer linear program on τ_w for a corpus of random structured
 // programs and several cache configurations, and for the Mälardalen suite.
@@ -169,11 +146,11 @@ func TestStructuralMatchesIPET(t *testing.T) {
 		{Assoc: 4, BlockBytes: 32, CapacityBytes: 512},
 	}
 	for i := 0; i < 25; i++ {
-		p := randomProgram(rng, "rnd")
+		p := isatest.RandomProgram(rng, "rnd")
 		for _, cfg := range cfgs {
-			res, err := Analyze(context.Background(), p, cfg, testPar)
+			res, err := AnalyzeHier(context.Background(), p, cache.Hier1(cfg), testPar)
 			if err != nil {
-				t.Fatalf("Analyze: %v", err)
+				t.Fatalf("AnalyzeHier: %v", err)
 			}
 			ref, err := ipet.Solve(res.X, res.Cost, res.Extra)
 			if err != nil {
@@ -216,8 +193,8 @@ func TestStructuralCountsFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 256}
 	for i := 0; i < 25; i++ {
-		p := randomProgram(rng, "feas")
-		res, err := Analyze(context.Background(), p, cfg, testPar)
+		p := isatest.RandomProgram(rng, "feas")
+		res, err := AnalyzeHier(context.Background(), p, cache.Hier1(cfg), testPar)
 		if err != nil {
 			t.Fatal(err)
 		}
