@@ -137,7 +137,7 @@ func BenchmarkFigure8(b *testing.B) {
 func BenchmarkAblationHardwarePrefetch(b *testing.B) {
 	prog, _ := malardalen.ByName("fdct")
 	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 1024}
-	mdl := energy.NewModel(cfg, energy.Tech45)
+	mdl := energy.NewModelHier(cache.Hier1(cfg), energy.Tech45)
 	par := mdl.WCETParams()
 	out := benchOut(b)
 	for i := 0; i < b.N; i++ {
@@ -161,7 +161,7 @@ func BenchmarkAblationHardwarePrefetch(b *testing.B) {
 func BenchmarkAblationLocking(b *testing.B) {
 	prog, _ := malardalen.ByName("adpcm")
 	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 1024}
-	mdl := energy.NewModel(cfg, energy.Tech32)
+	mdl := energy.NewModelHier(cache.Hier1(cfg), energy.Tech32)
 	par := mdl.WCETParams()
 	out := benchOut(b)
 	for i := 0; i < b.N; i++ {
@@ -183,7 +183,7 @@ func BenchmarkAblationLocking(b *testing.B) {
 func BenchmarkAblationCriterion(b *testing.B) {
 	prog, _ := malardalen.ByName("fdct")
 	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 512}
-	par := energy.NewModel(cfg, energy.Tech45).WCETParams()
+	par := energy.NewModelHier(cache.Hier1(cfg), energy.Tech45).WCETParams()
 	variants := []struct {
 		name string
 		opt  core.Options

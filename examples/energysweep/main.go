@@ -33,7 +33,7 @@ func main() {
 
 	for _, capacity := range []int{256, 512, 1024, 2048, 4096, 8192} {
 		cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: capacity}
-		mdl := energy.NewModel(cfg, energy.Tech45)
+		mdl := energy.NewModelHier(cache.Hier1(cfg), energy.Tech45)
 		par := mdl.WCETParams()
 
 		opt, rep, err := core.OptimizeHier(context.Background(), b.Prog, cache.Hier1(cfg), core.Options{Par: par})

@@ -44,7 +44,7 @@ func main() {
 		if !ok {
 			log.Fatalf("unknown task %s", tk.name)
 		}
-		mdl := energy.NewModel(tk.slice, energy.Tech32)
+		mdl := energy.NewModelHier(cache.Hier1(tk.slice), energy.Tech32)
 		par := mdl.WCETParams()
 
 		before, err := wcet.AnalyzeHier(context.Background(), b.Prog, cache.Hier1(tk.slice), par)

@@ -39,8 +39,8 @@ func main() {
 		half := full
 		half.CapacityBytes /= 2
 
-		mFull := energy.NewModel(full, energy.Tech45)
-		mHalf := energy.NewModel(half, energy.Tech45)
+		mFull := energy.NewModelHier(cache.Hier1(full), energy.Tech45)
+		mHalf := energy.NewModelHier(cache.Hier1(half), energy.Tech45)
 
 		orig := sim.RunHier(b.Prog, cache.Hier1(full), sim.Options{Par: mFull.WCETParams(), Seed: 9, Runs: 3})
 		eOrig := mFull.Energy(orig.Account()).TotalPJ()

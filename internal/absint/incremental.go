@@ -343,7 +343,7 @@ func rowSources(p *isa.Program, lay *isa.Layout, buf *[]bool) []bool {
 			src[id] = true
 			continue
 		}
-		if !lay.HasPrefetch(id) {
+		if b.NPrefetch() == 0 {
 			continue
 		}
 		for _, in := range b.Instrs {

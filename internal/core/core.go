@@ -187,21 +187,17 @@ type Report struct {
 // Theorem 1 is all-or-nothing, there is no partially validated result to
 // misuse (see DESIGN.md §10).
 func OptimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Options) (*isa.Program, *Report, error) {
-	return optimizeHier(ctx, p, h, opt, amDemand(h, opt))
+	return optimizeHier(ctx, p, h, opt, opt.Explain)
 }
 
-// amDemand derives which levels' analyses must resolve AlwaysMiss verdicts.
-// Pricing charges AlwaysMiss like NotClassified, so only two readers in the
-// optimizer need it: the L2's access gate reads the L1's (absint.cacOf),
-// and the explain report prints both levels'. Every other level's chain
-// drops the may component unless its policy's transfer reads it (FIFO),
-// which changes no price and no decision (DESIGN.md §9).
-func amDemand(h cache.Hierarchy, opt Options) wcet.AMDemand {
-	return wcet.AMDemand{L1: h.HasL2() || opt.Explain, L2: opt.Explain}
-}
-
-// optimizeHier is OptimizeHier with the analyses' AlwaysMiss demand am.
-func optimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Options, am wcet.AMDemand) (*isa.Program, *Report, error) {
+// optimizeHier is OptimizeHier whose analyses resolve AlwaysMiss verdicts
+// as wcet.AnalyzeXHierFrom derives them from am. Pricing charges AlwaysMiss
+// like NotClassified, so only two readers in the optimizer need it: the
+// L2's access gate reads the L1's (absint.cacOf), and the explain report
+// prints both levels'. Every other level's chain drops the may component
+// unless its policy's transfer reads it (FIFO), which changes no price and
+// no decision (DESIGN.md §9).
+func optimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Options, am bool) (*isa.Program, *Report, error) {
 	if err := opt.Par.Valid(); err != nil {
 		return nil, nil, err
 	}
@@ -220,7 +216,7 @@ func optimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Op
 		maxIns = p.NInstr()
 	}
 
-	res, err := wcet.AnalyzeXHierSeed(ctx, x, h, opt.Par, am)
+	res, err := wcet.AnalyzeXHierFrom(ctx, x, h, opt.Par, nil, am)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -596,7 +592,7 @@ func (o *optimizer) screen(lv *level, r vivu.Ref, evicted uint64) (candidate, bo
 // classOf returns the per-level classification strings of a reference, for
 // the explain report; the L2 verdict is empty without a configured L2. The
 // report prints AlwaysMiss, so every level's analysis must resolve it (see
-// amDemand).
+// optimizeHier).
 func (o *optimizer) classOf(use vivu.Ref) (l1, l2 string) {
 	if !o.res.AI.HasAlwaysMiss() || (o.res.AI2 != nil && !o.res.AI2.HasAlwaysMiss()) {
 		panic("core: the explain report reads AlwaysMiss verdicts the analysis did not resolve")
@@ -779,7 +775,7 @@ var testRefreshCheck func(*wcet.Result)
 // keyed on the result pointer (see backward()), so replacing o.res
 // invalidates it exactly once per refresh.
 func (o *optimizer) refresh() error {
-	res, err := wcet.AnalyzeXHierFrom(o.ctx, o.x, o.h, o.opt.Par, o.res)
+	res, err := wcet.AnalyzeXHierFrom(o.ctx, o.x, o.h, o.opt.Par, o.res, o.opt.Explain)
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,7 @@ import (
 // checked as well.
 //
 // The optimizer's chains drop the may component where no verdict reads
-// AlwaysMiss (amDemand), so each refresh is compared twice: bit for bit
+// AlwaysMiss (see optimizeHier), so each refresh is compared twice: bit for bit
 // with a from-scratch analysis of the same demand (verdicts, effectiveness,
 // in-states, costs and totals), and with the analysis that resolves every
 // verdict, up to AlwaysMiss reading NotClassified (diffUpToAM).
@@ -31,8 +31,13 @@ func TestDifferentialRefreshMatchesFull(t *testing.T) {
 	checks := 0
 	testRefreshCheck = func(inc *wcet.Result) {
 		checks++
-		am := wcet.AMDemand{L1: inc.AI.HasAlwaysMiss(), L2: inc.AI2 == nil || inc.AI2.HasAlwaysMiss()}
-		full, err := wcet.AnalyzeXHierSeed(context.Background(), inc.X, inc.Hier, inc.Par, am)
+		// The last level resolves AlwaysMiss exactly when the chain's
+		// caller reads it, which is the demand the full analysis derives.
+		top := inc.AI
+		if inc.AI2 != nil {
+			top = inc.AI2
+		}
+		full, err := wcet.AnalyzeXHierFrom(context.Background(), inc.X, inc.Hier, inc.Par, nil, top.HasAlwaysMiss())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,17 +17,17 @@ import (
 )
 
 // TestMayDemandDifferential runs the optimizer's chains with the AlwaysMiss
-// demand OptimizeHier derives (amDemand: the may component dropped at every
-// LRU/PLRU level no verdict reader needs) and with every level resolving
-// AlwaysMiss, over random programs and the Mälardalen suite, under every
-// policy, on the golden geometry's L1 alone and behind its L2. The seed
-// analyses must agree on τ_w, every n_w, the miss, L2-miss and fetch totals
-// and every verdict except AlwaysMiss, which may read NotClassified
-// (diffUpToAM). For the random programs and the first ten of the suite the
-// two optimizations must also make the same sequence of re-analyses with
-// the same totals and end in the same program and report; the pipeline
-// golden, recorded before any chain dropped the may component, pins the
-// optimizations of the whole suite.
+// demand OptimizeHier derives without an explain report (the may component
+// dropped at every LRU/PLRU level no verdict reader needs) and with every
+// level resolving AlwaysMiss, over random programs and the Mälardalen suite,
+// under every policy, on the golden geometry's L1 alone and behind its L2.
+// The seed analyses must agree on τ_w, every n_w, the miss, L2-miss and
+// fetch totals and every verdict except AlwaysMiss, which may read
+// NotClassified (diffUpToAM). For the random programs and the first ten of
+// the suite the two optimizations must also make the same sequence of
+// re-analyses with the same totals and end in the same program and report;
+// the pipeline golden, recorded before any chain dropped the may component,
+// pins the optimizations of the whole suite.
 func TestMayDemandDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	var progs []*isa.Program
@@ -39,7 +39,6 @@ func TestMayDemandDifferential(t *testing.T) {
 		progs = append(progs, b.Prog)
 	}
 	ctx := context.Background()
-	all := wcet.AMDemand{L1: true, L2: true}
 	var trail *[]string
 	testRefreshCheck = func(r *wcet.Result) {
 		*trail = append(*trail, fmt.Sprintf("τ=%d misses=%d l2misses=%d fetches=%d", r.TauW, r.Misses, r.L2Misses, r.Fetches))
@@ -50,18 +49,17 @@ func TestMayDemandDifferential(t *testing.T) {
 		for _, leg := range []goldenLeg{legL1, legL1L2} {
 			h, par := goldenHierarchy(pol, leg.l2)
 			opt := Options{Par: par, ValidationBudget: 25}
-			lean := amDemand(h, opt)
 			for pi, p := range progs {
 				where := fmt.Sprintf("%s %s %s", p.Name, pol, leg.name)
 				x, err := vivu.Expand(p.Clone())
 				if err != nil {
 					t.Fatal(err)
 				}
-				seedLean, err := wcet.AnalyzeXHierSeed(ctx, x, h, par, lean)
+				seedLean, err := wcet.AnalyzeXHierFrom(ctx, x, h, par, nil, false)
 				if err != nil {
 					t.Fatalf("%s: %v", where, err)
 				}
-				seedAll, err := wcet.AnalyzeXHierSeed(ctx, x, h, par, all)
+				seedAll, err := wcet.AnalyzeXHierFrom(ctx, x, h, par, nil, true)
 				if err != nil {
 					t.Fatalf("%s: %v", where, err)
 				}
@@ -75,12 +73,12 @@ func TestMayDemandDifferential(t *testing.T) {
 
 				var trailLean, trailAll []string
 				trail = &trailLean
-				qLean, repLean, err := optimizeHier(ctx, p, h, opt, lean)
+				qLean, repLean, err := optimizeHier(ctx, p, h, opt, false)
 				if err != nil {
 					t.Fatalf("%s: %v", where, err)
 				}
 				trail = &trailAll
-				qAll, repAll, err := optimizeHier(ctx, p, h, opt, all)
+				qAll, repAll, err := optimizeHier(ctx, p, h, opt, true)
 				if err != nil {
 					t.Fatalf("%s: %v", where, err)
 				}

@@ -108,7 +108,7 @@ var (
 	distHedges = obs.NewCounter("ucp_dist_hedges_total",
 		"Straggler cells re-issued to a second worker (hedged dispatch).")
 	distCellSeconds = obs.NewHistogramVec("ucp_dist_cell_seconds",
-		"Successful cell dispatch latency by worker, in seconds.", "worker", nil, nil)
+		"Successful cell dispatch latency by worker, in seconds.", "worker")
 )
 
 // breakerState is a worker's circuit-breaker position. The numeric values

@@ -122,18 +122,12 @@ type Model struct {
 	L2HitCycles int64
 }
 
-// NewModel derives the model for cfg at tech.
-func NewModel(cfg cache.Config, tech Tech) Model {
-	return NewModelHier(cache.Hier1(cfg), tech)
-}
-
-// NewModelHier derives the model for the hierarchy h at tech. With no L2
-// configured it is exactly NewModel on h.L1: every L2 field stays zero and
-// the timing parameters are unchanged, so single-level results are
-// bit-identical. With an L2, the same geometric formulas price the L2's
-// reads, fills, and leakage, and the L2 hit latency is a deterministic
-// integer that grows logarithmically with capacity and always undercuts the
-// memory penalty.
+// NewModelHier derives the model for the hierarchy h at tech; a
+// single-level cache is cache.Hier1(cfg). With no L2 configured every L2
+// field stays zero and the timing parameters are the single-level ones.
+// With an L2, the same geometric formulas price the L2's reads, fills, and
+// leakage, and the L2 hit latency is a deterministic integer that grows
+// logarithmically with capacity and always undercuts the memory penalty.
 func NewModelHier(h cache.Hierarchy, tech Tech) Model {
 	if err := h.Valid(); err != nil {
 		panic(err)

@@ -10,9 +10,9 @@ import (
 func TestModelMonotonicities(t *testing.T) {
 	// Dynamic read energy grows with capacity, associativity and block
 	// size; leakage grows with capacity.
-	base := NewModel(cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 1024}, Tech45)
+	base := NewModelHier(cache.Hier1(cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 1024}), Tech45)
 
-	bigger := NewModel(cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 4096}, Tech45)
+	bigger := NewModelHier(cache.Hier1(cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 4096}), Tech45)
 	if bigger.CacheReadPJ <= base.CacheReadPJ {
 		t.Error("read energy must grow with capacity")
 	}
@@ -20,12 +20,12 @@ func TestModelMonotonicities(t *testing.T) {
 		t.Error("leakage must grow with capacity")
 	}
 
-	wider := NewModel(cache.Config{Assoc: 4, BlockBytes: 16, CapacityBytes: 1024}, Tech45)
+	wider := NewModelHier(cache.Hier1(cache.Config{Assoc: 4, BlockBytes: 16, CapacityBytes: 1024}), Tech45)
 	if wider.CacheReadPJ <= base.CacheReadPJ {
 		t.Error("read energy must grow with associativity")
 	}
 
-	fatter := NewModel(cache.Config{Assoc: 2, BlockBytes: 32, CapacityBytes: 1024}, Tech45)
+	fatter := NewModelHier(cache.Hier1(cache.Config{Assoc: 2, BlockBytes: 32, CapacityBytes: 1024}), Tech45)
 	if fatter.CacheReadPJ <= base.CacheReadPJ {
 		t.Error("read energy must grow with block size")
 	}
@@ -36,8 +36,8 @@ func TestModelMonotonicities(t *testing.T) {
 
 func TestTechnologyScaling(t *testing.T) {
 	cfg := cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 2048}
-	m45 := NewModel(cfg, Tech45)
-	m32 := NewModel(cfg, Tech32)
+	m45 := NewModelHier(cache.Hier1(cfg), Tech45)
+	m32 := NewModelHier(cache.Hier1(cfg), Tech32)
 	if m32.CacheReadPJ >= m45.CacheReadPJ {
 		t.Error("32nm dynamic energy must shrink vs 45nm")
 	}
@@ -62,7 +62,7 @@ func TestTechnologyScaling(t *testing.T) {
 func TestDRAMDwarfsCacheAccess(t *testing.T) {
 	for _, cfg := range cache.Table2() {
 		for _, tech := range Techs() {
-			m := NewModel(cfg, tech)
+			m := NewModelHier(cache.Hier1(cfg), tech)
 			if m.DRAMAccessPJ < 10*m.CacheReadPJ {
 				t.Fatalf("%v/%v: DRAM access (%.0fpJ) should dwarf a cache read (%.1fpJ)",
 					cfg, tech, m.DRAMAccessPJ, m.CacheReadPJ)
@@ -78,7 +78,7 @@ func TestDRAMDwarfsCacheAccess(t *testing.T) {
 }
 
 func TestEnergyLinearInActivity(t *testing.T) {
-	m := NewModel(cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 1024}, Tech45)
+	m := NewModelHier(cache.Hier1(cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 1024}), Tech45)
 	f := func(reads, fills, dram, cycles uint16) bool {
 		a := Account{
 			CacheReads: int64(reads), CacheFills: int64(fills),
@@ -100,7 +100,7 @@ func TestEnergyLinearInActivity(t *testing.T) {
 func TestWCETParamsValid(t *testing.T) {
 	for _, cfg := range cache.Table2() {
 		for _, tech := range Techs() {
-			if err := NewModel(cfg, tech).WCETParams().Valid(); err != nil {
+			if err := NewModelHier(cache.Hier1(cfg), tech).WCETParams().Valid(); err != nil {
 				t.Fatalf("%v/%v: %v", cfg, tech, err)
 			}
 		}
@@ -108,7 +108,7 @@ func TestWCETParamsValid(t *testing.T) {
 }
 
 func TestShorterRunSavesStaticEnergy(t *testing.T) {
-	m := NewModel(cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 1024}, Tech32)
+	m := NewModelHier(cache.Hier1(cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 1024}), Tech32)
 	slow := m.Energy(Account{CacheReads: 1000, DRAMReads: 100, Cycles: 50000})
 	fast := m.Energy(Account{CacheReads: 1000, DRAMReads: 100, Cycles: 40000})
 	if fast.TotalPJ() >= slow.TotalPJ() {
@@ -120,7 +120,7 @@ func TestStringers(t *testing.T) {
 	if Tech45.String() != "45nm" || Tech32.String() != "32nm" {
 		t.Error("tech names")
 	}
-	m := NewModel(cache.Config{Assoc: 1, BlockBytes: 16, CapacityBytes: 256}, Tech45)
+	m := NewModelHier(cache.Hier1(cache.Config{Assoc: 1, BlockBytes: 16, CapacityBytes: 256}), Tech45)
 	if m.String() == "" {
 		t.Error("model string empty")
 	}

@@ -404,7 +404,7 @@ var (
 	// disabled-tracing fast path of the cell stays unmeasurable against the
 	// seconds-long phases themselves.
 	phaseSeconds = obs.NewHistogramVec("ucp_phase_seconds",
-		"Wall-clock pipeline phase duration per cell, by phase, in seconds.", "phase", nil, nil)
+		"Wall-clock pipeline phase duration per cell, by phase, in seconds.", "phase")
 )
 
 // recordLevelTallies publishes the per-level hit/miss counts of the

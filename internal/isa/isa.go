@@ -188,11 +188,7 @@ func (p *Program) NInstr() int {
 func (p *Program) NPrefetch() int {
 	n := 0
 	for _, b := range p.Blocks {
-		for _, in := range b.Instrs {
-			if in.Kind == KindPrefetch {
-				n++
-			}
-		}
+		n += b.NPrefetch()
 	}
 	return n
 }
@@ -316,17 +312,27 @@ func (p *Program) RemoveInstr(ref InstrRef) {
 	p.shiftTargets(Edit{At: ref, N: -1})
 }
 
+// NPrefetch returns the number of prefetch instructions in b: the count
+// the mutators keep once an edit has counted b's, a fresh count before. It
+// never writes to b, so concurrent readers of a shared program are safe.
+func (b *Block) NPrefetch() int {
+	if b.npftOK {
+		return int(b.npft)
+	}
+	n := 0
+	for _, in := range b.Instrs {
+		if in.Kind == KindPrefetch {
+			n++
+		}
+	}
+	return n
+}
+
 // prefetches returns the number of prefetch instructions in b, counting
 // them on first use.
 func (b *Block) prefetches() int32 {
 	if !b.npftOK {
-		b.npft = 0
-		for _, in := range b.Instrs {
-			if in.Kind == KindPrefetch {
-				b.npft++
-			}
-		}
-		b.npftOK = true
+		b.npft, b.npftOK = int32(b.NPrefetch()), true
 	}
 	return b.npft
 }

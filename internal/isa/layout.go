@@ -37,10 +37,8 @@ type Layout struct {
 	// parent instead of pointing at it, so a chain of derivations keeps
 	// only the newest layout alive.
 	id, parent uint64
-	// stamps[b] is block b's edit stamp when the layout was computed, and
-	// pft[b] whether block b then held a prefetch.
+	// stamps[b] is block b's edit stamp when the layout was computed.
 	stamps []uint64
-	pft    []bool
 	// changed[b] reports whether block b's addresses or instructions differ
 	// from the parent layout's; nil without a parent.
 	changed []bool
@@ -78,7 +76,7 @@ func layOut(p *Program, parent *Layout) *Layout {
 	nb := len(p.Blocks)
 	l := &Layout{
 		prog: p, addrs: make([][]uint64, nb), id: layoutIDs.Add(1),
-		stamps: make([]uint64, nb), pft: make([]bool, nb),
+		stamps: make([]uint64, nb),
 	}
 	if parent != nil {
 		l.parent = parent.id
@@ -95,16 +93,6 @@ func layOut(p *Program, parent *Layout) *Layout {
 		}
 		k := len(b.Instrs)
 		l.stamps[i] = b.stamp
-		if parent != nil && parent.stamps[i] == b.stamp {
-			l.pft[i] = parent.pft[i]
-		} else {
-			for _, in := range b.Instrs {
-				if in.Kind == KindPrefetch {
-					l.pft[i] = true
-					break
-				}
-			}
-		}
 		if parent != nil && len(parent.addrs[i]) == k && (k == 0 || parent.addrs[i][0] == addr) {
 			l.addrs[i] = parent.addrs[i]
 			l.changed[i] = parent.stamps[i] != b.stamp
@@ -138,10 +126,6 @@ func (l *Layout) DerivedFrom(id uint64) bool { return l.parent != 0 && l.parent 
 // the layout l was derived from. Every block counts as changed in a layout
 // computed by NewLayout.
 func (l *Layout) Changed(b int) bool { return l.changed == nil || l.changed[b] }
-
-// HasPrefetch reports whether block b held a prefetch instruction when the
-// layout was computed.
-func (l *Layout) HasPrefetch(b int) bool { return l.pft[b] }
 
 // Addr returns the address of the instruction at ref.
 func (l *Layout) Addr(ref InstrRef) uint64 { return l.addrs[ref.Block][ref.Index] }

@@ -112,9 +112,9 @@ func TestUndoRestoresProgram(t *testing.T) {
 }
 
 // checkDerived compares d, derived from the layout whose blocks were old,
-// against a fresh NewLayout of p: every address, the totals and the
-// prefetch flags must agree, and every block whose addresses or
-// instructions moved must be reported changed.
+// against a fresh NewLayout of p: every address and the totals must agree,
+// and every block whose addresses or instructions moved must be reported
+// changed.
 func checkDerived(t *testing.T, where string, p *Program, d *Layout, parent *Layout, old []blockCopy) {
 	t.Helper()
 	full := NewLayout(p)
@@ -127,9 +127,6 @@ func checkDerived(t *testing.T, where string, p *Program, d *Layout, parent *Lay
 	for i, b := range p.Blocks {
 		if !slices.Equal(d.addrs[i], full.addrs[i]) {
 			t.Fatalf("%s: block %d addresses %v, want %v", where, i, d.addrs[i], full.addrs[i])
-		}
-		if d.HasPrefetch(i) != full.HasPrefetch(i) {
-			t.Fatalf("%s: block %d prefetch flag diverges", where, i)
 		}
 		moved := !slices.Equal(parent.addrs[i], full.addrs[i]) || !slices.Equal(old[i].instrs, b.Instrs)
 		if moved && !d.Changed(i) {

@@ -172,48 +172,31 @@ func (r *Registry) GaugeVecFunc(name, help, labelKey string, fn func() []Sample)
 // an operational dashboard.
 const histWindow = 1024
 
-// Histogram records float64 observations into fixed cumulative buckets
-// plus a bounded ring of recent values for quantile estimation. It renders
-// as a Prometheus summary — quantile series, _sum, and _count — so the
-// series names predating the registry stay stable; the bucket counts are
-// available programmatically via Snapshot.
+// Histogram records float64 observations: their count and sum, and a
+// bounded ring of recent values for quantile estimation. It renders as a
+// Prometheus summary — the quantiles of summaryQuantiles, _sum, and
+// _count — so the series names predating the registry stay stable.
 //
 // Observe is designed for hot paths (per-phase and per-dispatch latency):
-// the bucket counters and sum are atomics, and only the quantile ring takes
-// a mutex — one that Snapshot shares, so a concurrent Observe/Snapshot pair
-// can never tear the window (the ring's position and fill counters move
-// only under ringMu). There is no separate count: Snapshot derives it from
-// the buckets it loaded, so count and buckets always agree.
+// it takes one mutex, ringMu, which Snapshot shares, so a snapshot's count,
+// sum and window are from one instant and a concurrent Observe/Snapshot
+// pair can never tear them.
 type Histogram struct {
-	bounds  []float64      // bucket upper bounds, ascending; immutable
-	buckets []atomic.Int64 // buckets[i] counts observations <= bounds[i]; last = +Inf
-	sumBits atomic.Uint64  // float64 sum, CAS-updated via math.Float64bits
-
-	quantiles []float64 // immutable after registration
-
 	ringMu sync.Mutex
+	count  int64
+	sum    float64
 	ring   [histWindow]float64
 	pos, n int
 }
 
+// summaryQuantiles are the quantiles every histogram renders.
+var summaryQuantiles = []float64{0.5, 0.99}
+
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	idx := len(h.buckets) - 1 // +Inf
-	for i, b := range h.bounds {
-		if v <= b {
-			idx = i
-			break
-		}
-	}
-	h.buckets[idx].Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			break
-		}
-	}
 	h.ringMu.Lock()
+	h.count++
+	h.sum += v
 	h.ring[h.pos] = v
 	h.pos = (h.pos + 1) % histWindow
 	if h.n < histWindow {
@@ -224,28 +207,18 @@ func (h *Histogram) Observe(v float64) {
 
 // HistogramSnapshot is a point-in-time copy of a histogram's state.
 type HistogramSnapshot struct {
-	Bounds    []float64 // bucket upper bounds; the final bucket is +Inf
-	Buckets   []int64
 	Count     int64
 	Sum       float64
-	Quantiles []float64 // requested quantiles, in registration order
+	Quantiles []float64 // the rendered quantiles, ascending
 	Values    []float64 // estimated value per quantile (nearest rank)
 }
 
 // Snapshot returns the histogram's current state, including the
 // nearest-rank quantile estimates over the recent-observation window.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Bounds:    append([]float64(nil), h.bounds...),
-		Buckets:   make([]int64, len(h.buckets)),
-		Quantiles: append([]float64(nil), h.quantiles...),
-	}
-	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-		s.Count += s.Buckets[i]
-	}
-	s.Sum = math.Float64frombits(h.sumBits.Load())
+	s := HistogramSnapshot{Quantiles: append([]float64(nil), summaryQuantiles...)}
 	h.ringMu.Lock()
+	s.Count, s.Sum = h.count, h.sum
 	window := make([]float64, h.n)
 	copy(window, h.ring[:h.n])
 	h.ringMu.Unlock()
@@ -276,35 +249,13 @@ func nearestRank(q float64, n int) int {
 	return rank
 }
 
-// DefBuckets are the default latency buckets, in seconds: sub-millisecond
-// cache hits up through multi-minute sweeps.
-var DefBuckets = []float64{.001, .005, .01, .05, .1, .5, 1, 5, 10, 30, 60, 120}
-
-// newHistogram builds one histogram instrument, applying the registry
-// defaults (DefBuckets; 0.5 and 0.99 quantiles).
-func newHistogram(buckets, quantiles []float64) *Histogram {
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	if quantiles == nil {
-		quantiles = []float64{0.5, 0.99}
-	}
-	return &Histogram{
-		bounds:    append([]float64(nil), buckets...),
-		buckets:   make([]atomic.Int64, len(buckets)+1),
-		quantiles: append([]float64(nil), quantiles...),
-	}
-}
-
-// Histogram registers (or finds) a histogram family. buckets are the
-// cumulative upper bounds (nil = DefBuckets); quantiles are the summary
-// quantiles rendered to the exposition (nil = 0.5 and 0.99).
-func (r *Registry) Histogram(name, help string, buckets, quantiles []float64) *Histogram {
+// Histogram registers (or finds) a histogram family.
+func (r *Registry) Histogram(name, help string) *Histogram {
 	f := r.register(name, help, "summary", "")
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.hist == nil {
-		f.hist = newHistogram(buckets, quantiles)
+		f.hist = &Histogram{}
 	}
 	return f.hist
 }
@@ -312,11 +263,7 @@ func (r *Registry) Histogram(name, help string, buckets, quantiles []float64) *H
 // HistogramVec is a histogram family with one label dimension — one
 // summary (quantiles, _sum, _count) per label value, e.g. per-phase or
 // per-worker latency.
-type HistogramVec struct {
-	f         *family
-	buckets   []float64
-	quantiles []float64
-}
+type HistogramVec struct{ f *family }
 
 // With returns the child histogram for one label value, creating it on
 // first use.
@@ -325,22 +272,21 @@ func (v *HistogramVec) With(value string) *Histogram {
 	defer v.f.mu.Unlock()
 	h, ok := v.f.histVec[value]
 	if !ok {
-		h = newHistogram(v.buckets, v.quantiles)
+		h = &Histogram{}
 		v.f.histVec[value] = h
 	}
 	return h
 }
 
-// HistogramVec registers (or finds) a labeled histogram family. buckets
-// and quantiles follow the Histogram defaults and apply to every child.
-func (r *Registry) HistogramVec(name, help, labelKey string, buckets, quantiles []float64) *HistogramVec {
+// HistogramVec registers (or finds) a labeled histogram family.
+func (r *Registry) HistogramVec(name, help, labelKey string) *HistogramVec {
 	f := r.register(name, help, "summary", labelKey)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.histVec == nil {
 		f.histVec = map[string]*Histogram{}
 	}
-	return &HistogramVec{f: f, buckets: buckets, quantiles: quantiles}
+	return &HistogramVec{f: f}
 }
 
 // Package-level helpers registering into the Global registry — the form
@@ -362,6 +308,6 @@ func NewGaugeVecFunc(name, help, labelKey string, fn func() []Sample) {
 }
 
 // NewHistogramVec registers a labeled histogram in the Global registry.
-func NewHistogramVec(name, help, labelKey string, buckets, quantiles []float64) *HistogramVec {
-	return global.HistogramVec(name, help, labelKey, buckets, quantiles)
+func NewHistogramVec(name, help, labelKey string) *HistogramVec {
+	return global.HistogramVec(name, help, labelKey)
 }

@@ -112,7 +112,7 @@ func TestNearestRankRoundsHalfUp(t *testing.T) {
 
 func TestHistogramQuantilesAndBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("t_seconds", "help.", []float64{1, 10}, []float64{0.5, 0.99})
+	h := r.Histogram("t_seconds", "help.")
 	for i := 1; i <= 10; i++ {
 		h.Observe(float64(i))
 	}
@@ -120,21 +120,18 @@ func TestHistogramQuantilesAndBuckets(t *testing.T) {
 	if s.Count != 10 || s.Sum != 55 {
 		t.Fatalf("count/sum = %d/%g", s.Count, s.Sum)
 	}
-	// Buckets: <=1 holds 1, <=10 holds 9, +Inf 0.
-	if s.Buckets[0] != 1 || s.Buckets[1] != 9 || s.Buckets[2] != 0 {
-		t.Fatalf("buckets = %v", s.Buckets)
-	}
 	if s.Values[1] != 10 {
 		t.Fatalf("p99 over 1..10 = %g, want 10 (round half-up)", s.Values[1])
 	}
 }
 
 // TestHistogramConcurrentObserveSnapshot hammers one histogram from
-// writer and reader goroutines; -race verifies the quantile window and
-// the atomic counters never tear.
+// writer and reader goroutines; -race verifies the quantile window never
+// tears, and every snapshot's count and sum are from one instant: each
+// observation is 1, so the sum must equal the count.
 func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("hammer_seconds", "h", []float64{0.5, 1}, nil)
+	h := r.Histogram("hammer_seconds", "h")
 	const writers, perWriter = 8, 2000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -148,13 +145,8 @@ func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 					return
 				default:
 				}
-				s := h.Snapshot()
-				var inBuckets int64
-				for _, b := range s.Buckets {
-					inBuckets += b
-				}
-				if inBuckets != s.Count {
-					t.Errorf("bucket total %d != count %d", inBuckets, s.Count)
+				if s := h.Snapshot(); s.Sum != float64(s.Count) {
+					t.Errorf("sum %g != count %d", s.Sum, s.Count)
 					return
 				}
 			}
@@ -166,7 +158,7 @@ func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 		go func(w int) {
 			defer ww.Done()
 			for i := 0; i < perWriter; i++ {
-				h.Observe(float64(i%3) * 0.6)
+				h.Observe(1)
 			}
 		}(w)
 	}
@@ -181,7 +173,7 @@ func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 
 func TestHistogramVecRendersPerLabel(t *testing.T) {
 	r := NewRegistry()
-	v := r.HistogramVec("ucp_cell_seconds", "Per-worker cell latency.", "worker", []float64{1}, []float64{0.5})
+	v := r.HistogramVec("ucp_cell_seconds", "Per-worker cell latency.", "worker")
 	v.With("w1").Observe(0.25)
 	v.With("w1").Observe(0.75)
 	v.With("w2").Observe(2)
@@ -196,9 +188,11 @@ func TestHistogramVecRendersPerLabel(t *testing.T) {
 	want := `# HELP ucp_cell_seconds Per-worker cell latency.
 # TYPE ucp_cell_seconds summary
 ucp_cell_seconds{worker="w1",quantile="0.5"} 0.750000
+ucp_cell_seconds{worker="w1",quantile="0.99"} 0.750000
 ucp_cell_seconds_sum{worker="w1"} 1.000000
 ucp_cell_seconds_count{worker="w1"} 2
 ucp_cell_seconds{worker="w2",quantile="0.5"} 2.000000
+ucp_cell_seconds{worker="w2",quantile="0.99"} 2.000000
 ucp_cell_seconds_sum{worker="w2"} 2.000000
 ucp_cell_seconds_count{worker="w2"} 1
 `
@@ -236,7 +230,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.GaugeVecFunc("ucp_jobs", "Jobs by state.", "state", func() []Sample {
 		return []Sample{{Label: "done", Value: 2}, {Label: "queued", Value: 0}}
 	})
-	h := r.Histogram("ucp_lat_seconds", "Latency.", nil, nil)
+	h := r.Histogram("ucp_lat_seconds", "Latency.")
 	h.Observe(0.25)
 
 	var sb strings.Builder

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"time"
 
-	"ucp/internal/experiment"
 	"ucp/internal/pool"
 )
 
@@ -18,16 +17,10 @@ import (
 // line. Runs and ValidationBudget are defaults for cells that leave their
 // own zero.
 type BatchRequest struct {
-	Cells            []AnalyzeRequest `json:"cells,omitempty"`
-	Programs         []string         `json:"programs,omitempty"`
-	Configs          []string         `json:"configs,omitempty"`
-	Techs            []string         `json:"techs,omitempty"`
-	Policies         []string         `json:"policies,omitempty"`
-	Runs             int              `json:"runs,omitempty"`
-	ValidationBudget int              `json:"validation_budget,omitempty"`
-	// L2 is the default second cache level for cells that carry none of
-	// their own (and for the matrix form).
-	L2 *experiment.L2Request `json:"l2,omitempty"`
+	Cells []AnalyzeRequest `json:"cells,omitempty"`
+	// SweepRequest is the matrix form. Its L2 is also the default second
+	// cache level for cells that carry none of their own.
+	SweepRequest
 }
 
 // batchCellLine is one NDJSON cell outcome (Result or Error, never both).
@@ -59,15 +52,7 @@ type batchSummaryLine struct {
 // resolveBatch expands a BatchRequest into resolved use cases.
 func (s *Server) resolveBatch(req BatchRequest) ([]useCase, error) {
 	if len(req.Cells) == 0 {
-		return s.resolveSweep(SweepRequest{
-			Programs:         req.Programs,
-			Configs:          req.Configs,
-			Techs:            req.Techs,
-			Policies:         req.Policies,
-			Runs:             req.Runs,
-			ValidationBudget: req.ValidationBudget,
-			L2:               req.L2,
-		})
+		return s.resolveSweep(req.SweepRequest)
 	}
 	if len(req.Cells) > maxSweepCells {
 		return nil, errorf(400, "batch has %d cells, limit %d", len(req.Cells), maxSweepCells)

@@ -56,7 +56,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		replayCells: reg.Counter("ucp_journal_replay_cells_total",
 			"Cells answered from the job journal during replay (zero pipeline runs)."),
 		latency: reg.Histogram("ucp_analysis_latency_seconds",
-			"Latency of executed analyses (recent window).", nil, nil),
+			"Latency of executed analyses (recent window)."),
 	}
 }
 

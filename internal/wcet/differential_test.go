@@ -189,7 +189,7 @@ func TestDifferentialIncrementalVsFull(t *testing.T) {
 					if !mutate(rng, p) {
 						continue
 					}
-					inc, err := wcet.AnalyzeXHierFrom(context.Background(), x, h, par, prev)
+					inc, err := wcet.AnalyzeXHierFrom(context.Background(), x, h, par, prev, true)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -233,7 +233,7 @@ func TestDifferentialDirtyPropagationFuzz(t *testing.T) {
 				for k := 0; k < 1+rng.Intn(4); k++ {
 					mutate(rng, p)
 				}
-				inc, err := wcet.AnalyzeXHierFrom(context.Background(), x, h, par, prev)
+				inc, err := wcet.AnalyzeXHierFrom(context.Background(), x, h, par, prev, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -318,7 +318,7 @@ func TestAssembleDifferential(t *testing.T) {
 					if !mutate(rng, p) {
 						continue
 					}
-					if res, err = wcet.AnalyzeXHierFrom(context.Background(), x, h, par, res); err != nil {
+					if res, err = wcet.AnalyzeXHierFrom(context.Background(), x, h, par, res, true); err != nil {
 						t.Fatal(err)
 					}
 					check(t, where+" (edited)", res)
@@ -379,7 +379,7 @@ func fdctFIFOEqualCostEdit(t *testing.T, inspect func(seed *wcet.Result)) (seed,
 		}
 		p.InsertInstr(isa.InstrRef{Block: 2, Index: 191 + 4*k}, isa.Instr{Kind: isa.KindPrefetch, Target: target})
 	}
-	if edited, err = wcet.AnalyzeXHierFrom(context.Background(), x, h, par, seed); err != nil {
+	if edited, err = wcet.AnalyzeXHierFrom(context.Background(), x, h, par, seed, true); err != nil {
 		t.Fatal(err)
 	}
 	return seed, edited
@@ -435,7 +435,7 @@ func acceptRejectChains(ctx context.Context, t *testing.T, retire bool, check fu
 					for k := 0; k < 1+rng.Intn(3); k++ {
 						mutate(rng, p)
 					}
-					cur, err := wcet.AnalyzeXHierFrom(ctx, x, h, par, prev)
+					cur, err := wcet.AnalyzeXHierFrom(ctx, x, h, par, prev, true)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -46,37 +46,23 @@ func AnalyzeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, par Par
 // instruction sequences, so the optimizer reuses one expansion across its
 // insertion iterations.
 func AnalyzeXHier(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params) (*Result, error) {
-	return AnalyzeXHierFrom(ctx, x, h, par, nil)
+	return AnalyzeXHierFrom(ctx, x, h, par, nil, true)
 }
 
-// AMDemand says which levels' verdicts a chain of analyses must resolve to
-// AlwaysMiss: L1 for the L1 result, L2 for the L2 result. A level without
-// the demand may answer NotClassified instead (see absint.AnalyzeChain),
-// which prices the same.
-type AMDemand struct{ L1, L2 bool }
-
-// AnalyzeXHierSeed is AnalyzeXHier for the first result of a chain of
-// re-analyses (AnalyzeXHierFrom seeded from it and from its successors),
-// with the chain's AlwaysMiss demand am. Every re-analysis of the chain
-// keeps that demand. A hierarchy's L2 gate reads the L1's AlwaysMiss
-// verdicts, so am.L1 must be set when h has an L2.
-func AnalyzeXHierSeed(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params, am AMDemand) (*Result, error) {
-	return analyzeHier(ctx, x, h, par, nil, am)
-}
-
-// AnalyzeXHierFrom re-analyzes a mutated program against hierarchy h,
-// seeding every level's abstract interpretation from prev when prev was
-// computed for the same expansion, hierarchy and parameters; otherwise it
-// analyzes from scratch. Either way the result is bit-identical to a
-// from-scratch analysis with prev's AlwaysMiss demand (all of it without a
-// usable prev).
-func AnalyzeXHierFrom(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params, prev *Result) (*Result, error) {
-	return analyzeHier(ctx, x, h, par, prev, AMDemand{L1: true, L2: true})
-}
-
-// analyzeHier is AnalyzeXHierFrom with the AlwaysMiss demand am of a full
-// analysis; a re-analysis keeps prev's.
-func analyzeHier(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params, prev *Result, am AMDemand) (*Result, error) {
+// AnalyzeXHierFrom is the chain entry of the package: it re-analyzes a
+// mutated program against hierarchy h, seeding every level's abstract
+// interpretation from prev when prev was computed for the same expansion,
+// hierarchy and parameters, and otherwise analyzes from scratch. Either way
+// the result is bit-identical to a from-scratch analysis.
+//
+// am says whether the caller reads AlwaysMiss verdicts. Pricing charges
+// AlwaysMiss like NotClassified, so a level without that demand may answer
+// NotClassified instead (see absint.AnalyzeChain). A full analysis derives
+// each level's demand from am and h: the L2's access gate reads the L1's
+// AlwaysMiss verdicts, so the L1 resolves them when am is set or h has an
+// L2, the L2 when am is set. A seeded re-analysis keeps prev's demand at
+// every level, whatever am says.
+func AnalyzeXHierFrom(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params, prev *Result, am bool) (*Result, error) {
 	if err := par.Valid(); err != nil {
 		return nil, err
 	}
@@ -85,9 +71,6 @@ func analyzeHier(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Param
 	}
 	if h.HasL2() && par.L2HitCycles < 1 {
 		return nil, fmt.Errorf("wcet: hierarchy analysis needs L2HitCycles >= 1, have %d", par.L2HitCycles)
-	}
-	if h.HasL2() && !am.L1 {
-		return nil, fmt.Errorf("wcet: the L2 access gate reads the L1's AlwaysMiss verdicts, which the demand %+v drops", am)
 	}
 	mode := "full"
 	if prev != nil && prev.X == x && prev.Hier == h && prev.Par == par {
@@ -112,21 +95,22 @@ func analyzeHier(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Param
 	// level computed under another.
 	var lay *isa.Layout
 	var prevAI, prevAI2 *absint.Result
+	am1, am2 := am || h.HasL2(), am
 	if prev != nil {
 		lay = prev.Lay.Derive()
 		prevAI, prevAI2 = prev.AI, prev.AI2
-		am = AMDemand{L1: prevAI.HasAlwaysMiss(), L2: prevAI2 != nil && prevAI2.HasAlwaysMiss()}
+		am1, am2 = prevAI.HasAlwaysMiss(), prevAI2 != nil && prevAI2.HasAlwaysMiss()
 	} else {
 		lay = isa.NewLayout(x.Prog)
 	}
 	lambda := int(par.Lambda)
-	ai, err := absint.AnalyzeChain(ctx, x, lay, h.L1, lambda, nil, prevAI, am.L1)
+	ai, err := absint.AnalyzeChain(ctx, x, lay, h.L1, lambda, nil, prevAI, am1)
 	if err != nil {
 		return nil, err
 	}
 	var ai2 *absint.Result
 	if h.HasL2() {
-		if ai2, err = absint.AnalyzeChain(ctx, x, lay, h.L2, lambda, ai, prevAI2, am.L2); err != nil {
+		if ai2, err = absint.AnalyzeChain(ctx, x, lay, h.L2, lambda, ai, prevAI2, am2); err != nil {
 			return nil, err
 		}
 	}

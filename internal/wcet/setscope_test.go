@@ -132,17 +132,14 @@ func TestSetScopedDifferential(t *testing.T) {
 		for _, pol := range cachetest.Policies(t) {
 			for _, h := range chainHierarchies(pol) {
 				par := diffParams(h)
-				am := wcet.AMDemand{L1: true, L2: true}
-				if pi%2 == 1 {
-					am = wcet.AMDemand{L1: h.HasL2()}
-				}
-				where := fmt.Sprintf("%s/%s/%+v", prog.Name, h, am)
+				am := pi%2 == 0
+				where := fmt.Sprintf("%s/%s/am=%v", prog.Name, h, am)
 				p := prog.Clone()
 				x, err := vivu.Expand(p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := wcet.AnalyzeXHierSeed(ctx, x, h, par, am)
+				res, err := wcet.AnalyzeXHierFrom(ctx, x, h, par, nil, am)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -150,7 +147,7 @@ func TestSetScopedDifferential(t *testing.T) {
 					if !mutate(rng, p) {
 						continue
 					}
-					if res, err = wcet.AnalyzeXHierFrom(ctx, x, h, par, res); err != nil {
+					if res, err = wcet.AnalyzeXHierFrom(ctx, x, h, par, res, am); err != nil {
 						t.Fatal(err)
 					}
 					check(t, fmt.Sprintf("%s edit %d", where, step), res)

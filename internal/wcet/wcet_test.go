@@ -2,7 +2,9 @@ package wcet
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ucp/internal/absint"
@@ -281,25 +283,30 @@ func TestRefAccessors(t *testing.T) {
 // TestMayDemandPublicAnalysesKeepAlwaysMiss pins that the public analyses,
 // whose class counts ucp-wcet and the benchmark's unknown-share probes
 // print, resolve AlwaysMiss at both levels under every policy, and that a
-// re-analysis seeded from one keeps doing so; only an optimizer chain
-// started through AnalyzeXHierSeed may drop it. A seed without demand at
-// an L2's L1 is refused.
+// re-analysis seeded from one keeps doing so. Its table pins the demand
+// AnalyzeXHierFrom derives for a chain's first analysis, over every
+// policy, the L1 alone and behind an L2, and both values of am: the L1
+// resolves AlwaysMiss when am is set or an L2's access gate reads it, the
+// L2 when am is set, and a FIFO level always (its transfer reads the may
+// component). Re-analyses seeded from it keep its answers whatever am they
+// are passed.
 func TestMayDemandPublicAnalysesKeepAlwaysMiss(t *testing.T) {
 	ctx := context.Background()
 	bm, _ := malardalen.ByName("crc")
+	par := Params{HitCycles: 1, MissPenalty: 9, Lambda: 10, L2HitCycles: 3}
+	prefetch := isa.Instr{Kind: isa.KindPrefetch, Target: isa.InstrRef{Block: 1, Index: 0}}
 	for _, pol := range cache.Policies() {
 		h := cache.Hierarchy{
 			L1: cache.Config{Assoc: 2, BlockBytes: 16, CapacityBytes: 256, Policy: pol},
 			L2: cache.Config{Assoc: 4, BlockBytes: 32, CapacityBytes: 8192, Policy: pol},
 		}
-		par := Params{HitCycles: 1, MissPenalty: 9, Lambda: 10, L2HitCycles: 3}
 		r, err := AnalyzeHier(ctx, bm.Prog.Clone(), h, par)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := r.Prog
-		p.InsertInstr(isa.InstrRef{Block: 0, Index: 0}, isa.Instr{Kind: isa.KindPrefetch, Target: isa.InstrRef{Block: 1, Index: 0}})
-		again, err := AnalyzeXHierFrom(ctx, r.X, h, par, r)
+		p.InsertInstr(isa.InstrRef{Block: 0, Index: 0}, prefetch)
+		again, err := AnalyzeXHierFrom(ctx, r.X, h, par, r, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,8 +325,48 @@ func TestMayDemandPublicAnalysesKeepAlwaysMiss(t *testing.T) {
 				}
 			}
 		}
-		if _, err := AnalyzeXHierSeed(ctx, r.X, h, par, AMDemand{L2: true}); err == nil {
-			t.Errorf("%v: a seed whose L1 drops AlwaysMiss was accepted behind an L2", pol)
+
+		fifo := pol == cache.FIFO
+		for _, hh := range []cache.Hierarchy{cache.Hier1(h.L1), h} {
+			for _, am := range []bool{false, true} {
+				where := fmt.Sprintf("%v %s am=%v", pol, hh, am)
+				want := []bool{am || hh.HasL2() || fifo, am || fifo}
+				if !hh.HasL2() {
+					want = want[:1]
+				}
+				x, err := vivu.Expand(bm.Prog.Clone())
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := AnalyzeXHierFrom(ctx, x, hh, par, nil, am)
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				if got := demandOf(res); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: seed HasAlwaysMiss per level %v, want %v", where, got, want)
+				}
+				for _, next := range []bool{!am, am} {
+					x.Prog.InsertInstr(isa.InstrRef{Block: 0, Index: 0}, prefetch)
+					if res, err = AnalyzeXHierFrom(ctx, x, hh, par, res, next); err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					if res.AI.Changed == nil {
+						t.Fatalf("%s: the re-analysis passed am=%v was not seeded", where, next)
+					}
+					if got := demandOf(res); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: re-analysis passed am=%v: HasAlwaysMiss per level %v, want the seed's %v", where, next, got, want)
+					}
+				}
+			}
 		}
 	}
+}
+
+// demandOf lists r's HasAlwaysMiss answers, the L1's first.
+func demandOf(r *Result) []bool {
+	d := []bool{r.AI.HasAlwaysMiss()}
+	if r.AI2 != nil {
+		d = append(d, r.AI2.HasAlwaysMiss())
+	}
+	return d
 }
