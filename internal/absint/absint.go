@@ -852,6 +852,11 @@ type Result struct {
 	// dirty region. Rows of unchanged blocks alias the previous result's
 	// and are never written: a flipped effectiveness bit copies the row.
 	ops [][]opRec
+	// rows and classRows are the slabs holding the transfer and
+	// classification rows this result built (every other row aliases the
+	// result it was seeded from); Release gives them back to the chain.
+	rows      []opRec
+	classRows []Classification
 	// out[xb] is the abstract state at the exit of xb (nil = bottom, the
 	// block was never reached); it seeds incremental re-analysis.
 	out []*State
@@ -943,6 +948,8 @@ type analyzer struct {
 	// every set is re-solved.
 	mask *setMask
 	base []*State
+	// stash is solve's buffer for a cyclic component's seeded states.
+	stash []*State
 }
 
 // checkInterval is how many fixpoint steps pass between context polls: the
@@ -1183,7 +1190,6 @@ func (a *analyzer) processBlock(id int) bool {
 // result (prev) untouched — seeded states are shared, never mutated, never
 // recycled — so the caller's previous Result stays valid for a later retry.
 func (a *analyzer) solve(plan *sccPlan) error {
-	var stash []*State
 	for ci, comp := range plan.comps {
 		if err := a.chk.Check(); err != nil {
 			return err
@@ -1208,9 +1214,9 @@ func (a *analyzer) solve(plan *sccPlan) error {
 		// Restart the whole component from bottom. Continuing from seeded
 		// (previous-solution) states would not be monotone from below and
 		// could overshoot the least fixpoint.
-		stash = stash[:0]
+		a.stash = a.stash[:0]
 		for _, id := range comp {
-			stash = append(stash, a.out[id])
+			a.stash = append(a.stash, a.out[id])
 			a.out[id] = nil
 			a.ownOut[id] = false // seeds are shared; new states re-mark themselves
 			a.dirty[id] = true
@@ -1231,7 +1237,7 @@ func (a *analyzer) solve(plan *sccPlan) error {
 			}
 		}
 		for k, id := range comp {
-			prev := stash[k]
+			prev := a.stash[k]
 			switch {
 			case prev == nil:
 				a.outChanged[id] = a.out[id] != nil

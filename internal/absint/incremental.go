@@ -8,6 +8,7 @@ import (
 	"ucp/internal/interrupt"
 	"ucp/internal/isa"
 	"ucp/internal/obs"
+	"ucp/internal/reuse"
 	"ucp/internal/vivu"
 )
 
@@ -71,14 +72,7 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 	ctx, span := obs.Start(ctx, spanName)
 	defer span.End()
 	n := len(x.Blocks)
-	res := &Result{
-		X:      x,
-		Cfg:    cfg,
-		Class:  make([][]Classification, n),
-		lambda: lambda,
-		gated:  l1 != nil,
-		out:    make([]*State, n),
-	}
+	res := &Result{X: x, Cfg: cfg, lambda: lambda, gated: l1 != nil}
 	satLo := lay.StartAddr() / uint64(cfg.BlockBytes)
 	noAM := !am && !keepsMay(cfg)
 	if prev != nil && (prev.X != x || prev.Cfg != cfg || prev.lambda != lambda || prev.gated != res.gated ||
@@ -97,6 +91,9 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 		sc = newScratch(cfg, satLo, noAM)
 	}
 	res.scr = sc
+	// The per-block tables come from the buffers the chain's last released
+	// result gave back (see Release), when there are any.
+	res.Class, res.out = sc.classHdr.Take(n), sc.outHdr.Take(n)
 	made := sc.sp.made // pool misses before this call, for the span
 	a := &analyzer{
 		x: x, cfg: cfg, res: res, sp: &sc.sp,
@@ -115,20 +112,32 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 	// bits); the rest are the base-dirty set. When lay was derived from
 	// prev's layout, only the rows an edit can have reached are rebuilt and
 	// diffed (see rowSources); every other row aliases prev's unexamined.
-	ops := make([][]opRec, n)
+	// The rebuilt rows are laid straight into one slab the result owns,
+	// sized for every row the loop may rebuild; a rebuilt row equal to
+	// prev's is dropped from the slab again.
+	ops := sc.opsHdr.Take(n)
 	baseDirty := flags(&sc.baseDirty, n)
-	rowBuf := sc.row
 	var src []bool
 	if !full && lay.DerivedFrom(prev.lay) && (l1 == nil || (l1.Changed != nil && l1.lay == res.lay && l1.from == prev.lay)) {
 		src = rowSources(x.Prog, lay, &sc.src)
 	}
+	kept := func(xb *vivu.Block) bool {
+		return src != nil && !src[xb.Orig] && (l1 == nil || !l1.Changed[xb.ID])
+	}
+	need := 0
 	for _, xb := range x.Blocks {
-		if src != nil && !src[xb.Orig] && (l1 == nil || !l1.Changed[xb.ID]) {
+		if !kept(xb) {
+			need += len(x.Prog.Blocks[xb.Orig].Instrs)
+		}
+	}
+	slab := sc.rows.Take(need)[:0]
+	for _, xb := range x.Blocks {
+		if kept(xb) {
 			ops[xb.ID] = prev.ops[xb.ID]
 			continue
 		}
 		instrs := x.Prog.Blocks[xb.Orig].Instrs
-		rowBuf = rowBuf[:0]
+		start := len(slab)
 		for i, ins := range instrs {
 			op := opRec{acc: lay.MemBlock(isa.InstrRef{Block: xb.Orig, Index: i}, cfg.BlockBytes)}
 			if l1 != nil {
@@ -143,16 +152,16 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 			if op.pft {
 				op.tgt = lay.MemBlock(ins.Target, cfg.BlockBytes)
 			}
-			rowBuf = append(rowBuf, op)
+			slab = append(slab, op)
 		}
-		if !full && rowBaseEqual(rowBuf, prev.ops[xb.ID]) {
+		if row := slab[start:len(slab):len(slab)]; !full && rowBaseEqual(row, prev.ops[xb.ID]) {
 			ops[xb.ID] = prev.ops[xb.ID]
+			slab = slab[:start]
 		} else {
-			ops[xb.ID] = append(make([]opRec, 0, len(rowBuf)), rowBuf...)
+			ops[xb.ID] = row
 			baseDirty[xb.ID] = true
 		}
 	}
-	sc.row = rowBuf
 	a.ops = ops
 	res.ops = ops
 
@@ -189,8 +198,9 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 				}
 				continue
 			}
-			// Row aliases the previous result: copy-on-write, and only if a
-			// bit actually flips does the block become dirty.
+			// Row aliases the previous result: copy-on-write, into the
+			// slab while it has room, and only if a bit actually flips
+			// does the block become dirty.
 			var fresh []opRec
 			for i, op := range row {
 				if !op.fills {
@@ -198,7 +208,12 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 				}
 				if e := ec.hidden(id, i, op.tgt, lambda); e != op.eff {
 					if fresh == nil {
-						fresh = append(make([]opRec, 0, len(row)), row...)
+						if start := len(slab); start+len(row) <= cap(slab) {
+							slab = append(slab, row...)
+							fresh = slab[start:len(slab):len(slab)]
+						} else {
+							fresh = append(make([]opRec, 0, len(row)), row...)
+						}
 					}
 					fresh[i].eff = e
 				}
@@ -209,6 +224,7 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 			}
 		}
 	}
+	res.rows = slab
 
 	if full {
 		res.sccs = buildSCCPlan(x)
@@ -266,9 +282,12 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 		a.sp.put(a.scrB)
 	}()
 	a.empty = sc.empty
+	a.stash = sc.stash
 	if err := a.solve(res.sccs); err != nil {
 		return nil, err
 	}
+	sc.stash = a.stash
+	res.own = sc.own.Take(0)
 	for id, own := range a.ownOut {
 		if own {
 			res.own = append(res.own, int32(id))
@@ -280,7 +299,7 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 	// else aliases the previous result — same in-state value, same transfer
 	// row, hence the same classifications.
 	if !full {
-		changed := make([]bool, n)
+		changed := sc.changed.Take(n)
 		for id := range changed {
 			if rowDirty[id] {
 				changed[id] = true
@@ -300,6 +319,14 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 	// state — it is unreachable, and edits never change reachability — so
 	// it is classified against the cold-cache state, like the entry. Under
 	// a set mask, the fetches on the other sets take the seed's verdicts.
+	// The rows are copied into one slab the result owns.
+	need = 0
+	for id, row := range ops {
+		if full || res.Changed[id] {
+			need += len(row)
+		}
+	}
+	cls := sc.classRows.Take(need)[:0]
 	for id := range ops {
 		if !full && !res.Changed[id] {
 			res.Class[id] = prev.Class[id]
@@ -308,11 +335,14 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 		if !a.classed[id] {
 			a.transferInto(a.scrA, a.empty, id)
 		}
-		res.Class[id] = append([]Classification(nil), a.cls[id]...)
+		start := len(cls)
+		cls = append(cls, a.cls[id]...)
+		res.Class[id] = cls[start:len(cls):len(cls)]
 		if a.mask != nil {
 			sc.fillVerdicts(a.mask, res.Class[id], ops[id], prev.ops[id], prev.Class[id], !rowDirty[id])
 		}
 	}
+	res.classRows = cls
 	if span != nil {
 		span.Attr("rounds", a.rounds)
 		span.Attr("states_pooled", len(sc.sp.free))
@@ -439,7 +469,6 @@ type scratch struct {
 	empty *State
 	// flag slices, re-cleared per call
 	baseDirty, dirty, rowDirty, ownOut, outChanged, classed, scope []bool
-	row                                                            []opRec
 	// dist and stack are effScope's distances and worklist.
 	dist, stack []int32
 	// src marks the original blocks whose rows a scoped build re-derives
@@ -453,6 +482,19 @@ type scratch struct {
 	// the per-set event lists of a seeded and a new row (see setMask).
 	mask           setMask
 	prjOld, prjNew projection
+	// stash holds a cyclic component's seeded exit states while the solve
+	// restarts it from bottom.
+	stash []*State
+	// The buffers a released result gave back (see Result.Release), one of
+	// each kind, for the chain's next re-analysis to take: the transfer
+	// and classification row slabs, and the per-block tables.
+	rows      reuse.Slot[opRec]
+	classRows reuse.Slot[Classification]
+	opsHdr    reuse.Slot[[]opRec]
+	classHdr  reuse.Slot[[]Classification]
+	outHdr    reuse.Slot[*State]
+	changed   reuse.Slot[bool]
+	own       reuse.Slot[int32]
 }
 
 func newScratch(cfg cache.Config, satLo uint64, noAM bool) *scratch {
@@ -534,27 +576,62 @@ func (r *Result) Intern() {
 	}
 }
 
-// Release returns the exit states this result owns to the chain's state
-// pool, then clears the result's exit states and classifications, so any
-// later use of it (reading Class, deriving an in-state, seeding a
-// re-analysis) fails loudly instead of reading recycled memory. Only a
-// result nothing was seeded from may be released: one that was rolled
-// back. Its seed keeps every state it shares with it. Release is nil-safe
-// and idempotent.
+// Sentinels a given-back buffer is filled with under reuse.Poison; no
+// analysis produces them.
+var (
+	poisonOp    = opRec{acc: ^uint64(0), tgt: ^uint64(0), cac: cacNever, pft: true, fills: true, eff: true}
+	poisonClass = Classification(0xEE)
+)
+
+// Release ends the life of a rolled-back result: the exit states it owns
+// go back to the chain's state pool, and everything else it allocated —
+// the slabs of the transfer and classification rows it rebuilt, and its
+// per-block tables — to the chain's scratch, where the chain's next
+// re-analysis takes them before it allocates. It then clears the result,
+// so any later use of it (reading Class or Effective, deriving an
+// in-state, seeding a re-analysis) fails loudly instead of reading
+// recycled memory. Only a result nothing was seeded from may be released:
+// one that was rolled back. Its seed keeps every state and row it shares
+// with it. Release is nil-safe and idempotent, and a no-op on a retired
+// result.
 func (r *Result) Release() {
-	r.Retire(nil)
+	if r == nil || r.out == nil {
+		return
+	}
+	sc := r.scr
+	r.retireStates(nil)
+	sc.rows.Put(r.rows, poisonOp)
+	sc.classRows.Put(r.classRows, poisonClass)
+	sc.opsHdr.Put(r.ops, nil)
+	sc.classHdr.Put(r.Class, nil)
+	sc.outHdr.Put(r.out, nil)
+	sc.changed.Put(r.Changed, true)
+	sc.own.Put(r.own, -1)
+	r.clear()
 }
 
 // Retire ends r's life after next, a result seeded from r, superseded it:
 // the owned exit states next still aliases become next's, the rest go back
 // to the chain's state pool, and r is cleared like Release. Interned states
-// are read-only for good and stay where they are. r must not be used, or
-// seeded from, afterwards. A nil next releases r. Retire is nil-safe and
-// idempotent.
+// are read-only for good and stay where they are. Nothing else is given
+// back: next, and the results seeded from it, may alias r's rows. r must
+// not be used, or seeded from, afterwards. A nil next releases r. Retire is
+// nil-safe and idempotent.
 func (r *Result) Retire(next *Result) {
-	if r == nil {
+	if next == nil {
+		r.Release()
 		return
 	}
+	if r == nil || r.out == nil {
+		return
+	}
+	r.retireStates(next)
+	r.clear()
+}
+
+// retireStates hands next (nil on release) the exit states r owns that
+// next still aliases at the same block, and recycles the rest.
+func (r *Result) retireStates(next *Result) {
 	for _, id := range r.own {
 		s := r.out[id]
 		switch {
@@ -565,7 +642,12 @@ func (r *Result) Retire(next *Result) {
 			r.scr.sp.put(s)
 		}
 	}
-	r.own, r.out, r.Class = nil, nil, nil
+}
+
+// clear drops every reference r holds to its exit states, rows and
+// tables.
+func (r *Result) clear() {
+	r.own, r.out, r.Class, r.Changed, r.ops, r.rows, r.classRows = nil, nil, nil, nil, nil, nil, nil
 }
 
 // PooledStates counts r's exit states that sit in its chain's state pool.

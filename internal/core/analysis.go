@@ -160,8 +160,10 @@ func (o *optimizer) findNextUse(r vivu.Ref, target uint64, bb int) (use vivu.Ref
 	cur := r
 	gap = 0
 	limit := x.NRefs() + len(x.Blocks)
-	path = append(o.pathBuf[:0], pathStep{ref: r})
-	defer func() { o.pathBuf = path[:0] }()
+	// The walk grows buf, not the named result, which a failed search
+	// returns as nil: the buffer it grew is kept either way.
+	buf := append(o.pathBuf[:0], pathStep{ref: r})
+	defer func() { o.pathBuf = buf[:0] }()
 	for steps := 0; steps <= limit; steps++ {
 		next, ok := o.wcetSucc(cur)
 		if !ok {
@@ -173,16 +175,16 @@ func (o *optimizer) findNextUse(r vivu.Ref, target uint64, bb int) (use vivu.Ref
 		if o.memBlockOf(next, bb) == target {
 			// Backfill the remaining time after every path position.
 			acc := int64(0)
-			for i := len(path) - 1; i >= 0; i-- {
-				path[i].gapAfter = acc
+			for i := len(buf) - 1; i >= 0; i-- {
+				buf[i].gapAfter = acc
 				if i > 0 {
-					acc += res.RefTime(path[i].ref)
+					acc += res.RefTime(buf[i].ref)
 				}
 			}
-			return next, gap, path, true
+			return next, gap, buf, true
 		}
 		gap += res.RefTime(next)
-		path = append(path, pathStep{ref: next})
+		buf = append(buf, pathStep{ref: next})
 		cur = next
 	}
 	return vivu.Ref{}, 0, nil, false

@@ -622,8 +622,9 @@ func (o *optimizer) explainPCost(block int) int64 {
 // restores the blocks the change wrote, the previous result comes back —
 // which also revives the backward-state cache, keyed on the result pointer
 // — and the rejected result is released: nothing was seeded from it, so
-// the abstract states it created go back to the pool. A failed re-analysis
-// restores the program too, so it still matches o.res.
+// the abstract states, rows, vectors and layout rows it allocated go back
+// to its chain for the next validation. A failed re-analysis restores the
+// program too, so it still matches o.res.
 func (o *optimizer) validate(change func(*isa.Program) []isa.Edit, accept func(prev, cur *wcet.Result) bool) (bool, error) {
 	prog := o.res.Prog
 	prog.BeginUndo()

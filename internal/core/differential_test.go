@@ -9,6 +9,7 @@ import (
 	"ucp/internal/cache"
 	"ucp/internal/malardalen"
 	"ucp/internal/wcet"
+	"ucp/internal/wcet/wcettest"
 )
 
 // TestDifferentialRefreshMatchesFull runs the real optimizer — batched
@@ -23,9 +24,10 @@ import (
 //
 // The optimizer's chains drop the may component where no verdict reads
 // AlwaysMiss (see optimizeHier), so each refresh is compared twice: bit for bit
-// with a from-scratch analysis of the same demand (verdicts, effectiveness,
-// in-states, costs and totals), and with the analysis that resolves every
-// verdict, up to AlwaysMiss reading NotClassified (diffUpToAM).
+// with a from-scratch analysis of the same demand (wcettest.SameAsFull:
+// verdicts, effectiveness, exit states, costs, totals and addresses), and
+// with the analysis that resolves every verdict, up to AlwaysMiss reading
+// NotClassified (diffUpToAM).
 func TestDifferentialRefreshMatchesFull(t *testing.T) {
 	configs := cache.Table2()
 	checks := 0
@@ -33,39 +35,8 @@ func TestDifferentialRefreshMatchesFull(t *testing.T) {
 		checks++
 		// The last level resolves AlwaysMiss exactly when the chain's
 		// caller reads it, which is the demand the full analysis derives.
-		top := inc.AI
-		if inc.AI2 != nil {
-			top = inc.AI2
-		}
-		full, err := wcet.AnalyzeXHierFrom(context.Background(), inc.X, inc.Hier, inc.Par, nil, top.HasAlwaysMiss())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inc.TauW != full.TauW || inc.Misses != full.Misses || inc.L2Misses != full.L2Misses || inc.Fetches != full.Fetches {
-			t.Fatalf("refresh diverges: τ_w %d/%d misses %d/%d L2 misses %d/%d fetches %d/%d",
-				inc.TauW, full.TauW, inc.Misses, full.Misses, inc.L2Misses, full.L2Misses, inc.Fetches, full.Fetches)
-		}
-		if (inc.AI2 == nil) != (full.AI2 == nil) {
-			t.Fatal("refresh diverges: L2 analysis present in only one result")
-		}
-		for id := range full.Nw {
-			if inc.Nw[id] != full.Nw[id] || inc.Cost[id] != full.Cost[id] || inc.Extra[id] != full.Extra[id] {
-				t.Fatalf("refresh diverges at block %d (Nw/Cost/Extra)", id)
-			}
-			for _, lv := range [][2]*absint.Result{{inc.AI, full.AI}, {inc.AI2, full.AI2}} {
-				a, b := lv[0], lv[1]
-				if b == nil {
-					continue
-				}
-				for i := range b.Class[id] {
-					if a.Class[id][i] != b.Class[id][i] || a.Effective(id, i) != b.Effective(id, i) {
-						t.Fatalf("refresh classification diverges at block %d ref %d", id, i)
-					}
-				}
-				if !a.InState(id).Equal(b.InState(id)) {
-					t.Fatalf("refresh in-state diverges at block %d", id)
-				}
-			}
+		if err := wcettest.SameAsFull(inc); err != nil {
+			t.Fatalf("refresh diverges: %v", err)
 		}
 		all, err := wcet.AnalyzeXHier(context.Background(), inc.X, inc.Hier, inc.Par)
 		if err != nil {

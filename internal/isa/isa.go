@@ -11,6 +11,8 @@
 // the original paper.
 package isa
 
+import "ucp/internal/reuse"
+
 // InstrBytes is the size of every instruction in bytes (ARM-like fixed
 // width). All addresses are multiples of InstrBytes.
 const InstrBytes = 4
@@ -164,6 +166,15 @@ type Program struct {
 	undo      []undoEntry
 	undoFrom  uint64
 	recording bool
+	// spare holds the instruction slices the last closed undo record gave
+	// back: the saved copies a DropUndo no longer needs, or the edited
+	// lists an Undo replaced. The next record's first writes take them.
+	spare [][]Instr
+	// The buffers the last released derived layout gave back (see
+	// Layout.Release), for the next Derive to take.
+	layRows, layStamps reuse.Slot[uint64]
+	layAddrs           reuse.Slot[[]uint64]
+	layChanged         reuse.Slot[bool]
 }
 
 // undoEntry is one block as it was before an undo record first wrote to it.
@@ -363,7 +374,11 @@ func (p *Program) shiftTargets(e Edit) {
 // first write to b saves b's instructions and stamp before it.
 func (p *Program) touch(b *Block) {
 	if p.recording && b.stamp <= p.undoFrom {
-		p.undo = append(p.undo, undoEntry{b: b, instrs: append([]Instr(nil), b.Instrs...), stamp: b.stamp, npft: b.npft, npftOK: b.npftOK})
+		var buf []Instr
+		if n := len(p.spare); n > 0 {
+			buf, p.spare = p.spare[n-1][:0], p.spare[:n-1]
+		}
+		p.undo = append(p.undo, undoEntry{b: b, instrs: append(buf, b.Instrs...), stamp: b.stamp, npft: b.npft, npftOK: b.npftOK})
 	}
 	p.clock++
 	b.stamp = p.clock
@@ -381,18 +396,30 @@ func (p *Program) BeginUndo() {
 }
 
 // Undo restores every block the open record saved — instructions, stamp
-// and prefetch count — and closes the record. Without an open record it
-// does nothing.
+// and prefetch count — and closes the record. The edited instruction lists
+// it replaces go to the program's spares, for the next record's saved
+// copies. Without an open record it does nothing.
 func (p *Program) Undo() {
-	for _, e := range p.undo {
-		e.b.Instrs, e.b.stamp = e.instrs, e.stamp
-		e.b.npft, e.b.npftOK = e.npft, e.npftOK
+	for i := range p.undo {
+		e := &p.undo[i]
+		e.b.Instrs, e.instrs = e.instrs, e.b.Instrs
+		e.b.stamp, e.b.npft, e.b.npftOK = e.stamp, e.npft, e.npftOK
 	}
 	p.DropUndo()
 }
 
-// DropUndo closes the open record and keeps its edits.
+// poisonInstr fills a given-back instruction slice under reuse.Poison; no
+// instruction has its kind.
+var poisonInstr = Instr{Kind: 0xEE, Target: InstrRef{Block: -1, Index: -1}}
+
+// DropUndo closes the open record and keeps its edits. The saved copies it
+// no longer needs go to the program's spares, which therefore never hold
+// more slices than one record saved.
 func (p *Program) DropUndo() {
+	for _, e := range p.undo {
+		reuse.Fill(e.instrs, poisonInstr)
+		p.spare = append(p.spare, e.instrs)
+	}
 	clear(p.undo)
 	p.undo = p.undo[:0]
 	p.recording = false

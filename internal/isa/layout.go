@@ -29,8 +29,11 @@ const DefaultLoopAlign = 16
 type Layout struct {
 	prog  *Program
 	addrs [][]uint64 // addrs[blockID][instrIndex]
-	total int        // total instruction count
-	end   uint64     // one past the last instruction
+	// rows is the slab holding the address rows this layout made; every
+	// other row is its parent's.
+	rows  []uint64
+	total int    // total instruction count
+	end   uint64 // one past the last instruction
 
 	// id names the layout; parent is the id of the layout it was derived
 	// from, 0 for one computed by NewLayout. A derived layout names its
@@ -58,13 +61,43 @@ func NewLayout(p *Program) *Layout {
 // A block's instructions count as changed when one of the Program's
 // mutators wrote to it since l was computed (an undo of those writes
 // restores the old contents and counts as unchanged); a direct write to
-// Block.Instrs is not seen. l itself is left as it was.
+// Block.Instrs is not seen. l itself is left as it was. The new layout's
+// rows and tables come from what the program's last released layout gave
+// back (see Release), so Derive, like the mutators, must not run
+// concurrently with another use of the program.
 func (l *Layout) Derive() *Layout {
 	return layOut(l.prog, l)
 }
 
+// poisonAddr fills a given-back address row under reuse.Poison; it is no
+// instruction's address.
+const poisonAddr = ^uint64(0)
+
+// Release ends the life of a layout nothing was derived from. A derived
+// layout gives the slab of the address rows it made (the rows it shares
+// with its parent stay) and its per-block tables back to its program, for
+// the program's next Derive to take. A layout computed by NewLayout gives
+// nothing back, since other goroutines may lay out the same program.
+// Either way the layout is cleared, so a later use fails loudly. Release
+// is nil-safe and idempotent.
+func (l *Layout) Release() {
+	if l == nil || l.addrs == nil {
+		return
+	}
+	if l.parent != 0 {
+		p := l.prog
+		p.layRows.Put(l.rows, poisonAddr)
+		p.layAddrs.Put(l.addrs, nil)
+		p.layStamps.Put(l.stamps, poisonAddr)
+		p.layChanged.Put(l.changed, true)
+	}
+	l.addrs, l.rows, l.stamps, l.changed = nil, nil, nil, nil
+}
+
 // layOut lays p out from its base address, deriving from parent when it is
-// non-nil.
+// non-nil. A derived layout's tables and row slab come from the program's
+// spares; a fresh layout allocates its own, so concurrent NewLayout calls
+// on one program share nothing.
 func layOut(p *Program, parent *Layout) *Layout {
 	if parent != nil && len(parent.addrs) != len(p.Blocks) {
 		parent = nil
@@ -74,45 +107,65 @@ func layOut(p *Program, parent *Layout) *Layout {
 		base = DefaultBaseAddr
 	}
 	nb := len(p.Blocks)
-	l := &Layout{
-		prog: p, addrs: make([][]uint64, nb), id: layoutIDs.Add(1),
-		stamps: make([]uint64, nb),
-	}
+	l := &Layout{prog: p, id: layoutIDs.Add(1)}
 	if parent != nil {
 		l.parent = parent.id
-		l.changed = make([]bool, nb)
+		l.addrs, l.stamps, l.changed = p.layAddrs.Take(nb), p.layStamps.Take(nb), p.layChanged.Take(nb)
+	} else {
+		l.addrs, l.stamps = make([][]uint64, nb), make([]uint64, nb)
 	}
-	addr := base
-	n := 0
+	// The first pass keeps the parent's row of every block whose start
+	// address and length are unchanged and counts the instructions of the
+	// others; the second lays those out into one slab.
+	addr, n, need := base, 0, 0
 	for i, b := range p.Blocks {
-		if b.Align > 0 {
-			rem := addr % uint64(b.Align)
-			if rem != 0 {
-				addr += uint64(b.Align) - rem
-			}
-		}
+		addr = b.alignUp(addr)
 		k := len(b.Instrs)
 		l.stamps[i] = b.stamp
 		if parent != nil && len(parent.addrs[i]) == k && (k == 0 || parent.addrs[i][0] == addr) {
 			l.addrs[i] = parent.addrs[i]
 			l.changed[i] = parent.stamps[i] != b.stamp
-			addr += uint64(k) * InstrBytes
 		} else {
-			row := make([]uint64, k)
-			for j := range row {
-				row[j] = addr
-				addr += InstrBytes
-			}
-			l.addrs[i] = row
+			l.addrs[i] = nil
+			need += k
 			if parent != nil {
 				l.changed[i] = true
 			}
 		}
+		addr += uint64(k) * InstrBytes
 		n += k
 	}
 	l.total = n
 	l.end = addr
+	if parent != nil {
+		l.rows = p.layRows.Take(need)[:0]
+	} else {
+		l.rows = make([]uint64, 0, need)
+	}
+	addr = base
+	for i, b := range p.Blocks {
+		addr = b.alignUp(addr)
+		k := len(b.Instrs)
+		if l.addrs[i] == nil {
+			start := len(l.rows)
+			for j := 0; j < k; j++ {
+				l.rows = append(l.rows, addr+uint64(j)*InstrBytes)
+			}
+			l.addrs[i] = l.rows[start:len(l.rows):len(l.rows)]
+		}
+		addr += uint64(k) * InstrBytes
+	}
 	return l
+}
+
+// alignUp returns the first address at or after addr where b may start.
+func (b *Block) alignUp(addr uint64) uint64 {
+	if b.Align > 0 {
+		if rem := addr % uint64(b.Align); rem != 0 {
+			addr += uint64(b.Align) - rem
+		}
+	}
+	return addr
 }
 
 // ID names the layout. Two layouts never share an ID.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ucp/internal/absint"
@@ -260,7 +261,7 @@ func TestDifferentialDirtyPropagationFuzz(t *testing.T) {
 // 8 KiB L2. Accepted results are kept, not retired.
 func TestReleaseDifferential(t *testing.T) {
 	t.Parallel()
-	acceptRejectChains(context.Background(), t, false, nil)
+	acceptRejectChains(context.Background(), t, false, cache.Policies(), nil)
 }
 
 // TestRetireDifferential is TestReleaseDifferential with the optimizer's
@@ -271,7 +272,7 @@ func TestReleaseDifferential(t *testing.T) {
 // exit state of the live result may sit in either level's pool.
 func TestRetireDifferential(t *testing.T) {
 	t.Parallel()
-	acceptRejectChains(context.Background(), t, true, nil)
+	acceptRejectChains(context.Background(), t, true, cache.Policies(), nil)
 }
 
 // TestAssembleDifferential holds the assembly — one pricing function, a
@@ -328,7 +329,7 @@ func TestAssembleDifferential(t *testing.T) {
 		}
 	}
 	t.Logf("%d program × policy × hierarchy legs checked", checked)
-	acceptRejectChains(context.Background(), t, true, check)
+	acceptRejectChains(context.Background(), t, true, cache.Policies(), check)
 
 	// The optimizer's chain on fdct under FIFO at the pinned goldens'
 	// geometry reaches an edit that adds fetches and removes misses at
@@ -398,10 +399,11 @@ func chainHierarchies(pol cache.Policy) []cache.Hierarchy {
 }
 
 // acceptRejectChains runs the chains of TestReleaseDifferential and, with
-// retire set, of TestRetireDifferential, every re-analysis under ctx. A
-// non-nil check also sees every re-analysis of the chain before it is
-// accepted or rolled back.
-func acceptRejectChains(ctx context.Context, t *testing.T, retire bool, check func(t *testing.T, where string, r *wcet.Result)) {
+// retire set, of TestRetireDifferential, every re-analysis under ctx, for
+// the policies of pols. A non-nil check also sees every re-analysis of the
+// chain before it is accepted or rolled back, and the live result after.
+// Every undo must restore the program the record began with.
+func acceptRejectChains(ctx context.Context, t *testing.T, retire bool, pols []cache.Policy, check func(t *testing.T, where string, r *wcet.Result)) {
 	steps := 12
 	if testing.Short() {
 		steps = 5
@@ -412,6 +414,9 @@ func acceptRejectChains(ctx context.Context, t *testing.T, retire bool, check fu
 			t.Fatalf("unknown program %s", name)
 		}
 		for pi, pol := range cache.Policies() {
+			if !slices.Contains(pols, pol) {
+				continue
+			}
 			for _, h := range chainHierarchies(pol) {
 				par := diffParams(h)
 				where := name + "/" + h.String()
@@ -431,6 +436,7 @@ func acceptRejectChains(ctx context.Context, t *testing.T, retire bool, check fu
 				rng := rand.New(rand.NewSource(int64(pi)*7919 + int64(len(name))))
 				accepted, rejected := 0, 0
 				for step := 0; step < steps; step++ {
+					before := isa.Fingerprint(p)
 					p.BeginUndo()
 					for k := 0; k < 1+rng.Intn(3); k++ {
 						mutate(rng, p)
@@ -445,6 +451,9 @@ func acceptRejectChains(ctx context.Context, t *testing.T, retire bool, check fu
 					if rng.Intn(2) == 0 {
 						p.Undo()
 						cur.Release()
+						if isa.Fingerprint(p) != before {
+							t.Fatalf("%s: the undo did not restore the program", where)
+						}
 						rejected++
 					} else {
 						p.DropUndo()
@@ -462,6 +471,9 @@ func acceptRejectChains(ctx context.Context, t *testing.T, retire bool, check fu
 						}
 						prev = cur
 						accepted++
+					}
+					if check != nil {
+						check(t, where+" (live)", prev)
 					}
 					if n := prev.AI.PooledStates(); n != 0 {
 						t.Fatalf("%s: %d L1 exit states of the live result sit in the pool", where, n)

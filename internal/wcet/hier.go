@@ -192,12 +192,7 @@ type tally struct{ l1, mem missCount }
 // vectors are unchanged.
 func assemble(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params, lay *isa.Layout, ai, ai2 *absint.Result, prev *Result) (*Result, error) {
 	n := len(x.Blocks)
-	res := &Result{
-		Prog: x.Prog, X: x, Lay: lay, AI: ai, AI2: ai2, Hier: h, Par: par,
-		Cost:  make([]int64, n),
-		Extra: make([]int64, n),
-		tally: make([]tally, n),
-	}
+	res := &Result{Prog: x.Prog, X: x, Lay: lay, AI: ai, AI2: ai2, Hier: h, Par: par}
 	if prev != nil {
 		res.plan = prev.plan
 	} else {
@@ -206,6 +201,9 @@ func assemble(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params, 
 			return nil, err
 		}
 	}
+	// The vectors come from the ones the chain's last released result gave
+	// back to the plan (see Result.Release), when there are any.
+	res.Cost, res.Extra, res.tally = res.plan.cost.Take(n), res.plan.extra.Take(n), res.plan.tally.Take(n)
 	costSame := prev != nil
 	for _, xb := range x.Blocks {
 		id := xb.ID
@@ -240,7 +238,7 @@ func assemble(ctx context.Context, x *vivu.Prog, h cache.Hierarchy, par Params, 
 		nw, tau := res.plan.solve(res.Cost, res.Extra)
 		sp.Attr("tau_w", tau)
 		sp.End()
-		res.Nw, res.TauW = nw, tau
+		res.Nw, res.TauW, res.ownNw = nw, tau, true
 	}
 	for _, xb := range x.Blocks {
 		nw := res.Nw[xb.ID]

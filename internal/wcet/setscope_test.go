@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"ucp/internal/absint"
 	"ucp/internal/cache"
 	"ucp/internal/cache/cachetest"
 	"ucp/internal/isa"
@@ -17,62 +16,15 @@ import (
 	"ucp/internal/obs"
 	"ucp/internal/vivu"
 	"ucp/internal/wcet"
+	"ucp/internal/wcet/wcettest"
 )
-
-// sameLevel compares one level of a re-analysis with a from-scratch
-// analysis of the same program: every exit state, every verdict and every
-// effectiveness bit.
-func sameLevel(inc, full *absint.Result) error {
-	if id := inc.DiffStates(full); id >= 0 {
-		return fmt.Errorf("exit state of block %d diverges", id)
-	}
-	for id := range full.Class {
-		if len(inc.Class[id]) != len(full.Class[id]) {
-			return fmt.Errorf("block %d: %d verdicts, from scratch %d", id, len(inc.Class[id]), len(full.Class[id]))
-		}
-		for i, want := range full.Class[id] {
-			if got := inc.Class[id][i]; got != want {
-				return fmt.Errorf("class[%d][%d] %v, from scratch %v", id, i, got, want)
-			}
-			if inc.Effective(id, i) != full.Effective(id, i) {
-				return fmt.Errorf("effectiveness[%d][%d] diverges", id, i)
-			}
-		}
-	}
-	return nil
-}
-
-// sameAsScratch analyzes r's program from scratch, level by level with each
-// level's AlwaysMiss demand, and compares every level with r's.
-func sameAsScratch(r *wcet.Result) error {
-	ctx := context.Background()
-	lay := isa.NewLayout(r.X.Prog)
-	lambda := int(r.Par.Lambda)
-	l1, err := absint.AnalyzeChain(ctx, r.X, lay, r.Hier.L1, lambda, nil, nil, r.AI.HasAlwaysMiss())
-	if err != nil {
-		return err
-	}
-	if err := sameLevel(r.AI, l1); err != nil {
-		return fmt.Errorf("L1: %v", err)
-	}
-	if r.AI2 == nil {
-		return nil
-	}
-	l2, err := absint.AnalyzeChain(ctx, r.X, lay, r.Hier.L2, lambda, l1, nil, r.AI2.HasAlwaysMiss())
-	if err != nil {
-		return err
-	}
-	if err := sameLevel(r.AI2, l2); err != nil {
-		return fmt.Errorf("L2: %v", err)
-	}
-	return nil
-}
 
 // TestSetScopedDifferential holds the set-scoped re-analysis — only the
 // cache sets onto which an edit changed some block's events are re-solved,
 // every other set and its verdicts come from the seed — to from-scratch
-// analyses with the same AlwaysMiss demand, level by level: every exit
-// state, every verdict and every effectiveness bit. It runs the
+// analyses with the same AlwaysMiss demand (wcettest.SameAsFull): every
+// level's exit states, verdicts and effectiveness bits, the WCET vectors
+// and the layout's addresses. It runs the
 // accept/reject chains of TestRetireDifferential, then 60 random programs
 // and the Mälardalen suite under every policy (or the one UCP_POLICY
 // names), on the L1 alone and behind an 8 KiB L2, each edited twice, the
@@ -83,7 +35,7 @@ func TestSetScopedDifferential(t *testing.T) {
 	t.Parallel()
 	check := func(t *testing.T, where string, r *wcet.Result) {
 		t.Helper()
-		if err := sameAsScratch(r); err != nil {
+		if err := wcettest.SameAsFull(r); err != nil {
 			t.Fatalf("%s: %v", where, err)
 		}
 	}
@@ -112,7 +64,7 @@ func TestSetScopedDifferential(t *testing.T) {
 			}
 		}
 	}
-	acceptRejectChains(rec.Install(context.Background()), t, true, check)
+	acceptRejectChains(rec.Install(context.Background()), t, true, cache.Policies(), check)
 	if 2*partial.Load() <= l2.Load() {
 		t.Fatalf("%d of %d L2 re-analyses of the chains re-solved a strict subset of the %d sets; want most",
 			partial.Load(), l2.Load(), nsets)

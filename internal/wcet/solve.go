@@ -3,6 +3,7 @@ package wcet
 import (
 	"fmt"
 
+	"ucp/internal/reuse"
 	"ucp/internal/vivu"
 )
 
@@ -23,6 +24,19 @@ type solvePlan struct {
 	// regions enclosing it.
 	levels []planLevel
 	nNodes int // total nodes over all levels
+
+	// The solve's working arrays, laid out once per plan: the node
+	// weights, longest-path values and predecessor choices of every level,
+	// and each level's collapsed weight and path end.
+	nodeW, best []int64
+	choice      []int32
+	weight      []int64
+	last        []int32
+	// The vectors the chain's released results gave back, one of each
+	// kind (see Result.Release): the next assembly takes Cost, Extra and
+	// the tallies, and the next solve its n_w.
+	cost, extra, nw reuse.Slot[int64]
+	tally           reuse.Slot[tally]
 }
 
 // planLevel is one region, or the top level, as a DAG of nodes in ACFG
@@ -149,6 +163,8 @@ func newSolvePlan(x *vivu.Prog) (*solvePlan, error) {
 		lv.off = p.nNodes
 		p.nNodes += len(lv.nodes)
 	}
+	p.nodeW, p.best, p.choice = make([]int64, p.nNodes), make([]int64, p.nNodes), make([]int32, p.nNodes)
+	p.weight, p.last = make([]int64, len(p.levels)), make([]int32, len(p.levels))
 	return p, nil
 }
 
@@ -161,13 +177,12 @@ func newSolvePlan(x *vivu.Prog) (*solvePlan, error) {
 // Each level makes one longest-path pass in ACFG order, relaxing with a
 // strict >, so among equal paths the one through the earliest node wins;
 // its end is the first end node with the strictly greatest value.
+//
+// The working arrays live in the plan, so solves along one chain must not
+// run concurrently; nw is taken from the plan's spare (see Result.Release).
 func (p *solvePlan) solve(cost, extra []int64) (nw []int64, tau int64) {
 	const minusInf = int64(-1) << 62
-	nodeW := make([]int64, p.nNodes)
-	best := make([]int64, p.nNodes)
-	choice := make([]int32, p.nNodes)
-	weight := make([]int64, len(p.levels)) // a collapsed region's node weight
-	last := make([]int32, len(p.levels))   // the end node of a level's path
+	nodeW, best, choice, weight, last := p.nodeW, p.best, p.choice, p.weight, p.last
 	const top = 0
 	for li := len(p.levels) - 1; li >= top; li-- {
 		lv := &p.levels[li]
@@ -216,7 +231,7 @@ func (p *solvePlan) solve(cost, extra []int64) (nw []int64, tau int64) {
 		}
 	}
 
-	nw = make([]int64, p.nBlocks)
+	nw = p.nw.Take(p.nBlocks)
 	var assign func(li, i int, mult int64)
 	assign = func(li, i int, mult int64) {
 		lv := &p.levels[li]

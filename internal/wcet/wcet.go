@@ -90,6 +90,9 @@ type Result struct {
 	// plan is the structural solve's layout of X's regions; it depends only
 	// on the expansion and is shared along the chain of re-analyses.
 	plan *solvePlan
+	// ownNw marks an Nw this result's own solve made; a result whose cost
+	// vectors came out unchanged shares its parent's.
+	ownNw bool
 }
 
 // SolveCounts runs the structural WCET-scenario solver for externally
@@ -104,30 +107,61 @@ func SolveCounts(x *vivu.Prog, cost []int64) (nw []int64, tau int64, err error) 
 	return nw, tau, nil
 }
 
-// Release recycles the abstract states this result's analyses own — the
-// L2's first, since it was gated by and seeded after the L1 — into their
-// chains' pools (see absint.Result.Release). Only a result nothing was
-// seeded from may be released: a rolled-back re-analysis. Its seed stays
-// valid. Release is nil-safe and idempotent.
+// Sentinels a given-back vector is filled with under reuse.Poison.
+const poisonCount = -0x5A5A5A5A5A5A5A5A
+
+var poisonTally = tally{l1: missCount{-1, -1, -1}, mem: missCount{-1, -1, -1}}
+
+// Release ends the life of a rolled-back re-analysis and gives everything
+// it allocated back to the chain that made it, for the chain's next
+// re-analysis to take before it allocates: each level's abstract states,
+// rows and tables (see absint.Result.Release; the L2's first, since it was
+// gated by and seeded after the L1), its Cost, Extra and tally vectors
+// and, when its own solve made it, its Nw to the solve plan, and the rows
+// its derived layout made to the program (see isa.Layout.Release). Its
+// vectors are cleared, so a later use fails loudly. Only a result nothing
+// was seeded from may be released. Its seed stays valid, including the Nw
+// a result with unchanged costs shares with it. Release is nil-safe and
+// idempotent, and a no-op on a retired result.
 func (r *Result) Release() {
-	r.Retire(nil)
+	if r == nil || r.Cost == nil {
+		return
+	}
+	r.AI2.Release()
+	r.AI.Release()
+	r.Lay.Release()
+	r.plan.cost.Put(r.Cost, poisonCount)
+	r.plan.extra.Put(r.Extra, poisonCount)
+	r.plan.tally.Put(r.tally, poisonTally)
+	if r.ownNw {
+		r.plan.nw.Put(r.Nw, poisonCount)
+	}
+	r.clear()
 }
 
 // Retire ends r's life after next, the re-analysis seeded from r that
 // superseded it (an accepted edit): each level hands next the exit states
-// next still shares and recycles the rest (see absint.Result.Retire). r
-// must not be used or seeded from afterwards; next stays valid. A nil next
-// releases r. Retire is nil-safe and idempotent.
+// next still shares and recycles the rest (see absint.Result.Retire).
+// Nothing else is given back, because next and the results seeded from it
+// may alias r's rows, vectors and layout rows. r must not be used or seeded
+// from afterwards; next stays valid. A nil next releases r. Retire is
+// nil-safe and idempotent.
 func (r *Result) Retire(next *Result) {
-	if r == nil {
+	if next == nil {
+		r.Release()
 		return
 	}
-	var ai, ai2 *absint.Result
-	if next != nil {
-		ai, ai2 = next.AI, next.AI2
+	if r == nil || r.Cost == nil {
+		return
 	}
-	r.AI2.Retire(ai2)
-	r.AI.Retire(ai)
+	r.AI2.Retire(next.AI2)
+	r.AI.Retire(next.AI)
+	r.clear()
+}
+
+// clear drops r's vectors.
+func (r *Result) clear() {
+	r.Cost, r.Extra, r.tally, r.Nw, r.ownNw = nil, nil, nil, nil, false
 }
 
 // OnWCETPath reports whether expanded block xb executes in the WCET
