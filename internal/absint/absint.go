@@ -150,20 +150,6 @@ func (s setState) equal(o setState) bool {
 	return true
 }
 
-// fnv-1a over the entries; used for the State hash.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func (s setState) hash() uint64 {
-	h := uint64(fnvOffset)
-	for _, e := range s {
-		h = (h ^ uint64(e)) * fnvPrime
-	}
-	return h
-}
-
 // sets holds the three component views of one cache set while a policy
 // transfer (see policy.go) updates them.
 type sets struct{ must, may, pers setState }
@@ -211,7 +197,9 @@ type satSet struct {
 // located by an integer span table. Copying a state is a bulk
 // copy of the arena and one of the table, and neither store needs a write
 // barrier. A set that outgrows its room moves to the arena's tail (see
-// relocate); it never leaves the arena.
+// relocate); it never leaves the arena. A full analysis compacts the exit
+// states it keeps (see compact); they are owned, retired and recycled like
+// every other state.
 type State struct {
 	cfg cache.Config
 	tr  policyTransfer // transfer functions for cfg.Policy (see policy.go)
@@ -227,14 +215,6 @@ type State struct {
 	// count per component so Equal rejects differing states in O(1) — the
 	// dominant outcome inside the fixpoint.
 	nMust, nMay, nPers int32
-	// hash caches the structural hash; valid only while hashOK. Mutators
-	// clear it, Intern sets it, and Equal uses a mismatch of two valid hashes
-	// as a second O(1) early exit.
-	hash   uint64
-	hashOK bool
-	// interned marks a state Intern compacted into its result's slab: it is
-	// read-only and never recycled.
-	interned bool
 	// noAM marks a state without a may component: its transfer skips the
 	// may update, every may span stays empty, and Classify answers
 	// NotClassified where a may component could prove AlwaysMiss. It is
@@ -396,8 +376,6 @@ func (s *State) copyFrom(src *State) {
 	s.sat = append(s.sat[:0], src.sat...)
 	s.satLo, s.nSat = src.satLo, src.nSat
 	s.nMust, s.nMay, s.nPers = src.nMust, src.nMay, src.nPers
-	s.hash, s.hashOK = src.hash, src.hashOK
-	s.interned = false
 }
 
 // Clone deep-copies the state, its transfer included.
@@ -408,14 +386,13 @@ func (s *State) Clone() *State {
 }
 
 // Equal reports whether two states are identical. The cached entry counts
-// and (when both are valid) the cached hashes reject unequal states without
-// walking the sets.
+// reject most unequal states without walking the sets.
 func (s *State) Equal(o *State) bool { return s.equalIn(o, nil) }
 
 // equalIn is Equal over the cache sets of mask m (every set when m is nil),
 // for two states whose other sets are known to be equal: the cached counts
-// and hashes then still tell the states apart, and only the sets and the
-// saturated bits of m are walked.
+// then still tell the states apart, and only the sets and the saturated
+// bits of m are walked.
 func (s *State) equalIn(o *State, m *setMask) bool {
 	if s == o {
 		return true
@@ -425,9 +402,6 @@ func (s *State) equalIn(o *State, m *setMask) bool {
 	}
 	if s.nSat > 0 && s.satLo != o.satLo {
 		return false // bitsets of different chains number blocks differently
-	}
-	if s.hashOK && o.hashOK && s.hash != o.hash {
-		return false
 	}
 	if m == nil {
 		if !satEqual(s.sat, o.sat) {
@@ -541,7 +515,6 @@ func (s *State) Classify(blk uint64) Classification {
 // replacement policy.
 func (s *State) Access(blk uint64) {
 	s.tr.access(s, s.spanOf(blk), blk)
-	s.hashOK = false
 }
 
 // PrefetchFill applies the abstract effect of a prefetch fill of blk.
@@ -556,7 +529,6 @@ func (s *State) Access(blk uint64) {
 // minimum age grows (the join of the filled and unfilled possibilities).
 func (s *State) PrefetchFill(blk uint64, effective bool) {
 	s.tr.fill(s, s.spanOf(blk), blk, effective)
-	s.hashOK = false
 }
 
 // mustUpdate is the must-analysis LRU update: the accessed block gets age 0;
@@ -749,7 +721,6 @@ func (s *State) joinInto(a, b *State, m *setMask) {
 		}
 	}
 	s.arena = s.arena[:off]
-	s.hashOK = false
 }
 
 // joinSet joins the set whose spans start at k of a and b into s's arena at
@@ -1093,7 +1064,6 @@ func (b *maybeBuf) accessMaybe(st *State, blk uint64) {
 	st.nMay += st.store(k+cMay, b.join)
 	b.join = joinPersInto(&st.satSet, b.join[:0], b.pers, st.view(k+cPers))
 	st.nPers += st.store(k+cPers, b.join)
-	st.hashOK = false
 }
 
 // joinPreds returns the join of the predecessors' exit states of block id —
@@ -1187,8 +1157,10 @@ func (a *analyzer) processBlock(id int) bool {
 // The fixpoint is interruptible: the amortized checker is polled once per
 // component and once per cyclic convergence round, so a canceled context
 // unwinds the solve within one round. An aborted solve leaves the seed
-// result (prev) untouched — seeded states are shared, never mutated, never
-// recycled — so the caller's previous Result stays valid for a later retry.
+// result (prev) untouched — this call neither mutates nor recycles a seeded
+// state; only prev's own Retire or Release does — so the caller's previous
+// Result stays valid for a later retry. The solved states keep the room the
+// in-place updates needed; a full analysis compacts its own afterwards.
 func (a *analyzer) solve(plan *sccPlan) error {
 	for ci, comp := range plan.comps {
 		if err := a.chk.Check(); err != nil {

@@ -12,18 +12,15 @@ import (
 
 // sliceState is the slice-per-set abstract state the entry arena replaced:
 // one slice header per component and set, carved from a shared backing
-// buffer with headroom, and hash-consed set interning for retained states.
-// It runs the same policy case split and kernels; it exists only to pin the
-// arena layout, its relocations and its compaction to the semantics of the
-// representation it replaces.
+// buffer with headroom. It runs the same policy case split and kernels; it
+// exists only to pin the arena layout, its relocations and its compaction
+// to the semantics of the representation it replaces.
 type sliceState struct {
 	cfg             cache.Config
 	tr              policyTransfer
 	must, may, pers []setState
 	satSet
 	nMust, nMay, nPers int32
-	hash               uint64
-	hashOK             bool
 	buf                []entry
 }
 
@@ -70,7 +67,6 @@ func (s *sliceState) copyFrom(src *sliceState) {
 	s.sat = append(s.sat[:0], src.sat...)
 	s.satLo = src.satLo
 	s.nMust, s.nMay, s.nPers, s.nSat = src.nMust, src.nMay, src.nPers, src.nSat
-	s.hash, s.hashOK = src.hash, src.hashOK
 }
 
 func (s *sliceState) clone() *sliceState {
@@ -87,9 +83,6 @@ func (s *sliceState) Equal(o *sliceState) bool {
 		return false
 	}
 	if s.nSat > 0 && s.satLo != o.satLo {
-		return false
-	}
-	if s.hashOK && o.hashOK && s.hash != o.hash {
 		return false
 	}
 	if !satEqual(s.sat, o.sat) {
@@ -131,7 +124,6 @@ func (s *sliceState) update(si int, transfer func()) {
 	s.nMust += int32(len(s.must[si]) - m0)
 	s.nMay += int32(len(s.may[si]) - y0)
 	s.nPers += int32(len(s.pers[si]) - p0)
-	s.hashOK = false
 }
 
 // access and fill are the policy transfers as they worked on per-set
@@ -233,7 +225,6 @@ func (s *sliceState) joinInto(a, b *sliceState) {
 		off += bound
 	}
 	s.nMust, s.nMay, s.nPers = nm, ny, np
-	s.hashOK = false
 }
 
 // sliceMaybeBuf is maybeBuf over sliceState.
@@ -266,42 +257,6 @@ func (b *sliceMaybeBuf) accessMaybe(st *sliceState, blk uint64) {
 	st.nMust += int32(len(st.must[si]) - m0)
 	st.nMay += int32(len(st.may[si]) - y0)
 	st.nPers += int32(len(st.pers[si]) - p0)
-	st.hashOK = false
-}
-
-// internTable hash-conses set states: identical sets of interned states
-// share one canonical copy.
-type internTable struct {
-	m map[uint64][]setState
-}
-
-func newInternTable() *internTable { return &internTable{m: map[uint64][]setState{}} }
-
-func (t *internTable) canon(s setState) (setState, uint64) {
-	h := s.hash()
-	if len(s) == 0 {
-		return nil, h
-	}
-	for _, c := range t.m[h] {
-		if c.equal(s) {
-			return c, h
-		}
-	}
-	c := append(make(setState, 0, len(s)), s...)
-	t.m[h] = append(t.m[h], c)
-	return c, h
-}
-
-// internState replaces every set of s with its canonical copy and drops the
-// private buffer.
-func (t *internTable) internState(s *sliceState) {
-	n := len(s.must)
-	for i := 0; i < n; i++ {
-		s.must[i], _ = t.canon(s.must[i])
-		s.may[i], _ = t.canon(s.may[i])
-		s.pers[i], _ = t.canon(s.pers[i])
-	}
-	s.buf = nil
 }
 
 // arenaBase identifies the array behind s's arena.
@@ -310,13 +265,6 @@ func arenaBase(s *State) *entry {
 		return nil
 	}
 	return &s.arena[:1][0]
-}
-
-// internedHash returns the hash Intern records for a state equal to s.
-func internedHash(s *State) uint64 {
-	c := s.Clone()
-	c.compact(nil)
-	return c.hash
 }
 
 // checkFlat compares st with its slice-per-set reference r: every set's
@@ -379,15 +327,15 @@ func checkFlat(st *State, r *sliceState, lo, hi uint64) error {
 
 // TestFlatStateDifferential drives seeded random sequences of accesses,
 // prefetch fills (effective or not), Uncertain accesses, joins, copies and
-// interning through a population of arena states and their slice-per-set
+// compactions through a population of arena states and their slice-per-set
 // references, under every policy and associativity 1, 2, 4 and 8, and
 // checks after every step that the arena state holds exactly the
-// reference's sets, counts, bitset and answers, and that Equal and the
-// interned hash agree with the reference's Equal. Interned states join the
-// population as read-only sources for copies and joins, so transfers grow
-// their compacted sets; block ranges wide enough to push tree-PLRU may sets
-// past smallSetScan, and arenas cut to their length now and then, drive
-// relocations and repacks, which the test counts and requires.
+// reference's sets, counts, bitset and answers, and that Equal agrees with
+// the reference's Equal. Compacted states join the population as read-only
+// sources for copies and joins, so transfers grow their tight sets; block
+// ranges wide enough to push tree-PLRU may sets past smallSetScan, and
+// arenas cut to their length now and then, drive relocations and repacks,
+// which the test counts and requires.
 func TestFlatStateDifferential(t *testing.T) {
 	const (
 		seqs  = 6
@@ -416,7 +364,7 @@ func TestFlatStateDifferential(t *testing.T) {
 					for k := range sts {
 						sts[k], refs[k] = newState(cfg, satLo, false), newSliceState(cfg, satLo)
 					}
-					// frozen holds interned states: read-only sources.
+					// frozen holds compacted states: read-only sources.
 					var frozen []*State
 					var frozenRefs []*sliceState
 					spare, spareRef := newState(cfg, satLo, false), newSliceState(cfg, satLo)
@@ -472,15 +420,14 @@ func TestFlatStateDifferential(t *testing.T) {
 							st.copyFrom(src)
 							ref.copyFrom(srcRef)
 						default:
-							op, transfer = "Intern", false
+							op, transfer = "compact", false
 							x, xr := st.Clone(), ref.clone()
-							x.compact(nil)
-							newInternTable().internState(xr)
+							x.compact()
 							if err := checkFlat(x, xr, satLo, satLo+span); err != nil {
-								t.Fatalf("%v seq %d step %d: interned copy of state %d: %v", cfg, seq, step, k, err)
+								t.Fatalf("%v seq %d step %d: compacted copy of state %d: %v", cfg, seq, step, k, err)
 							}
-							if !x.Equal(st) || x.hash != internedHash(st) {
-								t.Fatalf("%v seq %d step %d: interned copy of state %d differs from it", cfg, seq, step, k)
+							if !x.Equal(st) {
+								t.Fatalf("%v seq %d step %d: compacted copy of state %d differs from it", cfg, seq, step, k)
 							}
 							if len(frozen) < 4 {
 								frozen, frozenRefs = append(frozen, x), append(frozenRefs, xr)
@@ -511,9 +458,6 @@ func TestFlatStateDifferential(t *testing.T) {
 							if got := st.Equal(all[o]); got != want {
 								t.Fatalf("%s: Equal(state %d) = %v, reference %v", where, o, got, want)
 							}
-							if want && internedHash(st) != internedHash(all[o]) {
-								t.Fatalf("%s: equal states intern to different hashes", where)
-							}
 						}
 					}
 				}
@@ -543,7 +487,7 @@ func TestFlatStateCopyAllocs(t *testing.T) {
 		}
 	}
 	compact := src.Clone()
-	compact.compact(nil)
+	compact.compact()
 	dst := newState(cfg, satLo, false)
 	for _, from := range []*State{src, compact} {
 		dst.copyFrom(from) // size the arena and the bitset

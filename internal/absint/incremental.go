@@ -291,6 +291,11 @@ func analyze(ctx context.Context, x *vivu.Prog, lay *isa.Layout, cfg cache.Confi
 	for id, own := range a.ownOut {
 		if own {
 			res.own = append(res.own, int32(id))
+			if full {
+				// A chain's seed lives as long as the chain, so its exit
+				// states drop the room the fixpoint's updates needed.
+				res.out[id].compact()
+			}
 		}
 	}
 
@@ -519,7 +524,9 @@ func flags(buf *[]bool, n int) []bool {
 // fixpoint replaces go back into the pool, and so do the owned exit states
 // of a released Result and those a retired Result's successor no longer
 // shares; states seeded from a previous Result are never recycled by the
-// call they were seeded into (they are shared, possibly interned).
+// call they were seeded into (they are shared). A compacted state (see
+// compact) is an ordinary pooled state once recycled: the first copy or
+// join into it sizes its arena again.
 type statePool struct {
 	cfg cache.Config
 	// satLo is the chain's first memory block, bit 0 of every state's
@@ -549,30 +556,6 @@ func (p *statePool) fresh() *State { return newState(p.cfg, p.satLo, p.noAM) }
 func (p *statePool) put(s *State) {
 	if s != nil {
 		p.free = append(p.free, s)
-	}
-}
-
-// Intern compacts the exit states of the result for long-term retention (a
-// result cache, a baseline kept across a sweep): each state's sets move,
-// without the room and holes the fixpoint's in-place updates need, into one
-// slab shared by the result's states, and its structural hash is recorded
-// (giving Equal its O(1) fast path). A compacted state is read-only and is
-// never recycled; a transfer that copies it relocates the sets it grows.
-// The analysis itself never pays for this. States already compacted by an
-// earlier call in the chain are skipped. The result must not be
-// re-analyzed concurrently with Intern.
-func (r *Result) Intern() {
-	total := 0
-	for _, s := range r.out {
-		if s != nil && !s.interned {
-			total += s.live()
-		}
-	}
-	slab := make([]entry, 0, total)
-	for _, s := range r.out {
-		if s != nil && !s.interned {
-			slab = s.compact(slab)
-		}
 	}
 }
 
@@ -612,8 +595,8 @@ func (r *Result) Release() {
 
 // Retire ends r's life after next, a result seeded from r, superseded it:
 // the owned exit states next still aliases become next's, the rest go back
-// to the chain's state pool, and r is cleared like Release. Interned states
-// are read-only for good and stay where they are. Nothing else is given
+// to the chain's state pool, and r is cleared like Release; a full
+// analysis's compacted states are no exception. Nothing else is given
 // back: next, and the results seeded from it, may alias r's rows. r must
 // not be used, or seeded from, afterwards. A nil next releases r. Retire is
 // nil-safe and idempotent.
@@ -634,11 +617,9 @@ func (r *Result) Retire(next *Result) {
 func (r *Result) retireStates(next *Result) {
 	for _, id := range r.own {
 		s := r.out[id]
-		switch {
-		case s.interned: // compacted into a read-only slab for good
-		case next != nil && next.out[id] == s:
+		if next != nil && next.out[id] == s {
 			next.own = append(next.own, id)
-		default:
+		} else {
 			r.scr.sp.put(s)
 		}
 	}
@@ -703,30 +684,18 @@ func (r *Result) InState(id int) *State {
 	return in
 }
 
-// compact appends s's entries to slab, span after span and without room,
-// points s's arena at them, records the structural hash and marks s
-// interned. The hash folds in each span's hash and the saturated bitset's
-// non-zero words with their index, so trailing zero words, which Equal
-// ignores, do not change it. It returns the extended slab; the state must
-// not be mutated afterwards.
-func (s *State) compact(slab []entry) []entry {
-	start := len(slab)
-	h := uint64(fnvOffset)
+// compact moves s's entries into an arena of its own sized exactly to
+// them: span after span, with no room and no holes. A copy of a compacted
+// state inherits its tight spans, so the first transfer that grows one of
+// the copy's sets relocates that set (see relocate).
+func (s *State) compact() {
+	arena := make([]entry, 0, s.live())
 	for k := range s.spans {
 		v := s.view(k)
-		s.spans[k] = span{off: int32(len(slab) - start), n: int32(len(v)), cap: int32(len(v))}
-		slab = append(slab, v...)
-		h = (h ^ v.hash()) * fnvPrime
+		s.spans[k] = span{off: int32(len(arena)), n: int32(len(v)), cap: int32(len(v))}
+		arena = append(arena, v...)
 	}
-	s.arena = slab[start:len(slab):len(slab)]
-	for i, w := range s.sat {
-		if w != 0 {
-			h = (h ^ uint64(i)) * fnvPrime
-			h = (h ^ w) * fnvPrime
-		}
-	}
-	s.hash, s.hashOK, s.interned = h, true, true
-	return slab
+	s.arena = arena
 }
 
 // effCalc answers latency-hiding queries (is every first use of the target

@@ -74,7 +74,6 @@ func (s *State) overlay(src *State, m *setMask) {
 		ns += bits.OnesCount64(w)
 	}
 	s.nSat = int32(ns)
-	s.hashOK = false
 }
 
 // projection links the events of a transfer row per cache set: event 2i is

@@ -220,15 +220,6 @@ func optimizeHier(ctx context.Context, p *isa.Program, h cache.Hierarchy, opt Op
 	if err != nil {
 		return nil, nil, err
 	}
-	// The seed result's states stay live for the whole optimization (every
-	// incremental re-validation chains from them, aliasing what did not
-	// change), so compacting them here, without the room the fixpoint's
-	// in-place updates need, pays once and shrinks the retained set for the
-	// entire run.
-	res.AI.Intern()
-	if res.AI2 != nil {
-		res.AI2.Intern()
-	}
 	rep := &Report{
 		TauBefore:      res.TauW,
 		MissesBefore:   res.Misses,

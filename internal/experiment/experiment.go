@@ -17,7 +17,6 @@ import (
 	"ucp/internal/core"
 	"ucp/internal/energy"
 	"ucp/internal/faults"
-	"ucp/internal/interrupt"
 	"ucp/internal/isa"
 	"ucp/internal/malardalen"
 	"ucp/internal/obs"
@@ -273,9 +272,6 @@ func RunCell(ctx context.Context, b malardalen.Benchmark, cfgIdx int, tech energ
 		}
 	}
 	defer span.End()
-	mdl := energy.NewModelHier(h, tech)
-	par := mdl.WCETParams()
-
 	cell := Cell{
 		Program:  b.Name,
 		ConfigID: cache.ConfigID(cfgIdx),
@@ -284,12 +280,11 @@ func RunCell(ctx context.Context, b malardalen.Benchmark, cfgIdx int, tech energ
 		Tech:     tech,
 	}
 
-	phase := time.Now()
-	opt, rep, err := core.OptimizeHier(ctx, b.Prog, h, core.Options{Par: par, ValidationBudget: o.ValidationBudget, Explain: o.Explain})
-	phaseSeconds.With("optimize").Observe(time.Since(phase).Seconds())
+	run, err := optimizeRun(ctx, b, h, tech, o, true)
 	if err != nil {
 		return cell, err
 	}
+	mdl, rep, opt, sOrig, sOpt := run.mdl, run.rep, run.opt, run.sOrig, run.sOpt
 	cell.Inserted = rep.Inserted
 	cell.InsertedL2 = countL2Prefetches(opt)
 	cell.Validations = rep.Validations
@@ -297,12 +292,6 @@ func RunCell(ctx context.Context, b malardalen.Benchmark, cfgIdx int, tech energ
 	cell.TauOrig, cell.TauOpt = rep.TauBefore, rep.TauAfter
 	cell.MissWOrig, cell.MissWOpt = rep.MissesBefore, rep.MissesAfter
 	cell.L2MissWOrig, cell.L2MissWOpt = rep.L2MissesBefore, rep.L2MissesAfter
-
-	so := sim.Options{Par: par, Seed: 7, Runs: o.Runs}
-	phase = time.Now()
-	sOrig := sim.RunHier(b.Prog, h, so)
-	sOpt := sim.RunHier(opt, h, so)
-	phaseSeconds.With("simulate").Observe(time.Since(phase).Seconds())
 
 	// Conditions 2 and 3 (Section 2.3): a transformation that increases the
 	// measured ACET or the measured memory energy is rejected wholesale.
@@ -340,7 +329,7 @@ func RunCell(ctx context.Context, b malardalen.Benchmark, cfgIdx int, tech energ
 	// compare against the original binary on the full-size cache — the
 	// "smaller caches through prefetching" experiment.
 	if !o.SkipReduced {
-		phase = time.Now()
+		phase := time.Now()
 		defer func() { phaseSeconds.With("reduced").Observe(time.Since(phase).Seconds()) }()
 		tau, acet, e, ok, err := reducedRun(ctx, b, h, 2, tech, o)
 		if err != nil {
@@ -362,12 +351,53 @@ func RunCell(ctx context.Context, b malardalen.Benchmark, cfgIdx int, tech energ
 	return cell, nil
 }
 
+// optimized is one optimize-and-simulate run of a cell: the program
+// optimized for a hierarchy under the hierarchy's energy model, and the
+// optimized binary simulated on that hierarchy.
+type optimized struct {
+	mdl energy.Model
+	rep *core.Report
+	opt *isa.Program
+	// sOpt simulates the optimized binary; sOrig the original one, on a
+	// main run only.
+	sOpt, sOrig sim.Stats
+}
+
+// optimizeRun is the one optimize-and-simulate step behind a cell's main
+// run and its reduced runs. A main run (mainRun) also explains its decisions
+// when Options.Explain asks for it, simulates the original binary for
+// comparison, and records the optimize and simulate phases; a reduced run
+// is timed as a whole by its caller.
+func optimizeRun(ctx context.Context, b malardalen.Benchmark, h cache.Hierarchy, tech energy.Tech, o Options, mainRun bool) (optimized, error) {
+	mdl := energy.NewModelHier(h, tech)
+	par := mdl.WCETParams()
+	phase := time.Now()
+	opt, rep, err := core.OptimizeHier(ctx, b.Prog, h, core.Options{Par: par, ValidationBudget: o.ValidationBudget, Explain: mainRun && o.Explain})
+	if mainRun {
+		phaseSeconds.With("optimize").Observe(time.Since(phase).Seconds())
+	}
+	if err != nil {
+		return optimized{}, err
+	}
+	r := optimized{mdl: mdl, rep: rep, opt: opt}
+	so := sim.Options{Par: par, Seed: 7, Runs: o.Runs}
+	if !mainRun {
+		r.sOpt = sim.RunHier(opt, h, so)
+		return r, nil
+	}
+	phase = time.Now()
+	r.sOrig = sim.RunHier(b.Prog, h, so)
+	r.sOpt = sim.RunHier(opt, h, so)
+	phaseSeconds.With("simulate").Observe(time.Since(phase).Seconds())
+	return r, nil
+}
+
 // reducedRun optimizes the program for the hierarchy with a shrunk L1 and
 // measures it there (the L2, when present, keeps its size — the experiment
 // asks whether prefetching lets the *first* level shrink). A shrunk
-// configuration that cannot be optimized is reported as ok=false (the
-// figure simply lacks the series) — except for interruptions, which must
-// stop the whole cell and therefore propagate.
+// configuration that does not exist is reported as ok=false (the figure
+// simply lacks the series); a failure to optimize or measure an existing
+// one is the cell's error.
 func reducedRun(ctx context.Context, b malardalen.Benchmark, h cache.Hierarchy, factor int, tech energy.Tech, o Options) (tau int64, acet, energyPJ float64, ok bool, err error) {
 	small, valid := shrink(h.L1, factor)
 	if !valid {
@@ -378,17 +408,11 @@ func reducedRun(ctx context.Context, b malardalen.Benchmark, h cache.Hierarchy, 
 	if err := h2.Valid(); err != nil {
 		return 0, 0, 0, false, nil
 	}
-	mdl := energy.NewModelHier(h2, tech)
-	par := mdl.WCETParams()
-	opt, rep, err := core.OptimizeHier(ctx, b.Prog, h2, core.Options{Par: par, ValidationBudget: o.ValidationBudget})
+	r, err := optimizeRun(ctx, b, h2, tech, o, false)
 	if err != nil {
-		if interrupt.Is(err) {
-			return 0, 0, 0, false, err
-		}
-		return 0, 0, 0, false, nil
+		return 0, 0, 0, false, err
 	}
-	s := sim.RunHier(opt, h2, sim.Options{Par: par, Seed: 7, Runs: o.Runs})
-	return rep.TauAfter, s.ACETCycles(), mdl.Energy(s.Account()).TotalPJ(), true, nil
+	return r.rep.TauAfter, r.sOpt.ACETCycles(), r.mdl.Energy(r.sOpt.Account()).TotalPJ(), true, nil
 }
 
 // Per-level simulated hit/miss tallies, labeled by cache level. The cell

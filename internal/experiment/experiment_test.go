@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"ucp/internal/cache"
 	"ucp/internal/energy"
+	"ucp/internal/faults"
 	"ucp/internal/malardalen"
 )
 
@@ -101,6 +103,26 @@ func TestRunCellReducedCaches(t *testing.T) {
 	}
 	if !cellSmall.HasHalf {
 		t.Error("256B direct-mapped cell should allow a 128B half-size run")
+	}
+}
+
+// TestReducedRunFailureFailsCell checks that a reduced run whose
+// optimization fails returns the error, so the cell fails instead of
+// silently losing its Figure 5 series: an injected error in the analysis's
+// cyclic-component rounds stands in for an internal failure.
+func TestReducedRunFailureFailsCell(t *testing.T) {
+	b, _ := malardalen.ByName("crc")
+	h := cache.Hier1(cache.Table2()[13]) // k14 = (2,16,1024)
+	if err := faults.Arm("absint.round:*=err"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faults.Disarm)
+	_, _, _, ok, err := reducedRun(context.Background(), b, h, 2, energy.Tech45, Options{Runs: 1, ValidationBudget: 20})
+	if err == nil || ok {
+		t.Fatalf("reduced run under an injected analysis error: ok=%v, err=%v; want the error", ok, err)
+	}
+	if faults.Count("absint.round") == 0 {
+		t.Fatal("the injected fault never fired")
 	}
 }
 

@@ -429,10 +429,6 @@ func acceptRejectChains(ctx context.Context, t *testing.T, retire bool, pols []c
 				if err != nil {
 					t.Fatal(err)
 				}
-				prev.AI.Intern() // the optimizer's seed is interned
-				if prev.AI2 != nil {
-					prev.AI2.Intern()
-				}
 				rng := rand.New(rand.NewSource(int64(pi)*7919 + int64(len(name))))
 				accepted, rejected := 0, 0
 				for step := 0; step < steps; step++ {
