@@ -241,7 +241,9 @@ func ratio(a, b float64) float64 {
 
 // RunCell measures one use case. The analysis is cooperatively cancellable
 // through ctx; an interrupted cell returns a typed interrupt error and no
-// measurements.
+// measurements. A cell without an L2 runs its half- and quarter-capacity
+// runs in two goroutines after its main run, so it may use two CPUs for
+// part of its time; it returns only after both have.
 func RunCell(ctx context.Context, b malardalen.Benchmark, cfgIdx int, tech energy.Tech, o Options) (Cell, error) {
 	if o.Runs <= 0 {
 		o.Runs = 3 // the simulations here and in reducedRun
@@ -331,22 +333,47 @@ func RunCell(ctx context.Context, b malardalen.Benchmark, cfgIdx int, tech energ
 	if !o.SkipReduced {
 		phase := time.Now()
 		defer func() { phaseSeconds.With("reduced").Observe(time.Since(phase).Seconds()) }()
-		tau, acet, e, ok, err := reducedRun(ctx, b, h, 2, tech, o)
-		if err != nil {
-			return cell, err
+		var (
+			res  [2]reduced // half, quarter
+			ok   [2]bool
+			errs [2]error
+		)
+		run := func(i int) error {
+			var err error
+			res[i], ok[i], err = reducedRun(ctx, b, h, 2<<i, tech, o)
+			return err
 		}
-		if ok {
-			cell.HasHalf = true
-			cell.TauHalf, cell.ACETHalf, cell.EnergyHalf = tau, acet, e
+		if h.HasL2() {
+			// Every reduced run keeps the L2 at full size, so a pair
+			// would hold two L2 analyses at once. The runs go in order,
+			// and a failed half run skips the quarter.
+			for i := range errs {
+				if errs[i] = run(i); errs[i] != nil {
+					break
+				}
+			}
+		} else {
+			// Without an L2 the pair together holds at most 3/4 of the
+			// main run's cache state. Each run has its own panic barrier,
+			// since a goroutine escapes the caller's, and a failure does
+			// not cancel the other run.
+			var wg sync.WaitGroup
+			for i := range errs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					errs[i] = pool.Recover(func() error { return run(i) })
+				}(i)
+			}
+			wg.Wait()
 		}
-		tau, acet, e, ok, err = reducedRun(ctx, b, h, 4, tech, o)
-		if err != nil {
-			return cell, err
+		for _, err := range errs { // the half run's error first, as in order
+			if err != nil {
+				return cell, err
+			}
 		}
-		if ok {
-			cell.HasQuarter = true
-			cell.TauQuarter, cell.ACETQuarter, cell.EnergyQuarter = tau, acet, e
-		}
+		cell.HasHalf, cell.TauHalf, cell.ACETHalf, cell.EnergyHalf = ok[0], res[0].tau, res[0].acet, res[0].energy
+		cell.HasQuarter, cell.TauQuarter, cell.ACETQuarter, cell.EnergyQuarter = ok[1], res[1].tau, res[1].acet, res[1].energy
 	}
 	return cell, nil
 }
@@ -392,27 +419,35 @@ func optimizeRun(ctx context.Context, b malardalen.Benchmark, h cache.Hierarchy,
 	return r, nil
 }
 
-// reducedRun optimizes the program for the hierarchy with a shrunk L1 and
-// measures it there (the L2, when present, keeps its size — the experiment
-// asks whether prefetching lets the *first* level shrink). A shrunk
-// configuration that does not exist is reported as ok=false (the figure
-// simply lacks the series); a failure to optimize or measure an existing
-// one is the cell's error.
-func reducedRun(ctx context.Context, b malardalen.Benchmark, h cache.Hierarchy, factor int, tech energy.Tech, o Options) (tau int64, acet, energyPJ float64, ok bool, err error) {
+// reduced is the measurement of one reduced-capacity run (Figure 5): the
+// optimized binary's WCET bound, ACET and memory energy on the shrunk
+// hierarchy.
+type reduced struct {
+	tau          int64
+	acet, energy float64
+}
+
+// reducedRun optimizes the program for the hierarchy with its L1 capacity
+// divided by factor and measures it there (the L2, when present, keeps its
+// size — the experiment asks whether prefetching lets the *first* level
+// shrink). A shrunk configuration that does not exist is reported as
+// ok=false (the figure simply lacks the series); a failure to optimize or
+// measure an existing one is the cell's error.
+func reducedRun(ctx context.Context, b malardalen.Benchmark, h cache.Hierarchy, factor int, tech energy.Tech, o Options) (r reduced, ok bool, err error) {
 	small, valid := shrink(h.L1, factor)
 	if !valid {
-		return 0, 0, 0, false, nil
+		return reduced{}, false, nil
 	}
 	h2 := h
 	h2.L1 = small
 	if err := h2.Valid(); err != nil {
-		return 0, 0, 0, false, nil
+		return reduced{}, false, nil
 	}
-	r, err := optimizeRun(ctx, b, h2, tech, o, false)
+	run, err := optimizeRun(ctx, b, h2, tech, o, false)
 	if err != nil {
-		return 0, 0, 0, false, err
+		return reduced{}, false, fmt.Errorf("1/%d L1 capacity: %w", factor, err)
 	}
-	return r.rep.TauAfter, r.sOpt.ACETCycles(), r.mdl.Energy(r.sOpt.Account()).TotalPJ(), true, nil
+	return reduced{tau: run.rep.TauAfter, acet: run.sOpt.ACETCycles(), energy: run.mdl.Energy(run.sOpt.Account()).TotalPJ()}, true, nil
 }
 
 // Per-level simulated hit/miss tallies, labeled by cache level. The cell

@@ -117,7 +117,7 @@ func TestReducedRunFailureFailsCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(faults.Disarm)
-	_, _, _, ok, err := reducedRun(context.Background(), b, h, 2, energy.Tech45, Options{Runs: 1, ValidationBudget: 20})
+	_, ok, err := reducedRun(context.Background(), b, h, 2, energy.Tech45, Options{Runs: 1, ValidationBudget: 20})
 	if err == nil || ok {
 		t.Fatalf("reduced run under an injected analysis error: ok=%v, err=%v; want the error", ok, err)
 	}
